@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BATCH ?= 32
 JOBS ?= $(shell nproc 2>/dev/null || echo 4)
 
-.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-bytecode bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster ci
+.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster bench-check ci
 
 build:
 	$(GO) build ./...
@@ -36,7 +36,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIRImport$$' -fuzztime $(FUZZTIME) ./internal/irimport
 
 # Semantics-oracle smoke: 200 seeded generated programs, each compiled
-# with and without promotion and run on all three interpreter paths;
+# with and without promotion and run on both interpreter paths (the
+# bytecode engine and the reference interpreter);
 # any observable divergence (or print→reimport round-trip break) fails
 # the build with a shrunk counterexample.
 oracle-smoke:
@@ -56,7 +57,7 @@ bench-par:
 	$(GO) run ./cmd/rpbench -batch $(BATCH) -j $(JOBS) -timings -json BENCH_parallel_jN.json
 
 # Hot-path benchmark: the same corpus at -j 1 on the legacy paths
-# (no analysis cache, map-based interpreter) versus the optimized
+# (no analysis cache, reference interpreter) versus the optimized
 # default, then merged into one before/after record. Compare the
 # ns_per_function and allocs_per_func fields.
 bench-hot:
@@ -69,15 +70,10 @@ bench-hot:
 	printf '}\n' >> BENCH_hotpath.json
 	rm -f BENCH_hotpath_before.json BENCH_hotpath_after.json
 
-# Interpreter-path benchmark: the call-heavy program on the legacy,
-# fast, and bytecode paths, written as one comparison record. Compare
-# the speedup_vs_fastpath and allocs_per_run fields.
-bench-bytecode:
-	$(GO) run ./cmd/rpbench -interp-bench 300 -json BENCH_bytecode.json
-
 # One-iteration pass over every microbenchmark, as a compile-and-run
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
-# the point is that the benchmarks keep working).
+# the point is that the benchmarks keep working). The interp benchmarks
+# cover the bytecode engine and the reference interpreter.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/
 
@@ -138,8 +134,9 @@ chaos-smoke:
 
 # Cluster drill: rprouter + 2 replicas; a Zipf hot-key profile must
 # produce collapsed singleflight waits through the router, a replica
-# kill -9 mid-run must cost zero failed requests, and a SIGTERM under
-# load must drain cleanly.
+# kill -9 mid-run must cost zero failed requests, a SIGTERM under load
+# must drain cleanly, and a SIGTERM sent the moment either binary
+# publishes its port file must still end in exit 0.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
@@ -151,4 +148,12 @@ cluster-smoke:
 bench-cluster:
 	sh scripts/bench_cluster.sh
 
-ci: vet lint race test-par bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke
+# Benchmark smoke test: the bench module's own tests (about 11 s). They
+# run every workload briefly, traced and untraced, check every output
+# against the reference interpreter, and require every metric
+# BENCHMARK.json names to be printed. A pipeline or interp change that
+# breaks the benchmark's reference check fails CI here.
+bench-check:
+	cd bench && $(GO) test ./...
+
+ci: vet lint race test-par bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke bench-check

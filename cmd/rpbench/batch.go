@@ -35,12 +35,9 @@ type batchConfig struct {
 	// Check is the pipeline self-checking level.
 	Check pipeline.CheckLevel
 	// Legacy runs the pre-optimization paths — no cross-stage analysis
-	// cache, map-based interpreter accounting — as the before side of
-	// the hot-path comparison.
+	// cache, the reference interpreter — as the before side of the
+	// hot-path comparison.
 	Legacy bool
-	// Bytecode runs training and measurement interpretation on the
-	// compiled bytecode path (mutually exclusive with Legacy).
-	Bytecode bool
 	// Timings prints the aggregated per-stage wall time table.
 	Timings bool
 	// JSONPath, when non-empty, receives a machine-readable record of
@@ -76,7 +73,6 @@ type batchRecord struct {
 	Workers        int              `json:"workers"`
 	Check          string           `json:"check"`
 	Legacy         bool             `json:"legacy"`
-	Bytecode       bool             `json:"bytecode"`
 	ElapsedMS      float64          `json:"elapsed_ms"`
 	CPUMS          float64          `json:"cpu_ms"` // summed per-entry wall
 	EntriesPerSec  float64          `json:"entries_per_sec"`
@@ -117,7 +113,6 @@ func runBatch(cfg batchConfig) error {
 		NoAnalysisCache: cfg.Legacy,
 	}
 	popts.Interp.Legacy = cfg.Legacy
-	popts.Interp.Bytecode = cfg.Bytecode
 
 	jobs := cfg.Jobs
 	if jobs < 1 {
@@ -195,7 +190,7 @@ func runBatch(cfg batchConfig) error {
 	// Per-function cost: total per-entry wall time and whole-process heap
 	// allocation, divided by functions processed. Comparing a -legacy run
 	// against a default run at the same -j isolates what the analysis
-	// cache and the interpreter fast path buy.
+	// cache and the bytecode engine buy.
 	allocs := float64(msAfter.Mallocs - msBefore.Mallocs)
 	allocBytes := float64(msAfter.TotalAlloc - msBefore.TotalAlloc)
 	nsPerFunc, allocsPerFunc, bytesPerFunc := 0.0, 0.0, 0.0
@@ -206,11 +201,8 @@ func runBatch(cfg batchConfig) error {
 	}
 
 	mode := "default"
-	switch {
-	case cfg.Legacy:
+	if cfg.Legacy {
 		mode = "legacy"
-	case cfg.Bytecode:
-		mode = "bytecode"
 	}
 	fmt.Printf("batch: %d entries (%d generated, seed %d, size %s, mix mc=%d ll=%d), -j %d, -workers %d, check %s, mode %s\n",
 		len(corpus), cfg.Generated, cfg.Seed, sizeName(cfg.Size), mix["mc"], mix["ll"],

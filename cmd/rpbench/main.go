@@ -47,12 +47,10 @@ func main() {
 		seed       = flag.Int64("seed", 1, "base seed for the generated batch corpus")
 		size       = flag.String("size", "medium", "batch mode: generated workload size: small, medium, or large")
 		jobs       = flag.Int("j", 1, "batch mode: shard corpus entries across N goroutines")
-		legacy     = flag.Bool("legacy", false, "batch mode: run the pre-optimization paths (no analysis cache, map-based interpreter) as the benchmark baseline")
-		bytecode   = flag.Bool("bytecode", false, "batch mode: run training and measurement interpretation on the compiled bytecode path")
+		legacy     = flag.Bool("legacy", false, "batch mode: run the pre-optimization paths (no analysis cache, reference interpreter) as the benchmark baseline")
 		irEvery    = flag.Int("ir-every", 0, "batch mode: replace every Nth generated entry with an imported real-IR program (0 = off)")
 		oracleN    = flag.Int("oracle", 0, "run the semantics oracle over N seeded generated programs (uses -seed and -size), write -json, and exit")
 		oracleRT   = flag.Bool("oracle-roundtrip", false, "oracle mode: also check print→reimport round-trip equivalence")
-		interpN    = flag.Int("interp-bench", 0, "measure the three interpreter paths on the call-heavy program with N timed runs each, write -json, and exit")
 		presBench  = flag.Bool("pressure-bench", false, "run the pressure-aware promotion table over the suite plus -pressure-gen programs, write -json, and exit")
 		presCap    = flag.Int("pressure-cap", 8, "pressure mode: register-pressure color cap")
 		presGen    = flag.Int("pressure-gen", 0, "pressure mode: generated stress programs to add to the suite (uses -seed and -size)")
@@ -82,14 +80,6 @@ func main() {
 		}
 	}
 	defer finishProfiles()
-
-	if *interpN > 0 {
-		if err := runInterpBench(*interpN, *jsonOut); err != nil {
-			finishProfiles()
-			fatal(err)
-		}
-		return
-	}
 
 	if *oracleN > 0 {
 		if err := runOracle(oracleConfig{
@@ -142,7 +132,6 @@ func main() {
 			Workers:   *workers,
 			Check:     checkLevel,
 			Legacy:    *legacy,
-			Bytecode:  *bytecode,
 			Timings:   *timings,
 			JSONPath:  *jsonOut,
 		}); err != nil {

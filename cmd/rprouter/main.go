@@ -106,6 +106,12 @@ func main() {
 	}
 	rt.Start()
 
+	// Register for SIGTERM/SIGINT before the listener exists and the
+	// port file is published: a supervisor that signals the moment the
+	// port file appears must get a drain, not the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -128,8 +134,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("rprouter: %v — draining\n", s)

@@ -55,7 +55,6 @@ func main() {
 		rateBurst    = flag.Int("rate-burst", 0, "per-client token-bucket burst (0 = max(4, 2x rate))")
 		chaosDisk    = flag.String("chaos-disk", "", "inject disk faults, e.g. read=0.3,write=0.3,checksum=0.1,slow=2ms,seed=7 (chaos drills only)")
 		chaosSlow    = flag.Duration("chaos-slow", 0, "emulated per-request backend service time holding a worker slot (capacity experiments only)")
-		bytecode     = flag.Bool("bytecode", false, "run measurement interpretation on the compiled bytecode path")
 	)
 	flag.Parse()
 
@@ -83,12 +82,17 @@ func main() {
 		RateLimit:       *rateRPS,
 		RateBurst:       *rateBurst,
 		DiskChaos:       diskChaos,
-		Bytecode:        *bytecode,
 		ChaosSlow:       *chaosSlow,
 	})
 	if err != nil {
 		fatal(err)
 	}
+
+	// Register for SIGTERM/SIGINT before the listener exists and the
+	// port file is published: a supervisor that signals the moment the
+	// port file appears must get a drain, not the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -112,8 +116,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Printf("rpserved: %v — draining\n", s)

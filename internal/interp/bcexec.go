@@ -1,12 +1,12 @@
 // Bytecode execution: the dispatch loop over compiled code. One
 // activation is one execBC call: a register frame carved from the
 // machine's arena (registers, then the constant pool, then the phi
-// scratch slot), memory slots bump-allocated exactly like the fast
-// path, and a local step counter synced to the Result at call
-// boundaries. Observable behavior — output, return value, step count,
-// opcode counts, globals, profile, and every error message — matches
-// the legacy interpreter bit for bit; the three-way differential tests
-// hold all paths to that contract.
+// scratch slot), memory slots bump-allocated as one contiguous frame at
+// FrameLayout offsets, and a local step counter synced to the Result at
+// call boundaries. Observable behavior — output, return value, step
+// count, opcode counts, globals, profile, and every error message —
+// matches the reference interpreter bit for bit; the engine-vs-reference
+// differential tests hold the engine to that contract.
 package interp
 
 import (
@@ -14,22 +14,22 @@ import (
 	"math"
 
 	"repro/internal/ir"
+	"repro/internal/profile"
 )
 
 // mcode is one machine's view of a compiled function: the shared
 // immutable code plus this run's mutable companions — the dense
-// profile counters and the lazily linked call sites. Linking resolves
-// each call site's callee and code exactly once per run, so a
-// steady-state call does no map lookups at all.
+// counters and the lazily linked call sites. Linking resolves each
+// call site's callee and code exactly once per run, so a steady-state
+// call does no map lookups at all.
 type mcode struct {
 	code  *bcCode
-	fc    *funcCounters
 	links []bcLink
 
-	// Hot copies of the counter slices: block counters always, edge
-	// counters only when this run collects a profile (nil otherwise),
-	// so the dispatch prologue does no pointer chasing and no
-	// profiling branch.
+	// Dense counters: executions per block ID, always (opcode counts
+	// are reconstructed from them), and traversals per (block,
+	// successor index) edge only when this run collects a profile (nil
+	// otherwise), so the dispatch prologue does no profiling branch.
 	blocks []int64
 	edges  [][]int64
 }
@@ -75,17 +75,16 @@ func (m *machine) codeFor(f *ir.Function) *mcode {
 			m.opts.Code.PutCompiledCode(f, c)
 		}
 	}
-	fc := m.countersFor(f)
-	mc := mcode{code: c, fc: fc, links: make([]bcLink, c.nCalls), blocks: fc.blocks}
+	mc := mcode{code: c, links: make([]bcLink, c.nCalls), blocks: make([]int64, len(c.blockOps))}
 	if m.result.Profile != nil {
-		mc.edges = fc.edges
+		mc.edges = edgeCounters(f)
 	}
 	m.codes = append(m.codes, mcodeEntry{f: f, mc: mc})
 	return &m.codes[len(m.codes)-1].mc
 }
 
-// callBC is the bytecode path's top-level m.call: depth check, compile
-// (or cache hit), execute. Nested calls bypass it via linked sites.
+// callBC is the engine's top-level call: depth check, compile (or cache
+// hit), execute. Nested calls bypass it via linked sites.
 func (m *machine) callBC(f *ir.Function, args []int64, depth int) (int64, error) {
 	if depth > m.opts.MaxDepth {
 		return 0, fmt.Errorf("interp: call depth exceeds %d in %s", m.opts.MaxDepth, f.Name)
@@ -131,7 +130,8 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 		}
 	}
 
-	// Memory slot frame, identical to the fast path.
+	// Memory slot frame: one contiguous, zeroed block at FrameLayout
+	// offsets.
 	savedSP := m.sp
 	frameBase := m.sp
 	if end := m.sp + code.frameSize; end > int64(len(m.mem)) {
@@ -401,7 +401,7 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			goto done
 
 		// Fused load + arithmetic. The preamble charged the load's step
-		// and ran its limit/deadline checks; the legacy order is load
+		// and ran its limit/deadline checks; the reference order is load
 		// executes (and may fault) before the consumer's own step-limit
 		// check, so that check runs between the two halves.
 		case bcLoadAdd, bcLoadSub, bcLoadMul, bcLoadAnd, bcLoadOr, bcLoadXor, bcLoadShl, bcLoadShr:
@@ -476,7 +476,7 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 
 		// Fused arithmetic + store: the preamble charged the arithmetic
 		// step; the store charges its own step (with limit check) before
-		// the address check, matching the legacy instruction order.
+		// the address check, matching the reference instruction order.
 		case bcAddSt, bcSubSt, bcMulSt, bcAndSt, bcOrSt, bcXorSt, bcShlSt, bcShrSt:
 			var v int64
 			switch in.op {
@@ -525,7 +525,7 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 	edge:
 		// Take edge e: target block counter, edge profile counter, the
 		// target's phi-prefix steps (charged without a limit check, as
-		// in the legacy phi loop), then the lowered phi moves.
+		// in the reference phi loop), then the lowered phi moves.
 		bcnt[e.blockID]++
 		if ec != nil {
 			ec[e.fromID][e.succIdx]++
@@ -548,25 +548,57 @@ done:
 	return rv, rerr
 }
 
-// flushBytecode reconstructs the dense opcode counters from the
-// per-block execution counts and each block's static opcode tally. On
+// edgeCounters returns zeroed traversal counters for every (block,
+// successor index) edge of f; the per-block slices share one backing
+// array.
+func edgeCounters(f *ir.Function) [][]int64 {
+	edges := make([][]int64, f.BlockIDBound())
+	total := 0
+	for _, b := range f.Blocks {
+		total += len(b.Succs)
+	}
+	backing := make([]int64, total)
+	for _, b := range f.Blocks {
+		n := len(b.Succs)
+		edges[b.ID], backing = backing[:n:n], backing[n:]
+	}
+	return edges
+}
+
+// flushCounts moves the dense counters into the map-shaped Result
+// fields, once per run. Opcode counts are reconstructed from the
+// per-block execution counts and each block's static opcode tally: on
 // the successful path every counted block ran to its terminator, so
 // the product is exact; error paths discard the Result entirely.
-func (m *machine) flushBytecode() {
+func (m *machine) flushCounts() {
+	var ops [ir.NumOps]int64
 	for i := range m.codes {
-		mc := &m.codes[i].mc
-		fc := mc.fc
+		f, mc := m.codes[i].f, &m.codes[i].mc
 		for id, tally := range mc.code.blockOps {
-			if id >= len(fc.blocks) {
-				continue
+			if n := mc.blocks[id]; n != 0 {
+				for _, oc := range tally {
+					ops[oc.op] += n * oc.n
+				}
 			}
-			n := fc.blocks[id]
-			if n == 0 {
-				continue
+		}
+		if m.result.Profile == nil {
+			continue
+		}
+		fp := m.result.Profile.ForFunc(f.Name)
+		for _, b := range f.Blocks {
+			if n := mc.blocks[b.ID]; n != 0 {
+				fp.Block[b.ID] += float64(n)
 			}
-			for _, oc := range tally {
-				m.opCounts[oc.op] += n * oc.n
+			for i, n := range mc.edges[b.ID] {
+				if n != 0 {
+					fp.Edge[profile.Edge{From: b.ID, To: b.Succs[i].ID}] += float64(n)
+				}
 			}
+		}
+	}
+	for op, n := range ops {
+		if n != 0 {
+			m.result.OpCounts[ir.Op(op)] += n
 		}
 	}
 }

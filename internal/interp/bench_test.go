@@ -9,9 +9,9 @@ import (
 	"repro/internal/source"
 )
 
-// callHeavySrc exercises the per-call costs the fast path attacks:
-// frame setup (registers and slots), argument passing, and profile
-// accounting across many short activations.
+// callHeavySrc exercises the per-call costs: frame setup (registers
+// and slots), argument passing, and profile accounting across many
+// short activations.
 const callHeavySrc = `
 int depth;
 int leaf(int a, int b) {
@@ -61,12 +61,10 @@ func benchRun(b *testing.B, opts Options) {
 	}
 }
 
-func BenchmarkInterpCallHeavy(b *testing.B)       { benchRun(b, Options{}) }
-func BenchmarkInterpCallHeavyLegacy(b *testing.B) { benchRun(b, Options{Legacy: true}) }
+// The engine benchmark shares one external code cache across
+// iterations, the deployment shape: compilation is paid once, every run
+// after that is pure dispatch.
+func BenchmarkInterpCallHeavy(b *testing.B) { benchRun(b, Options{Code: analysis.New()}) }
 
-// The bytecode benchmark shares one external code cache across
-// iterations, the deployment shape: compilation is paid once, every
-// run after that is pure dispatch.
-func BenchmarkInterpCallHeavyBytecode(b *testing.B) {
-	benchRun(b, Options{Bytecode: true, Code: analysis.New()})
-}
+// BenchmarkInterpCallHeavyLegacy runs the reference interpreter.
+func BenchmarkInterpCallHeavyLegacy(b *testing.B) { benchRun(b, Options{Legacy: true}) }

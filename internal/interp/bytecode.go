@@ -1,4 +1,4 @@
-// Bytecode compilation: the third execution path. The compiler flattens
+// Bytecode compilation for the production engine. The compiler flattens
 // a function into a linear array of register-numbered instructions with
 // the blocks' phi prefixes lowered to per-edge copy sequences, constants
 // materialized into a pool appended to the register frame (so operand
@@ -75,7 +75,7 @@ const (
 
 	// bcTrap raises a precomputed error (unallocated slot, phi outside
 	// the block prefix, unterminated block): malformed-IR paths that the
-	// legacy interpreter detects instruction by instruction and the
+	// reference interpreter detects instruction by instruction and the
 	// compiler detects once, up front.
 	bcTrap
 
@@ -172,15 +172,15 @@ type bcCode struct {
 	numRegs  int32
 	frameLen int32 // numRegs + len(consts) + 1 scratch slot
 
-	slotCount int   // len(f.Slots) at compile, for staleness checks
-	nCalls    int   // call sites, numbering each bcCall's link slot
+	slotCount int // len(f.Slots) at compile, for staleness checks
+	nCalls    int // call sites, numbering each bcCall's link slot
 
 	// Cold side tables, indexed from bcInstr as documented there.
 	argPool   []int32     // call arguments as frame indexes
 	callNames []string    // callee name per call site
 	traps     []error     // bcTrap payloads
 	srcs      []*ir.Instr // indexed-op IR instructions, for error text
-	frameSize int64 // memory-slot frame size (FrameLayout)
+	frameSize int64       // memory-slot frame size (FrameLayout)
 
 	entryPC       int32
 	entryID       int32
@@ -305,14 +305,26 @@ func (c *compiler) srcIdx(in *ir.Instr) int32 {
 }
 
 // compileBytecode flattens f. Compilation never fails: malformed IR
-// compiles to bcTrap instructions that reproduce the legacy
+// compiles to bcTrap instructions that reproduce the reference
 // interpreter's errors at the same execution points.
 func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	_, fsize := f.FrameLayout()
+	// Size the instruction, edge and tally arrays up front: fusion and
+	// phi lowering only shrink the instruction stream, and a block's
+	// tally has at most one entry per instruction, so one allocation
+	// each serves the whole function (compilation is paid on every
+	// cold run).
+	nInstrs, nEdges := 0, 0
+	for _, b := range f.Blocks {
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Succs)
+	}
 	c := &compiler{
 		f: f,
 		code: &bcCode{
 			fname:     f.Name,
+			ins:       make([]bcInstr, 0, nInstrs),
+			edges:     make([]bcEdge, 0, nEdges),
 			numRegs:   int32(f.NumRegs),
 			slotCount: len(f.Slots),
 			frameSize: fsize,
@@ -330,8 +342,13 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	// order within a block, matching the append order of pass 2.
 	phiSteps := make([]int64, f.BlockIDBound())
 	edgeBase := int32(0)
+	// ops is the per-block opcode tally, reused (and cleared while it is
+	// read out) across blocks; reading it in opcode order keeps the
+	// tally order deterministic. Every block's tally is a subslice of
+	// tallies, whose capacity never needs to grow.
+	var ops [ir.NumOps]int64
+	tallies := make([]opCount, 0, nInstrs)
 	for _, b := range f.Blocks {
-		ops := make(map[ir.Op]int64, 8)
 		idx := 0
 		for idx < len(b.Instrs) && b.Instrs[idx].Op.IsPhi() {
 			ops[b.Instrs[idx].Op]++
@@ -344,18 +361,19 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 		}
 		c.emitBody(b, idx, edgeBase, globalBase)
 		if b.Term() == nil {
-			// The legacy interpreter spins forever re-entering an
+			// The reference interpreter spins forever re-entering an
 			// unterminated block; the verifier rejects such IR before it
 			// ever runs. Trap deterministically instead.
 			c.emitTrap(fmt.Errorf("interp: block %v has no terminator in %s", b, f.Name))
 		}
-		tally := make([]opCount, 0, len(ops))
-		for _, op := range opOrder {
-			if n := ops[op]; n != 0 {
-				tally = append(tally, opCount{op: op, n: n})
+		start := len(tallies)
+		for op, n := range ops {
+			if n != 0 {
+				tallies = append(tallies, opCount{op: ir.Op(op), n: n})
+				ops[op] = 0
 			}
 		}
-		c.code.blockOps[b.ID] = tally
+		c.code.blockOps[b.ID] = tallies[start:len(tallies):len(tallies)]
 		edgeBase += int32(len(b.Succs))
 	}
 
@@ -397,15 +415,6 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	return c.code
 }
 
-// opOrder fixes a deterministic tally order (map iteration is not).
-var opOrder = func() []ir.Op {
-	ops := make([]ir.Op, ir.NumOps)
-	for i := range ops {
-		ops[i] = ir.Op(i)
-	}
-	return ops
-}()
-
 func (c *compiler) emit(in bcInstr) {
 	c.code.ins = append(c.code.ins, in)
 }
@@ -440,7 +449,7 @@ func (c *compiler) resolveAddr(loc ir.MemLoc, globalBase map[*ir.Global]int64, o
 	case ir.LocGlobal:
 		// A global missing from the program maps to base 0, making the
 		// final address fail the executor's bounds check exactly like
-		// the legacy path's zero map lookup.
+		// the reference interpreter's zero map lookup.
 		return globalBase[loc.Global] + int64(loc.Offset), false, nil
 	case ir.LocSlot:
 		if loc.Slot.Index >= len(offs) {
@@ -761,7 +770,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			c.emit(bcInstr{op: bcPrint, a: c.valIdx(in.Args[0])})
 		case ir.OpDummyLoad, ir.OpMemPhi:
 			// OpMemPhi outside the phi prefix is unreachable in verified
-			// IR; legacy treats both as counted no-ops.
+			// IR; the reference treats both as counted no-ops.
 			c.emit(bcInstr{op: bcNop})
 
 		case ir.OpJmp:
@@ -776,7 +785,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			}
 
 		default:
-			// Matches the legacy switch's default arm (a phi past the
+			// Matches the reference switch's default arm (a phi past the
 			// prefix lands here too).
 			c.emitTrap(fmt.Errorf("interp: unhandled opcode %s", in.Op))
 		}
@@ -784,7 +793,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 }
 
 // lowerEdge builds the edge descriptor for b -> s at successor index
-// si. The phi row follows the legacy semantics exactly: the
+// si. The phi row follows the reference semantics exactly: the
 // predecessor index is the FIRST occurrence of b in s.Preds (duplicate
 // edges share one row), and all phi reads happen before any phi write
 // (sequentialized with the scratch slot when the moves form a cycle).
@@ -799,7 +808,7 @@ func (c *compiler) lowerEdge(b, s *ir.Block, si int, phiSteps []int64) bcEdge {
 	pi := s.PredIndex(b)
 	if pi < 0 {
 		// Successor lists b but b is missing from Preds: broken CFG
-		// wiring. Legacy fails at the first register phi; an edge into a
+		// wiring. The reference fails at the first register phi; an edge into a
 		// phi-free block tolerates it, and so does this path (no copies
 		// to build).
 		for _, in := range s.Phis() {

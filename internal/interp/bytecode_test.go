@@ -15,6 +15,18 @@ import (
 	"repro/internal/workload"
 )
 
+// runPath compiles src and executes it with the given options. Each
+// path runs on its own freshly compiled program instance, keeping the
+// comparison airtight even though interpretation does not mutate IR.
+func runPath(t *testing.T, src string, opts Options) *Result {
+	t.Helper()
+	res, err := Run(compileSource(t, src), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
 // compileSource builds a program for direct Run calls.
 func compileSource(t *testing.T, src string) *ir.Program {
 	t.Helper()
@@ -28,7 +40,7 @@ func compileSource(t *testing.T, src string) *ir.Program {
 	return prog
 }
 
-// requireSameResult holds two interpretation paths to the full
+// requireSameResult holds the two interpretation paths to the full
 // observable contract: output, return value, step count, opcode
 // counts, global images, and the block/edge profile.
 func requireSameResult(t *testing.T, name, aPath, bPath string, a, b *Result) {
@@ -56,22 +68,21 @@ func requireSameResult(t *testing.T, name, aPath, bPath string, a, b *Result) {
 	}
 }
 
-// threeWay runs src on all three execution paths and requires pairwise
-// identical results. Each path gets a fresh program instance.
-func threeWay(t *testing.T, name, src string) {
+// twoWay runs src on the bytecode engine and on the reference
+// interpreter and requires identical results. Each path gets a fresh
+// program instance.
+func twoWay(t *testing.T, name, src string) {
 	t.Helper()
-	bc := runPath(t, src, Options{CollectProfile: true, Bytecode: true})
-	fast := runPath(t, src, Options{CollectProfile: true})
+	bc := runPath(t, src, Options{CollectProfile: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, name, "bytecode", "legacy", bc, legacy)
-	requireSameResult(t, name, "bytecode", "fast", bc, fast)
 }
 
-// TestBytecodeMatchesLegacyAndFast is the three-way differential over
+// TestBytecodeMatchesLegacy is the engine-vs-reference differential over
 // the full workload suite plus generated programs, including configs
 // tuned toward the shapes that stress the compiler: helper-call fanout,
 // arrays, deep nesting, and pointer traffic.
-func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
+func TestBytecodeMatchesLegacy(t *testing.T) {
 	type gen struct {
 		seed       int64
 		helpers    int
@@ -88,11 +99,11 @@ func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 	}
 
 	for _, w := range workload.Suite() {
-		threeWay(t, "suite/"+w.Name, w.Src)
+		twoWay(t, "suite/"+w.Name, w.Src)
 	}
 	for i := 0; i < 8; i++ {
 		src := workload.Generate(workload.DefaultGenConfig(workload.DeriveSeed(41, i)))
-		threeWay(t, "gen/"+strconv.Itoa(i), src)
+		twoWay(t, "gen/"+strconv.Itoa(i), src)
 	}
 	for _, g := range tuned {
 		cfg := workload.DefaultGenConfig(g.seed)
@@ -100,12 +111,12 @@ func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 		cfg.NumArrays = g.arrays
 		cfg.MaxDepth = g.depth
 		cfg.PtrChance = float64(g.ptrPercent) / 100
-		threeWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
+		twoWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
 	}
 }
 
 // TestBytecodeParserCorpus sweeps the parser fuzz seed corpus through
-// the three-way differential, skipping entries the frontend rejects
+// the engine-vs-reference differential, skipping entries the frontend rejects
 // (they seed error paths).
 func TestBytecodeParserCorpus(t *testing.T) {
 	dir := filepath.Join("..", "source", "testdata", "fuzz", "FuzzParser")
@@ -138,7 +149,7 @@ func TestBytecodeParserCorpus(t *testing.T) {
 			if _, err := Run(prog, Options{Legacy: true}); err != nil {
 				continue // seeds runtime error paths; covered by TestBytecodeErrorParity
 			}
-			threeWay(t, "corpus/"+e.Name(), src)
+			twoWay(t, "corpus/"+e.Name(), src)
 			ran++
 		}
 	}
@@ -171,7 +182,7 @@ void main() {
 	twist(8, 5);
 	print(acc);
 }`
-	bc := runPath(t, src, Options{CollectProfile: true, Bytecode: true})
+	bc := runPath(t, src, Options{CollectProfile: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, "recursion", "bytecode", "legacy", bc, legacy)
 	if bc.Output[0] != 1597 {
@@ -197,9 +208,7 @@ func TestBytecodeErrorParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := compileSource(t, tc.src)
-		bopts := tc.opts
-		bopts.Bytecode = true
-		bres, berr := Run(prog, bopts)
+		bres, berr := Run(prog, tc.opts)
 		lopts := tc.opts
 		lopts.Legacy = true
 		lres, lerr := Run(compileSource(t, tc.src), lopts)
@@ -231,7 +240,7 @@ void main() {
 }`
 	prog := compileSource(t, src)
 	cache := analysis.New()
-	opts := Options{Bytecode: true, Code: cache}
+	opts := Options{Code: cache}
 
 	var first *Result
 	for run := 0; run < 3; run++ {
@@ -297,7 +306,7 @@ func TestBytecodeStaleCacheRejected(t *testing.T) {
 		t.Fatal("stale code accepted after instruction rewrite at unchanged CFG version")
 	}
 
-	res, err := Run(prog, Options{Bytecode: true})
+	res, err := Run(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,15 @@
 // occupy a fixed prefix, and stack slots are bump-allocated per call
 // frame. Pointers are ordinary int64 addresses into the arena.
 //
-// The execution loop keeps all per-step accounting dense: opcode counts
-// live in a flat array indexed by ir.Op, profile collection increments
-// []int64 block and edge counters indexed by ir.BlockID (flushed into
-// profile.Profile once per run), stack slots resolve through the
-// function's precomputed FrameLayout offsets, and register frames and
-// call argument buffers are pooled across activations. Options.Legacy
-// selects the original map-based, allocation-per-call path, kept as the
-// measured baseline for the hot-path benchmarks.
+// There are exactly two execution paths with the same observable
+// behavior. The production engine compiles each function once into
+// linear bytecode (bytecode.go) and runs it on a dense dispatch loop
+// (bcexec.go), with opcode counts and the block/edge profile kept in
+// dense counters and flushed once per run. Options.Legacy selects the
+// reference interpreter in this file: a small tree-walker over the IR
+// with map-based accounting, kept as the executable specification that
+// the differential tests, the paranoid pipeline check and the
+// semantics oracle compare the engine against.
 package interp
 
 import (
@@ -64,20 +65,13 @@ type Options struct {
 	Timeout time.Duration
 	// CollectProfile enables block/edge profile recording.
 	CollectProfile bool
-	// Legacy selects the pre-optimization interpretation path: map
-	// lookups per executed block for profile collection, a map increment
-	// per instruction for opcode counts, and fresh register/slot
-	// allocations per call. Results are identical to the default fast
-	// path; the benchmark harness (rpbench -legacy) uses it as the
-	// before side of the hot-path comparison. Legacy wins over Bytecode
-	// when both are set.
+	// Legacy selects the reference interpreter: a tree-walker over the
+	// IR with map lookups per executed block for profile collection, a
+	// map increment per instruction for opcode counts, and fresh
+	// register/slot allocations per call. It is the executable
+	// specification the bytecode engine is held to; results are
+	// identical. The default (false) runs the bytecode engine.
 	Legacy bool
-	// Bytecode selects the compiled execution path: each function is
-	// flattened once into linear bytecode (fused opcode pairs, pooled
-	// constants, precompiled addressing) and runs on a dense dispatch
-	// loop over arena-allocated frames. Results are identical to the
-	// other two paths.
-	Bytecode bool
 	// Code optionally supplies a cross-run cache for compiled bytecode
 	// (internal/analysis.Cache implements it). Entries are revalidated
 	// against the function's CFG version and an instruction-stream
@@ -146,38 +140,22 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.Timeout > 0 {
 		m.deadline = time.Now().Add(opts.Timeout)
 	}
-	bytecode := opts.Bytecode && !opts.Legacy
 	if opts.CollectProfile {
 		m.result.Profile = profile.NewProfile()
-		if !opts.Legacy {
-			m.counters = make(map[*ir.Function]*funcCounters)
-		}
-	}
-	if bytecode && m.counters == nil {
-		// The bytecode path reconstructs opcode counts from per-block
-		// execution counters, so they are maintained even without
-		// profile collection.
-		m.counters = make(map[*ir.Function]*funcCounters)
-	}
-	if !opts.Legacy {
-		m.opCounts = make([]int64, ir.NumOps)
 	}
 	m.layoutGlobals()
 
 	args := make([]int64, len(main.Params))
 	var ret int64
 	var err error
-	if bytecode {
+	if opts.Legacy {
+		ret, err = m.call(main, args, 0)
+	} else {
 		m.codes = make([]mcodeEntry, 0, len(prog.Funcs))
 		ret, err = m.callBC(main, args, 0)
-	} else {
-		ret, err = m.call(main, args, 0)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if bytecode {
-		m.flushBytecode()
 	}
 	if !opts.Legacy {
 		m.flushCounts()
@@ -203,29 +181,15 @@ type machine struct {
 	sp         int64     // next free stack address
 	deadline   time.Time // wall-clock bound; zero means none
 
-	// Fast-path accounting (nil in legacy mode): dense opcode counts,
-	// per-function dense block/edge counters, a pool of register frames,
-	// and a stack-disciplined buffer for call arguments. All are flushed
-	// or recycled, never observable in Result except through the final
-	// maps they populate.
-	opCounts []int64
-	counters map[*ir.Function]*funcCounters
-	regPool  [][]int64
+	// Engine state (unused by the reference interpreter): a
+	// stack-disciplined buffer for call arguments, this run's
+	// compiled-code table (which also holds the dense counters flushed
+	// into the Result once per run), and the register-frame arena
+	// (frames are stack-disciplined slices of regArena; see execBC).
 	argStack []int64
-
-	// Bytecode-path state: this run's compiled-code table and the
-	// register-frame arena (frames are stack-disciplined slices of
-	// regArena; see execBC).
 	codes    []mcodeEntry
 	regArena []int64
 	regTop   int
-}
-
-// funcCounters holds one function's dense profile counters: executions
-// per block, and traversals per (block, successor index) edge.
-type funcCounters struct {
-	blocks []int64
-	edges  [][]int64
 }
 
 // timeoutCheckInterval is how many steps pass between wall-clock
@@ -268,111 +232,18 @@ func (m *machine) ensure(n int64) {
 	}
 }
 
-// countersFor returns f's dense profile counters, building them on the
-// first call of f. The per-block edge slices share one backing array.
-func (m *machine) countersFor(f *ir.Function) *funcCounters {
-	fc := m.counters[f]
-	if fc == nil {
-		bound := int(f.BlockIDBound())
-		fc = &funcCounters{
-			blocks: make([]int64, bound),
-			edges:  make([][]int64, bound),
-		}
-		total := 0
-		for _, b := range f.Blocks {
-			total += len(b.Succs)
-		}
-		backing := make([]int64, total)
-		for _, b := range f.Blocks {
-			n := len(b.Succs)
-			fc.edges[b.ID], backing = backing[:n:n], backing[n:]
-		}
-		m.counters[f] = fc
-	}
-	return fc
-}
-
-// flushCounts moves the dense opcode and profile counters into the
-// map-shaped Result fields, once per run.
-func (m *machine) flushCounts() {
-	for op, n := range m.opCounts {
-		if n != 0 {
-			m.result.OpCounts[ir.Op(op)] += n
-		}
-	}
-	if m.result.Profile == nil {
-		return
-	}
-	for f, fc := range m.counters {
-		fp := m.result.Profile.ForFunc(f.Name)
-		for _, b := range f.Blocks {
-			if n := fc.blocks[b.ID]; n != 0 {
-				fp.Block[b.ID] += float64(n)
-			}
-			for i, n := range fc.edges[b.ID] {
-				if n != 0 {
-					fp.Edge[profile.Edge{From: b.ID, To: b.Succs[i].ID}] += float64(n)
-				}
-			}
-		}
-	}
-}
-
-// maxPooledFrames bounds the register-frame pool. The pool's high-water
-// mark tracks the deepest call chain of the run; without a cap a single
-// deep recursion leaves thousands of frames pinned for the rest of the
-// run.
-const maxPooledFrames = 64
-
-// acquireRegs returns a zeroed register frame of length n, reusing a
-// pooled one when available. An under-capacity frame at the top of the
-// pool stays pooled (it can still serve a later, smaller activation)
-// instead of being popped and lost to the allocator.
-func (m *machine) acquireRegs(n int) []int64 {
-	if k := len(m.regPool); k > 0 && cap(m.regPool[k-1]) >= n {
-		s := m.regPool[k-1][:n]
-		m.regPool = m.regPool[:k-1]
-		for i := range s {
-			s[i] = 0
-		}
-		return s
-	}
-	return make([]int64, n)
-}
-
-// releaseRegs returns a frame to the pool, dropping it once the pool is
-// full. A frame larger than the pooled top replaces it (keeping the
-// biggest backing arrays raises the acquire hit rate under mixed frame
-// sizes).
-func (m *machine) releaseRegs(s []int64) {
-	if len(m.regPool) < maxPooledFrames {
-		m.regPool = append(m.regPool, s)
-		return
-	}
-	if k := len(m.regPool); cap(m.regPool[k-1]) < cap(s) {
-		m.regPool[k-1] = s
-	}
-}
-
-// addrOf resolves a memory location to an arena address. Exactly one of
-// slotBase (legacy path) and slotOffs (fast path, with frameBase) is in
-// effect for slot locations.
-func (m *machine) addrOf(loc ir.MemLoc, slotBase map[*ir.Slot]int64, frameBase int64, slotOffs []int64) (int64, error) {
+// addrOf resolves a memory location to an arena address, finding slots
+// through the activation's slot map.
+func (m *machine) addrOf(loc ir.MemLoc, slotBase map[*ir.Slot]int64) (int64, error) {
 	switch loc.Kind {
 	case ir.LocGlobal:
 		return m.globalBase[loc.Global] + int64(loc.Offset), nil
 	case ir.LocSlot:
-		if slotBase != nil {
-			base, ok := slotBase[loc.Slot]
-			if !ok {
-				return 0, fmt.Errorf("interp: slot %s not allocated", loc.Slot.Name)
-			}
-			return base + int64(loc.Offset), nil
-		}
-		if loc.Slot.Index >= len(slotOffs) {
+		base, ok := slotBase[loc.Slot]
+		if !ok {
 			return 0, fmt.Errorf("interp: slot %s not allocated", loc.Slot.Name)
 		}
-		return frameBase + slotOffs[loc.Slot.Index] + int64(loc.Offset), nil
+		return base + int64(loc.Offset), nil
 	}
 	return 0, fmt.Errorf("interp: address of %v", loc)
 }
@@ -400,72 +271,37 @@ func eval(regs []int64, v ir.Value) int64 {
 	return regs[v.Reg()]
 }
 
+// call is the reference interpreter's activation: it walks f's blocks
+// instruction by instruction, allocating registers and slots afresh and
+// updating the Result's maps directly.
 func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 	if depth > m.opts.MaxDepth {
 		return 0, fmt.Errorf("interp: call depth exceeds %d in %s", m.opts.MaxDepth, f.Name)
 	}
-	legacy := m.opts.Legacy
 
-	var regs []int64
-	if legacy {
-		regs = make([]int64, f.NumRegs)
-	} else {
-		regs = m.acquireRegs(f.NumRegs)
-	}
+	regs := make([]int64, f.NumRegs)
 	for i, p := range f.Params {
 		if i < len(args) {
 			regs[p] = args[i]
 		}
 	}
 
-	// Allocate and zero stack slots for this activation: a per-slot map
-	// in legacy mode, one contiguous frame at precomputed offsets
-	// otherwise.
+	// Allocate and zero stack slots for this activation.
 	savedSP := m.sp
-	var slotBase map[*ir.Slot]int64
-	var frameBase int64
-	var slotOffs []int64
-	if legacy {
-		slotBase = make(map[*ir.Slot]int64, len(f.Slots))
-		for _, s := range f.Slots {
-			slotBase[s] = m.sp
-			m.ensure(m.sp + int64(s.Size))
-			for i := int64(0); i < int64(s.Size); i++ {
-				m.mem[m.sp+i] = 0
-			}
-			m.sp += int64(s.Size)
+	slotBase := make(map[*ir.Slot]int64, len(f.Slots))
+	for _, s := range f.Slots {
+		slotBase[s] = m.sp
+		m.ensure(m.sp + int64(s.Size))
+		for i := int64(0); i < int64(s.Size); i++ {
+			m.mem[m.sp+i] = 0
 		}
-	} else {
-		offs, size := f.FrameLayout()
-		slotOffs = offs
-		frameBase = m.sp
-		m.ensure(m.sp + size)
-		z := m.mem[frameBase : frameBase+size]
-		for i := range z {
-			z[i] = 0
-		}
-		m.sp += size
+		m.sp += int64(s.Size)
 	}
-	defer func() {
-		m.sp = savedSP
-		if !legacy {
-			m.releaseRegs(regs)
-		}
-	}()
+	defer func() { m.sp = savedSP }()
 
-	// Profile collection state: the legacy path updates the profile maps
-	// per executed block; the fast path bumps dense counters and flushes
-	// at end of run.
 	var fp *profile.FuncProfile
-	var bc []int64
-	var ec [][]int64
 	if m.result.Profile != nil {
-		if legacy {
-			fp = m.result.Profile.ForFunc(f.Name)
-		} else {
-			fc := m.countersFor(f)
-			bc, ec = fc.blocks, fc.edges
-		}
+		fp = m.result.Profile.ForFunc(f.Name)
 	}
 
 	blk := f.Entry()
@@ -478,8 +314,6 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 			if prev != nil {
 				fp.AddEdge(prev, blk, 1)
 			}
-		} else if bc != nil {
-			bc[blk.ID]++
 		}
 
 		// Phi prefix: evaluate register phis in parallel using the
@@ -490,11 +324,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 		for idx < len(blk.Instrs) && blk.Instrs[idx].Op.IsPhi() {
 			in := blk.Instrs[idx]
 			m.result.Steps++
-			if legacy {
-				m.result.OpCounts[in.Op]++
-			} else {
-				m.opCounts[in.Op]++
-			}
+			m.result.OpCounts[in.Op]++
 			if in.Op == ir.OpPhi {
 				pi := blk.PredIndex(prev)
 				if pi < 0 {
@@ -520,11 +350,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 					return 0, err
 				}
 			}
-			if legacy {
-				m.result.OpCounts[in.Op]++
-			} else {
-				m.opCounts[in.Op]++
-			}
+			m.result.OpCounts[in.Op]++
 
 			switch in.Op {
 			case ir.OpCopy:
@@ -575,7 +401,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 				regs[in.Dst] = b2i(eval(regs, in.Args[0]) >= eval(regs, in.Args[1]))
 
 			case ir.OpLoad:
-				addr, err := m.addrOf(in.Loc, slotBase, frameBase, slotOffs)
+				addr, err := m.addrOf(in.Loc, slotBase)
 				if err != nil {
 					return 0, err
 				}
@@ -585,7 +411,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 				}
 				regs[in.Dst] = v
 			case ir.OpStore:
-				addr, err := m.addrOf(in.Loc, slotBase, frameBase, slotOffs)
+				addr, err := m.addrOf(in.Loc, slotBase)
 				if err != nil {
 					return 0, err
 				}
@@ -593,7 +419,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 					return 0, err
 				}
 			case ir.OpAddr:
-				addr, err := m.addrOf(in.Loc, slotBase, frameBase, slotOffs)
+				addr, err := m.addrOf(in.Loc, slotBase)
 				if err != nil {
 					return 0, err
 				}
@@ -614,7 +440,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 					return 0, fmt.Errorf("interp: index %d out of range for %s[%d] in %s",
 						i, in.Loc.Object(), in.Loc.Size(), f.Name)
 				}
-				addr, err := m.addrOf(in.Loc, slotBase, frameBase, slotOffs)
+				addr, err := m.addrOf(in.Loc, slotBase)
 				if err != nil {
 					return 0, err
 				}
@@ -629,7 +455,7 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 					return 0, fmt.Errorf("interp: index %d out of range for %s[%d] in %s",
 						i, in.Loc.Object(), in.Loc.Size(), f.Name)
 				}
-				addr, err := m.addrOf(in.Loc, slotBase, frameBase, slotOffs)
+				addr, err := m.addrOf(in.Loc, slotBase)
 				if err != nil {
 					return 0, err
 				}
@@ -642,25 +468,11 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 				if callee == nil {
 					return 0, fmt.Errorf("interp: call to unknown function %s", in.Callee)
 				}
-				var rv int64
-				var err error
-				if legacy {
-					cargs := make([]int64, len(in.Args))
-					for i, a := range in.Args {
-						cargs[i] = eval(regs, a)
-					}
-					rv, err = m.call(callee, cargs, depth+1)
-				} else {
-					// Arguments live in a stack-disciplined shared buffer;
-					// the callee copies them into its frame on entry, so
-					// the slice is dead once call returns.
-					base := len(m.argStack)
-					for _, a := range in.Args {
-						m.argStack = append(m.argStack, eval(regs, a))
-					}
-					rv, err = m.call(callee, m.argStack[base:], depth+1)
-					m.argStack = m.argStack[:base]
+				cargs := make([]int64, len(in.Args))
+				for i, a := range in.Args {
+					cargs[i] = eval(regs, a)
 				}
+				rv, err := m.call(callee, cargs, depth+1)
 				if err != nil {
 					return 0, err
 				}
@@ -677,17 +489,11 @@ func (m *machine) call(f *ir.Function, args []int64, depth int) (int64, error) {
 				// Memory SSA bookkeeping only; no runtime effect.
 
 			case ir.OpJmp:
-				if ec != nil {
-					ec[blk.ID][0]++
-				}
 				prev, blk = blk, blk.Succs[0]
 			case ir.OpBr:
 				si := 1
 				if eval(regs, in.Args[0]) != 0 {
 					si = 0
-				}
-				if ec != nil {
-					ec[blk.ID][si]++
 				}
 				prev, blk = blk, blk.Succs[si]
 			case ir.OpRet:

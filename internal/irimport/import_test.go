@@ -36,7 +36,7 @@ var expectedRuns = map[string]struct {
 
 // TestImportedSemantics runs every corpus program through the full
 // promotion pipeline in paranoid mode and then executes the promoted
-// program on all three interpreter paths, holding everything to the
+// program on both interpreter paths, holding everything to the
 // unpromoted observables (and to the pinned expected values where we
 // have them).
 func TestImportedSemantics(t *testing.T) {
@@ -70,8 +70,7 @@ func TestImportedSemantics(t *testing.T) {
 				opts interp.Options
 			}{
 				{"legacy", interp.Options{Legacy: true, MaxSteps: 10_000_000}},
-				{"fast", interp.Options{MaxSteps: 10_000_000}},
-				{"bytecode", interp.Options{Bytecode: true, MaxSteps: 10_000_000}},
+				{"bytecode", interp.Options{MaxSteps: 10_000_000}},
 			} {
 				res, err := interp.Run(out.Prog, path.opts)
 				if err != nil {

@@ -2,14 +2,14 @@
 // streams of generated programs through the promotion pipeline and
 // checks that promotion preserves meaning. Each program is compiled
 // twice — once with promotion disabled (the control) and once with the
-// paper's SSA promotion — and both versions run on all three
-// interpreter paths (legacy, fast, bytecode). The six runs must agree
-// on every observable: printed output, main's return value, and the
-// final memory image of every global. Two more properties ride along:
-// step-limit traps must be path-independent (a budget below a
-// version's instruction count must produce ErrStepLimit on every
-// path), and, optionally, printing the compiled program as textual IR
-// and re-importing it must preserve the observables (the round-trip
+// paper's SSA promotion — and both versions run on both interpreter
+// paths (the legacy reference and the bytecode engine). The four runs
+// must agree on every observable: printed output, main's return value,
+// and the final memory image of every global. Two more properties ride
+// along: step-limit traps must be path-independent (a budget below a
+// version's instruction count must produce ErrStepLimit on every path),
+// and, optionally, printing the compiled program as textual IR and
+// re-importing it must preserve the observables (the round-trip
 // property tying internal/irimport to the native frontend).
 //
 // Failures are shrunk to minimal counterexamples with a line-based
@@ -67,7 +67,7 @@ type Mismatch struct {
 	// Index and Seed identify the failing program in the stream.
 	Index int   `json:"index"`
 	Seed  int64 `json:"seed"`
-	// Property names the violated property: "observable" (the six-run
+	// Property names the violated property: "observable" (the four-run
 	// equivalence), "trap-parity", "round-trip", or "pipeline-error".
 	Property string `json:"property"`
 	// Detail says which runs disagreed and how.
@@ -184,14 +184,13 @@ type checker struct {
 	rep *Report
 }
 
-// pathOpts enumerates the three interpreter paths.
+// pathOpts enumerates the two interpreter paths: reference, then engine.
 var pathOpts = []struct {
 	name string
 	opts interp.Options
 }{
 	{"legacy", interp.Options{Legacy: true}},
-	{"fast", interp.Options{}},
-	{"bytecode", interp.Options{Bytecode: true}},
+	{"bytecode", interp.Options{}},
 }
 
 // check runs every property on one source program. A non-nil return
@@ -231,15 +230,15 @@ func (c *checker) check(src string) (fail *failure, skip bool) {
 		return nil, true
 	}
 	if err != nil {
-		return &failure{"observable", fmt.Sprintf("control/fast run failed: %v", err)}, false
+		return &failure{"observable", fmt.Sprintf("control/bytecode run failed: %v", err)}, false
 	}
 
-	// Property 1: all six runs agree on every observable.
+	// Property 1: all four runs agree on every observable.
 	type run struct {
 		name string
 		res  *interp.Result
 	}
-	runs := make([]run, 0, 6)
+	runs := make([]run, 0, 4)
 	for _, variant := range []struct {
 		name string
 		prog *ir.Program
@@ -274,12 +273,7 @@ func (c *checker) check(src string) (fail *failure, skip bool) {
 		name string
 		prog *ir.Program
 	}{{"control", control.Prog}, {"promoted", promoted.Prog}} {
-		minSteps := runs[vi*3].res.Steps
-		for _, r := range runs[vi*3+1 : vi*3+3] {
-			if r.res.Steps < minSteps {
-				minSteps = r.res.Steps
-			}
-		}
+		minSteps := min(runs[vi*2].res.Steps, runs[vi*2+1].res.Steps)
 		if minSteps < 8 {
 			continue // too small for a meaningful cut
 		}
@@ -308,7 +302,7 @@ func (c *checker) check(src string) (fail *failure, skip bool) {
 
 // roundTrip prints the plainly-compiled program as textual IR,
 // re-imports it, and holds the re-imported program to the control
-// observables on the fast path.
+// observables on the bytecode engine.
 func (c *checker) roundTrip(src string, want *interp.Result) *failure {
 	prog, err := source.Compile(src)
 	if err != nil {

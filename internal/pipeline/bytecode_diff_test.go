@@ -5,7 +5,9 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -15,22 +17,22 @@ import (
 func requireSameRun(t *testing.T, phase string, want, got *interp.Result) {
 	t.Helper()
 	if (want == nil) != (got == nil) {
-		t.Fatalf("%s: one run missing (default %v, bytecode %v)", phase, want != nil, got != nil)
+		t.Fatalf("%s: one run missing (legacy %v, bytecode %v)", phase, want != nil, got != nil)
 	}
 	if want == nil {
 		return
 	}
 	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("%s: output differs: default %v bytecode %v", phase, want.Output, got.Output)
+		t.Errorf("%s: output differs: legacy %v bytecode %v", phase, want.Output, got.Output)
 	}
 	if want.ReturnValue != got.ReturnValue {
-		t.Errorf("%s: return value differs: default %d bytecode %d", phase, want.ReturnValue, got.ReturnValue)
+		t.Errorf("%s: return value differs: legacy %d bytecode %d", phase, want.ReturnValue, got.ReturnValue)
 	}
 	if want.Steps != got.Steps {
-		t.Errorf("%s: steps differ: default %d bytecode %d", phase, want.Steps, got.Steps)
+		t.Errorf("%s: steps differ: legacy %d bytecode %d", phase, want.Steps, got.Steps)
 	}
 	if !reflect.DeepEqual(want.OpCounts, got.OpCounts) {
-		t.Errorf("%s: opcode counts differ:\ndefault  %v\nbytecode %v", phase, want.OpCounts, got.OpCounts)
+		t.Errorf("%s: opcode counts differ:\nlegacy   %v\nbytecode %v", phase, want.OpCounts, got.OpCounts)
 	}
 	if !reflect.DeepEqual(want.Globals, got.Globals) {
 		t.Errorf("%s: final global images differ", phase)
@@ -39,8 +41,8 @@ func requireSameRun(t *testing.T, phase string, want, got *interp.Result) {
 
 // TestPipelineBytecodeDifferential runs the full pipeline — training
 // run, SSA promotion, paranoid checking, and measurement — twice per
-// program, once on each interpreter path, and requires identical
-// outcomes. Unlike the interp-package differential this executes
+// program, once on the bytecode engine and once on the reference
+// interpreter, and requires identical outcomes. Unlike the interp-package differential this executes
 // PROMOTED code: phi-heavy, register-renamed functions the compiler
 // never sees from the frontend alone, plus the degradation bookkeeping
 // around them.
@@ -66,26 +68,74 @@ func TestPipelineBytecodeDifferential(t *testing.T) {
 				PreMemOpts: true,
 				Check:      pipeline.CheckParanoid,
 			}
-			base, err := pipeline.Run(p.src, opts)
-			if err != nil {
-				t.Fatalf("default path: %v", err)
-			}
-			opts.Interp = interp.Options{Bytecode: true}
 			bc, err := pipeline.Run(p.src, opts)
 			if err != nil {
 				t.Fatalf("bytecode path: %v", err)
+			}
+			opts.Interp = interp.Options{Legacy: true}
+			base, err := pipeline.Run(p.src, opts)
+			if err != nil {
+				t.Fatalf("legacy path: %v", err)
 			}
 
 			requireSameRun(t, "before", base.Before, bc.Before)
 			requireSameRun(t, "after", base.After, bc.After)
 			if !reflect.DeepEqual(base.TotalStats, bc.TotalStats) {
-				t.Errorf("promotion stats differ:\ndefault  %+v\nbytecode %+v", base.TotalStats, bc.TotalStats)
+				t.Errorf("promotion stats differ:\nlegacy   %+v\nbytecode %+v", base.TotalStats, bc.TotalStats)
 			}
 			if !reflect.DeepEqual(base.StaticAfter, bc.StaticAfter) {
-				t.Errorf("static counts differ: default %+v bytecode %+v", base.StaticAfter, bc.StaticAfter)
+				t.Errorf("static counts differ: legacy %+v bytecode %+v", base.StaticAfter, bc.StaticAfter)
 			}
 			if !reflect.DeepEqual(base.DegradedFuncs(), bc.DegradedFuncs()) {
-				t.Errorf("degradations differ: default %v bytecode %v", base.DegradedFuncs(), bc.DegradedFuncs())
+				t.Errorf("degradations differ: legacy %v bytecode %v", base.DegradedFuncs(), bc.DegradedFuncs())
+			}
+		})
+	}
+}
+
+// TestCompileOncePerFunctionVersion pins the compile sharing the
+// single engine relies on: with the run's analysis cache threaded
+// through as the code cache, every called baseline function compiles
+// exactly once across the training and measure-before runs, and every
+// called promoted function exactly once for measure-after.
+func TestCompileOncePerFunctionVersion(t *testing.T) {
+	for _, w := range workload.Suite() {
+		t.Run(w.Name, func(t *testing.T) {
+			cache := analysis.New()
+			out, err := pipeline.Run(w.Src, pipeline.Options{AnalysisCache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			called := func(f *ir.Function) bool {
+				fp := out.Profile.Funcs[f.Name]
+				return fp != nil && fp.Block[f.Entry().ID] > 0
+			}
+			promoted := make(map[*ir.Function]bool, len(out.Prog.Funcs))
+			for _, f := range out.Prog.Funcs {
+				promoted[f] = true
+				if got := len(cache.Builds(f)[analysis.KindCode]); called(f) && got != 1 {
+					t.Errorf("promoted %s: %d code builds for measure-after, want 1", f.Name, got)
+				} else if !called(f) && got != 0 {
+					t.Errorf("promoted %s: never called but compiled %d times", f.Name, got)
+				}
+			}
+			// Every other cached function with compiled code belongs to the
+			// baseline program, which training and measure-before share.
+			baseline := make(map[string]int)
+			for _, f := range cache.Functions() {
+				if n := len(cache.Builds(f)[analysis.KindCode]); !promoted[f] && n > 0 {
+					baseline[f.Name] += n
+				}
+			}
+			for _, f := range out.Prog.Funcs {
+				want := 0
+				if called(f) {
+					want = 1
+				}
+				if baseline[f.Name] != want {
+					t.Errorf("baseline %s: %d code builds across train and measure-before, want %d",
+						f.Name, baseline[f.Name], want)
+				}
 			}
 		})
 	}

@@ -86,8 +86,9 @@ func irSources(t *testing.T) map[string]string {
 
 // TestAllProgramsAllPaths is the end-to-end sweep: every example
 // program and every imported-IR corpus program goes through the full
-// promotion pipeline, and the promoted result runs on all three
-// interpreter paths with identical observables. Run under -race in CI
+// promotion pipeline, and the promoted result runs on both execution
+// paths, the bytecode engine and the reference interpreter, with
+// identical observables. Run under -race in CI
 // (make race), this also shakes out data races in the concurrent
 // transform chains and the bytecode compiler.
 func TestAllProgramsAllPaths(t *testing.T) {
@@ -127,23 +128,15 @@ func TestAllProgramsAllPaths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("legacy run: %v", err)
 			}
-			for _, path := range []struct {
-				name string
-				opts interp.Options
-			}{
-				{"fast", interp.Options{MaxSteps: 50_000_000}},
-				{"bytecode", interp.Options{Bytecode: true, MaxSteps: 50_000_000}},
-			} {
-				got, err := interp.Run(out.Prog, path.opts)
-				if err != nil {
-					t.Fatalf("%s run: %v", path.name, err)
-				}
-				if !reflect.DeepEqual(got.Output, want.Output) ||
-					got.ReturnValue != want.ReturnValue ||
-					!reflect.DeepEqual(got.Globals, want.Globals) {
-					t.Errorf("%s path diverges from legacy: %v/%d vs %v/%d",
-						path.name, got.Output, got.ReturnValue, want.Output, want.ReturnValue)
-				}
+			got, err := interp.Run(out.Prog, interp.Options{MaxSteps: 50_000_000})
+			if err != nil {
+				t.Fatalf("bytecode run: %v", err)
+			}
+			if !reflect.DeepEqual(got.Output, want.Output) ||
+				got.ReturnValue != want.ReturnValue ||
+				!reflect.DeepEqual(got.Globals, want.Globals) {
+				t.Errorf("bytecode path diverges from legacy: %v/%d vs %v/%d",
+					got.Output, got.ReturnValue, want.Output, want.ReturnValue)
 			}
 		})
 	}

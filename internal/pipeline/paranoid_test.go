@@ -59,19 +59,17 @@ func TestParanoidOverCorpus(t *testing.T) {
 }
 
 // TestParanoidAlternatePaths runs the paranoid differential with each
-// of the three interpreter paths as the primary, so the cross-check of
-// the other two (including the fast path when the primary is legacy or
-// bytecode) executes on real promoted code rather than only the
-// default fast-primary configuration.
+// of the two interpreter paths as the primary, so the cross-check of
+// the other one (the engine when the reference is primary, and the
+// reference behind the engine) executes on real promoted code.
 func TestParanoidAlternatePaths(t *testing.T) {
 	src := workload.Suite()[0].Src
 	for _, primary := range []struct {
 		name string
 		opts interp.Options
 	}{
-		{"fast", interp.Options{}},
 		{"legacy", interp.Options{Legacy: true}},
-		{"bytecode", interp.Options{Bytecode: true}},
+		{"bytecode", interp.Options{}},
 	} {
 		primary := primary
 		t.Run(primary.name, func(t *testing.T) {

@@ -233,14 +233,14 @@ type runner struct {
 	cache *analysis.Cache
 }
 
-// interpOptions returns the run's interpreter options with the
-// cross-stage code cache threaded in: when the bytecode path is on and
-// the run has an analysis cache, compiled functions are shared across
-// the training, measurement, differential, and bisect runs (the cache
-// revalidates per run, so stage-boundary rewrites recompile safely).
+// interpOptions returns the run's interpreter options with the run's
+// analysis cache threaded in as the bytecode cache, so training,
+// measurement, the differential check and bisect share one compile per
+// function version (the cache revalidates per run, so stage-boundary
+// rewrites recompile safely).
 func (r *runner) interpOptions() interp.Options {
 	popts := r.opts.Interp
-	if popts.Bytecode && popts.Code == nil && r.cache != nil {
+	if popts.Code == nil && r.cache != nil {
 		popts.Code = r.cache
 	}
 	return popts
@@ -719,37 +719,23 @@ func (r *runner) differential(before, after *ir.Program) error {
 		diff := compareResults(resB, resA)
 		if diff == "" {
 			// The primary interpreter agrees; paranoid mode also runs the
-			// transformed program through the other two execution paths
-			// (whichever of fast, legacy tree-walker, and bytecode are
-			// not primary) and holds them to the same baseline, so a
-			// miscompile that only one path exposes still fails the
-			// check.
-			primary := "fast"
-			if popts := r.interpOptions(); popts.Legacy {
-				primary = "legacy"
-			} else if popts.Bytecode {
-				primary = "bytecode"
+			// transformed program on the other execution path (the
+			// reference interpreter behind the bytecode engine, or the
+			// engine behind the reference) and holds it to the same
+			// baseline, so a miscompile that only one path exposes still
+			// fails the check.
+			popts := r.interpOptions()
+			popts.Legacy = !popts.Legacy
+			alt := "legacy"
+			if !popts.Legacy {
+				alt = "bytecode"
 			}
-			for _, alt := range []struct {
-				name   string
-				adjust func(*interp.Options)
-			}{
-				{"fast", func(o *interp.Options) { o.Legacy, o.Bytecode, o.Code = false, false, nil }},
-				{"legacy", func(o *interp.Options) { o.Legacy, o.Bytecode, o.Code = true, false, nil }},
-				{"bytecode", func(o *interp.Options) { o.Legacy, o.Bytecode = false, true }},
-			} {
-				if alt.name == primary {
-					continue
-				}
-				popts := r.interpOptions()
-				alt.adjust(&popts)
-				ra, err := interp.Run(after, popts)
-				if err != nil {
-					return fmt.Errorf("transformed run (%s path): %w", alt.name, err)
-				}
-				if d := compareResults(resB, ra); d != "" {
-					return fmt.Errorf("semantic differential check failed on %s path: %s", alt.name, d)
-				}
+			ra, err := interp.Run(after, popts)
+			if err != nil {
+				return fmt.Errorf("transformed run (%s path): %w", alt, err)
+			}
+			if d := compareResults(resB, ra); d != "" {
+				return fmt.Errorf("semantic differential check failed on %s path: %s", alt, d)
 			}
 			return nil
 		}

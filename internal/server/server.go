@@ -102,10 +102,6 @@ type Config struct {
 	// DiskChaos, when non-nil, injects deterministic disk faults into
 	// the cold tier (chaos drills only).
 	DiskChaos *faults.DiskInjector
-	// Bytecode runs the training/measurement interpreter on the compiled
-	// bytecode path (rpserved -bytecode). Outcomes are byte-identical to
-	// the default path; only the per-request CPU cost changes.
-	Bytecode bool
 	// ChaosSlow, when positive, stretches every pipeline execution by
 	// this long while it holds its worker slot — emulating a backend
 	// whose capacity is bounded by service time (real IO, a remote
@@ -358,7 +354,6 @@ func (s *Server) resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, 
 		Interp: interp.Options{
 			MaxSteps: res.MaxSteps,
 			Timeout:  time.Duration(res.TimeoutMS) * time.Millisecond,
-			Bytecode: s.cfg.Bytecode,
 		},
 	}
 	if ro.Fault != "" {

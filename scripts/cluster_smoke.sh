@@ -16,6 +16,9 @@
 #      retries, but zero 5xx, zero transport errors, zero mismatches.
 #   3. drain phase — SIGTERM the router mid-load; it must drain and
 #      exit 0.
+#   4. early-signal phase — start a fresh replica and router and
+#      SIGTERM each the moment its port file appears; both must exit 0
+#      (the signal handler is installed before the port is published).
 #
 # Any deviation fails the script.
 set -eu
@@ -87,5 +90,28 @@ kill -TERM "$router_pid"
 wait "$router_pid" || { say "FAIL: router did not drain cleanly"; exit 1; }
 wait "$load_pid" 2>/dev/null || true  # interrupted load may (rightly) report errors
 say "phase 3 ok: router drained and exited 0"
+
+# term_on_port <pid> <port-file> <name> — spins (no sleep, so the signal
+# lands as soon after publication as the shell can manage) until the
+# port file exists, sends SIGTERM, and requires exit 0.
+term_on_port() {
+    i=0
+    while [ ! -f "$2" ]; do
+        i=$((i + 1))
+        [ "$i" -gt 5000000 ] && { say "$2 never appeared"; exit 1; }
+    done
+    kill -TERM "$1"
+    wait "$1" || { say "FAIL: $3 killed by a SIGTERM sent as its port file appeared"; exit 1; }
+}
+
+# Phase 4: SIGTERM each binary the instant it publishes its port.
+say "phase 4: SIGTERM at port-file publication"
+bin/rpserved -addr 127.0.0.1:0 -port-file "$work/early-r.port" >/dev/null &
+early_pid=$!; pids="$pids $early_pid"
+term_on_port "$early_pid" "$work/early-r.port" rpserved
+bin/rprouter -addr 127.0.0.1:0 -port-file "$work/early-rt.port" -replicas "$r1" >/dev/null &
+early_pid=$!; pids="$pids $early_pid"
+term_on_port "$early_pid" "$work/early-rt.port" rprouter
+say "phase 4 ok: both binaries drained a signal sent at port publication"
 
 say "PASS"
