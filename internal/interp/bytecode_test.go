@@ -68,21 +68,33 @@ func requireSameResult(t *testing.T, name, aPath, bPath string, a, b *Result) {
 	}
 }
 
-// twoWay runs src on the bytecode engine and on the reference
-// interpreter and requires identical results. Each path gets a fresh
-// program instance.
-func twoWay(t *testing.T, name, src string) {
+// threeWay runs src on the bytecode engine cold (compiling as it
+// goes), on the fast path (a second run of the same program served
+// from the code cache the first run filled), and on the reference
+// interpreter, and requires identical results. The reference gets a
+// fresh program instance.
+func threeWay(t *testing.T, name, src string) {
 	t.Helper()
-	bc := runPath(t, src, Options{CollectProfile: true})
+	prog := compileSource(t, src)
+	opts := Options{CollectProfile: true, Code: analysis.New()}
+	bc, err := Run(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: cold run: %v", name, err)
+	}
+	fast, err := Run(prog, opts)
+	if err != nil {
+		t.Fatalf("%s: warm run: %v", name, err)
+	}
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, name, "bytecode", "legacy", bc, legacy)
+	requireSameResult(t, name, "bytecode", "fast", bc, fast)
 }
 
-// TestBytecodeMatchesLegacy is the engine-vs-reference differential over
+// TestBytecodeMatchesLegacyAndFast is the three-way differential over
 // the full workload suite plus generated programs, including configs
 // tuned toward the shapes that stress the compiler: helper-call fanout,
 // arrays, deep nesting, and pointer traffic.
-func TestBytecodeMatchesLegacy(t *testing.T) {
+func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 	type gen struct {
 		seed       int64
 		helpers    int
@@ -99,11 +111,11 @@ func TestBytecodeMatchesLegacy(t *testing.T) {
 	}
 
 	for _, w := range workload.Suite() {
-		twoWay(t, "suite/"+w.Name, w.Src)
+		threeWay(t, "suite/"+w.Name, w.Src)
 	}
 	for i := 0; i < 8; i++ {
 		src := workload.Generate(workload.DefaultGenConfig(workload.DeriveSeed(41, i)))
-		twoWay(t, "gen/"+strconv.Itoa(i), src)
+		threeWay(t, "gen/"+strconv.Itoa(i), src)
 	}
 	for _, g := range tuned {
 		cfg := workload.DefaultGenConfig(g.seed)
@@ -111,12 +123,12 @@ func TestBytecodeMatchesLegacy(t *testing.T) {
 		cfg.NumArrays = g.arrays
 		cfg.MaxDepth = g.depth
 		cfg.PtrChance = float64(g.ptrPercent) / 100
-		twoWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
+		threeWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
 	}
 }
 
 // TestBytecodeParserCorpus sweeps the parser fuzz seed corpus through
-// the engine-vs-reference differential, skipping entries the frontend rejects
+// the three-way differential, skipping entries the frontend rejects
 // (they seed error paths).
 func TestBytecodeParserCorpus(t *testing.T) {
 	dir := filepath.Join("..", "source", "testdata", "fuzz", "FuzzParser")
@@ -149,7 +161,7 @@ func TestBytecodeParserCorpus(t *testing.T) {
 			if _, err := Run(prog, Options{Legacy: true}); err != nil {
 				continue // seeds runtime error paths; covered by TestBytecodeErrorParity
 			}
-			twoWay(t, "corpus/"+e.Name(), src)
+			threeWay(t, "corpus/"+e.Name(), src)
 			ran++
 		}
 	}
@@ -158,11 +170,8 @@ func TestBytecodeParserCorpus(t *testing.T) {
 	}
 }
 
-// TestBytecodeRecursion exercises the register arena's growth path
-// (reallocation without copying, live parent frames on the old backing
-// array) under deep recursion with multiple live activations.
-func TestBytecodeRecursion(t *testing.T) {
-	src := `
+// recursionSrc recurses deeply with multiple live activations per level.
+const recursionSrc = `
 int fib(int n) {
 	if (n < 2) { return n; }
 	return fib(n - 1) + fib(n - 2);
@@ -182,6 +191,12 @@ void main() {
 	twist(8, 5);
 	print(acc);
 }`
+
+// TestBytecodeRecursion exercises the register arena's growth path
+// (reallocation without copying, live parent frames on the old backing
+// array) under deep recursion with multiple live activations.
+func TestBytecodeRecursion(t *testing.T) {
+	src := recursionSrc
 	bc := runPath(t, src, Options{CollectProfile: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, "recursion", "bytecode", "legacy", bc, legacy)

@@ -1,103 +1,74 @@
 package interp
 
 import (
-	"reflect"
+	"strconv"
 	"testing"
 
-	"repro/internal/alias"
-	"repro/internal/source"
+	"repro/internal/analysis"
+	"repro/internal/ir"
 	"repro/internal/workload"
 )
 
-// runPath compiles src and executes it with the given options. Each
-// path runs on its own freshly compiled program instance, keeping the
-// comparison airtight even though interpretation does not mutate IR.
-func runPath(t *testing.T, src string, opts Options) *Result {
+// The fast path is the engine running code served from a warm code
+// cache: the way the pipeline measures after training, with every
+// function already compiled and only revalidated per run.
+
+// warmRun runs prog once to fill cache and once more from it, failing
+// if the second run compiled anything. It returns the warm result.
+func warmRun(t *testing.T, name string, prog *ir.Program, cache *analysis.Cache) *Result {
 	t.Helper()
-	prog, err := source.Compile(src)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
+	opts := Options{CollectProfile: true, Code: cache}
+	if _, err := Run(prog, opts); err != nil {
+		t.Fatalf("%s: cold run: %v", name, err)
 	}
-	if err := alias.Analyze(prog); err != nil {
-		t.Fatalf("Analyze: %v", err)
+	before := make(map[*ir.Function]int, len(prog.Funcs))
+	for _, f := range prog.Funcs {
+		before[f] = len(cache.Builds(f)[analysis.KindCode])
 	}
 	res, err := Run(prog, opts)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("%s: warm run: %v", name, err)
+	}
+	for _, f := range prog.Funcs {
+		if got := len(cache.Builds(f)[analysis.KindCode]); got != before[f] {
+			t.Errorf("%s: %s recompiled on the warm run (%d builds, want %d)", name, f.Name, got, before[f])
+		}
 	}
 	return res
 }
 
 // TestFastPathMatchesLegacy runs every suite workload and a slice of
-// generated programs through both interpretation paths and requires
-// identical results: output, return value, globals, step and opcode
-// counts, and the collected block/edge profile.
+// generated programs through one shared code cache and requires each
+// warm run to compile nothing and to match the reference interpreter on
+// output, return value, globals, step and opcode counts, and the
+// collected block/edge profile. Sharing the cache across programs also
+// checks that same-named functions of different programs never collide.
 func TestFastPathMatchesLegacy(t *testing.T) {
-	var sources []string
+	var names, sources []string
 	for _, w := range workload.Suite() {
+		names = append(names, "suite/"+w.Name)
 		sources = append(sources, w.Src)
 	}
 	for i := 0; i < 8; i++ {
+		names = append(names, "gen/"+strconv.Itoa(i))
 		sources = append(sources, workload.Generate(workload.DefaultGenConfig(workload.DeriveSeed(41, i))))
 	}
 
+	cache := analysis.New()
 	for i, src := range sources {
-		fast := runPath(t, src, Options{CollectProfile: true})
+		fast := warmRun(t, names[i], compileSource(t, src), cache)
 		legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
-
-		if !reflect.DeepEqual(fast.Output, legacy.Output) {
-			t.Errorf("source %d: output differs: fast %v legacy %v", i, fast.Output, legacy.Output)
-		}
-		if fast.ReturnValue != legacy.ReturnValue {
-			t.Errorf("source %d: return value differs: fast %d legacy %d", i, fast.ReturnValue, legacy.ReturnValue)
-		}
-		if fast.Steps != legacy.Steps {
-			t.Errorf("source %d: steps differ: fast %d legacy %d", i, fast.Steps, legacy.Steps)
-		}
-		if !reflect.DeepEqual(fast.OpCounts, legacy.OpCounts) {
-			t.Errorf("source %d: opcode counts differ:\nfast   %v\nlegacy %v", i, fast.OpCounts, legacy.OpCounts)
-		}
-		if !reflect.DeepEqual(fast.Globals, legacy.Globals) {
-			t.Errorf("source %d: global images differ", i)
-		}
-		if !reflect.DeepEqual(fast.Profile.Funcs, legacy.Profile.Funcs) {
-			t.Errorf("source %d: profiles differ:\nfast   %+v\nlegacy %+v", i, fast.Profile.Funcs, legacy.Profile.Funcs)
-		}
+		requireSameResult(t, names[i], "fast", "legacy", fast, legacy)
 	}
 }
 
-// TestFastPathRecursion exercises the pooled register frames and the
-// stack-disciplined argument buffer under deep recursion with multiple
-// live activations per level.
+// TestFastPathRecursion runs the deep-recursion program from a warm
+// code cache: the arena starts small again on every run, so the growth
+// path is exercised by cached code as well as by freshly compiled code.
 func TestFastPathRecursion(t *testing.T) {
-	src := `
-int fib(int n) {
-	if (n < 2) { return n; }
-	return fib(n - 1) + fib(n - 2);
-}
-int acc;
-void twist(int d, int salt) {
-	int local;
-	local = d * 3 + salt;
-	if (d > 0) {
-		twist(d - 1, local);
-		twist(d - 1, local + 1);
-	}
-	acc = acc + local;
-}
-void main() {
-	print(fib(17));
-	twist(8, 5);
-	print(acc);
-}`
-	fast := runPath(t, src, Options{CollectProfile: true})
-	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
-	if !reflect.DeepEqual(fast.Output, legacy.Output) {
-		t.Fatalf("output differs: fast %v legacy %v", fast.Output, legacy.Output)
-	}
-	if !reflect.DeepEqual(fast.Profile.Funcs, legacy.Profile.Funcs) {
-		t.Fatalf("profiles differ")
-	}
+	fast := warmRun(t, "recursion", compileSource(t, recursionSrc), analysis.New())
+	legacy := runPath(t, recursionSrc, Options{CollectProfile: true, Legacy: true})
+	requireSameResult(t, "recursion", "fast", "legacy", fast, legacy)
 	if fast.Output[0] != 1597 {
 		t.Fatalf("fib(17) = %d, want 1597", fast.Output[0])
 	}
