@@ -14,8 +14,12 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The second line repeats the two router tests that depend on ring
+# balance, so a hashing regression fails CI instead of flaking once in
+# a hundred runs.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run 'TestRouterPlacementStable|TestRouterHedging' ./internal/router
 
 # The parallel-pipeline determinism and isolation tests, explicitly
 # under the race detector — the worker pool's acceptance gate.

@@ -29,18 +29,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/frontdoor"
 	"repro/internal/router"
 	"repro/internal/server"
 )
@@ -105,52 +101,10 @@ func main() {
 		fatal(err)
 	}
 	rt.Start()
-
-	// Register for SIGTERM/SIGINT before the listener exists and the
-	// port file is published: a supervisor that signals the moment the
-	// port file appears must get a drain, not the default kill.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	fmt.Printf("rprouter: routing to %d replicas\n", len(list))
+	if err := frontdoor.Run("rprouter", *addr, *portFile, rt.Handler(), rt.Drain, *drainTimeout); err != nil {
 		fatal(err)
 	}
-	bound := ln.Addr().String()
-	if *portFile != "" {
-		// Written atomically (tmp + rename) so a poller never reads a
-		// half-written address.
-		tmp := *portFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(bound+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.Rename(tmp, *portFile); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("rprouter: listening on %s, routing to %d replicas\n", bound, len(list))
-
-	hs := &http.Server{Handler: rt.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case s := <-sig:
-		fmt.Printf("rprouter: %v — draining\n", s)
-	case err := <-serveErr:
-		fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(fmt.Errorf("shutdown: %w", err))
-	}
-	if err := rt.Drain(ctx); err != nil {
-		fatal(err)
-	}
-	rt.Stop()
-	fmt.Println("rprouter: drained, exiting")
 }
 
 func fatal(err error) {

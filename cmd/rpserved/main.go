@@ -21,18 +21,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/frontdoor"
 	"repro/internal/server"
 )
 
@@ -88,53 +83,9 @@ func main() {
 		fatal(err)
 	}
 
-	// Register for SIGTERM/SIGINT before the listener exists and the
-	// port file is published: a supervisor that signals the moment the
-	// port file appears must get a drain, not the default kill.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	if err := frontdoor.Run("rpserved", *addr, *portFile, srv.Handler(), srv.Drain, *drainTimeout); err != nil {
 		fatal(err)
 	}
-	bound := ln.Addr().String()
-	if *portFile != "" {
-		// Written atomically (tmp + rename) so a poller never reads a
-		// half-written address.
-		tmp := *portFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(bound+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.Rename(tmp, *portFile); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("rpserved: listening on %s\n", bound)
-
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case s := <-sig:
-		fmt.Printf("rpserved: %v — draining\n", s)
-	case err := <-serveErr:
-		fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// Shutdown stops the listener and waits for active HTTP handlers;
-	// Drain additionally flips /healthz and refuses any request that
-	// slipped in, so the two together give the clean-exit contract.
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(fmt.Errorf("shutdown: %w", err))
-	}
-	if err := srv.Drain(ctx); err != nil {
-		fatal(err)
-	}
-	fmt.Println("rpserved: drained, exiting")
 }
 
 func fatal(err error) {

@@ -72,9 +72,9 @@ func (rt *Router) writeMetrics(w io.Writer) {
 	gauge("rprouter_replicas_configured", "replicas configured", int64(len(rt.replicas)))
 	gauge("rprouter_inflight_total", "proxied attempts currently in flight", int64(rt.totalInflight()))
 	gauge("rprouter_hedge_delay_us", "current hedge delay in microseconds (0 = hedging off)", rt.hedgeDelayNS.Load()/int64(time.Microsecond))
-	gauge("rprouter_quota_tenants", "tenants with a live quota bucket", int64(rt.quotas.tenants()))
+	gauge("rprouter_quota_tenants", "tenants with a live quota bucket", int64(rt.quotas.Len()))
 	draining := int64(0)
-	if rt.isDraining() {
+	if rt.gate.Draining() {
 		draining = 1
 	}
 	gauge("rprouter_draining", "1 while the router is draining", draining)

@@ -128,15 +128,22 @@ func (r *Ring) Sequence(key string, max int) []string {
 	return out
 }
 
-// hashString is 64-bit FNV-1a — fast, dependency-free, and uniform
-// enough for ring placement. Keys arriving here are already SHA-256
-// hex, so their entropy is not in question; the vnode labels it also
-// hashes are short and benefit from FNV's avalanche being applied to
-// every byte.
+// hashString is 64-bit FNV-1a followed by murmur3's fmix64 finalizer.
+// FNV alone is fast and dependency-free but avalanches poorly on the
+// short, nearly identical vnode labels ("127.0.0.1:41006#17"): for
+// some replica port pairs the points cluster and one replica owns a
+// few percent of the ring. The finalizer spreads every input bit over
+// the whole word, which makes the point layout uniform for any labels.
 func hashString(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	k := h.Sum64()
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // LoadBound computes the bounded-load ceiling for one replica: a

@@ -1,7 +1,10 @@
 package router
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strconv"
 	"testing"
 )
 
@@ -61,6 +64,34 @@ func TestRingBalance(t *testing.T) {
 	for n, c := range counts {
 		if c < want/2 || c > want*2 {
 			t.Fatalf("node %s owns %d of %d keys (fair share %d): ring too skewed", n, c, len(keys), want)
+		}
+	}
+}
+
+// TestRingBalanceAcrossPortPairs sweeps two-replica rings over 2,000
+// loopback port pairs — the shape every test cluster and local
+// deployment has — and requires each replica to own a fair part of a
+// set of SHA-256 keys (the real key shape). With plain FNV-1a vnode
+// hashing some pairs left one replica under 5% of the keys, so a
+// handful of test keys all landed on the other one.
+func TestRingBalanceAcrossPortPairs(t *testing.T) {
+	keys := make([]string, 1000)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := 40000+i, 50000+7*i
+		nodes := []string{"127.0.0.1:" + strconv.Itoa(a), "127.0.0.1:" + strconv.Itoa(b)}
+		r := NewRing(nodes, 0)
+		owned := 0
+		for _, k := range keys {
+			if r.Lookup(k) == nodes[0] {
+				owned++
+			}
+		}
+		if share := float64(min(owned, len(keys)-owned)) / float64(len(keys)); share < 0.25 {
+			t.Errorf("ports %d/%d: one replica owns %.1f%% of the keys", a, b, 100*share)
 		}
 	}
 }

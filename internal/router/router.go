@@ -3,7 +3,6 @@ package router
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frontdoor"
 	"repro/internal/histo"
 	"repro/internal/server"
 )
@@ -135,7 +135,7 @@ type Router struct {
 	ringMu sync.Mutex
 	ring   atomic.Pointer[Ring]
 
-	quotas *quota // nil when QuotaRPS is 0
+	quotas *frontdoor.Limiter // nil when QuotaRPS is 0
 
 	hedgeDelayNS atomic.Int64 // current hedge delay (derived or fixed)
 
@@ -144,10 +144,7 @@ type Router struct {
 	start time.Time
 	stop  chan struct{}
 	once  sync.Once
-
-	drainMu  sync.Mutex
-	draining bool
-	wg       sync.WaitGroup
+	gate  frontdoor.Gate
 }
 
 // New builds a router over cfg.Replicas. Every replica starts healthy
@@ -163,7 +160,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		byName: make(map[string]*replica, len(cfg.Replicas)),
 		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.ProxyTimeout},
-		quotas: newQuota(cfg.QuotaRPS, cfg.QuotaBurst),
+		quotas: frontdoor.NewLimiter(cfg.QuotaRPS, cfg.QuotaBurst),
 		start:  time.Now(),
 		stop:   make(chan struct{}),
 		m:      newRouterMetrics(),
@@ -201,37 +198,8 @@ func (rt *Router) Stop() { rt.once.Do(func() { close(rt.stop) }) }
 // Drain stops admission, ends probing, and waits for in-flight
 // requests (or ctx).
 func (rt *Router) Drain(ctx context.Context) error {
-	rt.drainMu.Lock()
-	rt.draining = true
-	rt.drainMu.Unlock()
 	rt.Stop()
-	done := make(chan struct{})
-	go func() {
-		rt.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("router: drain: %w", ctx.Err())
-	}
-}
-
-func (rt *Router) isDraining() bool {
-	rt.drainMu.Lock()
-	defer rt.drainMu.Unlock()
-	return rt.draining
-}
-
-func (rt *Router) beginRequest() bool {
-	rt.drainMu.Lock()
-	defer rt.drainMu.Unlock()
-	if rt.draining {
-		return false
-	}
-	rt.wg.Add(1)
-	return true
+	return rt.gate.Drain(ctx)
 }
 
 // rebuildRing recomputes the ring over the currently-healthy replica
@@ -404,42 +372,30 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	defer func() { rt.m.e2e.Observe(time.Since(start)) }()
 
 	if r.Method != http.MethodPost {
-		rt.writeError(w, http.StatusMethodNotAllowed, "use POST", "bad_request")
+		writeError(w, http.StatusMethodNotAllowed, "use POST", "bad_request")
 		return
 	}
-	if !rt.beginRequest() {
+	if !rt.gate.Enter() {
 		rt.m.drained.Add(1)
-		rt.writeError(w, http.StatusServiceUnavailable, "router is draining", "draining")
+		writeError(w, http.StatusServiceUnavailable, "router is draining", "draining")
 		return
 	}
-	defer rt.wg.Done()
+	defer rt.gate.Exit()
 	rt.m.requests.Add(1)
 
 	// Per-tenant quota ahead of everything: a tenant over its budget
 	// costs the cluster one token-bucket check, nothing more.
-	if ok, retry := rt.quotas.allow(tenantKey(r), time.Now()); !ok {
+	if ok, retry := rt.quotas.Allow(tenantKey(r), time.Now()); !ok {
 		rt.m.quotaLimited.Add(1)
-		w.Header().Set("Retry-After", retrySeconds(retry))
-		rt.writeError(w, http.StatusTooManyRequests, "per-tenant quota exceeded", "rate_limited")
+		w.Header().Set("Retry-After", frontdoor.RetryAfter(retry))
+		writeError(w, http.StatusTooManyRequests, "per-tenant quota exceeded", "rate_limited")
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxSourceBytes+1))
-	if err != nil {
+	preq, body, rej := server.DecodePromote(r, rt.cfg.MaxSourceBytes)
+	if rej != nil {
 		rt.m.badRequests.Add(1)
-		rt.writeError(w, http.StatusBadRequest, "reading body: "+err.Error(), "bad_request")
-		return
-	}
-	if int64(len(body)) > rt.cfg.MaxSourceBytes {
-		rt.m.badRequests.Add(1)
-		rt.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxSourceBytes), "bad_request")
-		return
-	}
-	var preq server.PromoteRequest
-	if err := json.Unmarshal(body, &preq); err != nil {
-		rt.m.badRequests.Add(1)
-		rt.writeError(w, http.StatusBadRequest, "decoding request: "+err.Error(), "bad_request")
+		frontdoor.WriteJSON(w, rej.Status, rej.Body)
 		return
 	}
 	// The router computes the same content-addressed key the replica
@@ -448,21 +404,28 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	key, err := server.ResolveKey(preq.Source, preq.Options, rt.cfg.Ceilings)
 	if err != nil {
 		rt.m.badRequests.Add(1)
-		rt.writeError(w, http.StatusBadRequest, err.Error(), "bad_request")
+		writeError(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return
 	}
 
 	seq, _ := rt.place(key)
 	if len(seq) == 0 {
 		rt.m.noReplica.Add(1)
-		rt.writeError(w, http.StatusServiceUnavailable, "no healthy replicas", "no_replica")
+		writeError(w, http.StatusServiceUnavailable, "no healthy replicas", "no_replica")
 		return
 	}
 
 	res, ok := rt.dispatch(r, seq, body)
 	if !ok {
+		if err := r.Context().Err(); err != nil {
+			// The client went away; no replica failed. Answer the way a
+			// replica answers a canceled wait.
+			rt.m.badRequests.Add(1)
+			writeError(w, http.StatusRequestTimeout, "canceled while proxying: "+err.Error(), "timeout")
+			return
+		}
 		rt.m.gatewayErrors.Add(1)
-		rt.writeError(w, http.StatusBadGateway,
+		writeError(w, http.StatusBadGateway,
 			"every replica attempt failed: "+res.err.Error(), "upstream_down")
 		return
 	}
@@ -569,10 +532,7 @@ func tenantKey(r *http.Request) string {
 	if t := r.Header.Get("X-Tenant"); t != "" {
 		return t
 	}
-	if c := r.Header.Get("X-Client-ID"); c != "" {
-		return c
-	}
-	return hostOnly(r.RemoteAddr)
+	return frontdoor.ClientKey(r)
 }
 
 // handleHealthz: 200 while the router process is serving, 503 while
@@ -580,10 +540,10 @@ func tenantKey(r *http.Request) string {
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	status := "ok"
-	if rt.isDraining() {
+	if rt.gate.Draining() {
 		code, status = http.StatusServiceUnavailable, "draining"
 	}
-	rt.writeJSON(w, code, map[string]any{
+	frontdoor.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"uptime_s": int64(time.Since(rt.start).Seconds()),
 	})
@@ -593,12 +553,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // router is not draining — the signal an upstream balancer needs.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case rt.isDraining():
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "not_ready", "reason": "draining"})
+	case rt.gate.Draining():
+		frontdoor.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "not_ready", "reason": "draining"})
 	case rt.healthyCount() == 0:
-		rt.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "not_ready", "reason": "no healthy replicas"})
+		frontdoor.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "not_ready", "reason": "no healthy replicas"})
 	default:
-		rt.writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+		frontdoor.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 	}
 }
 
@@ -628,7 +588,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, r *http.Request) {
 			P95MS:    rep.latency.Snapshot().Quantile(0.95) * 1000,
 		})
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	frontdoor.WriteJSON(w, http.StatusOK, map[string]any{
 		"replicas":       views,
 		"healthy":        rt.healthyCount(),
 		"ring_churn":     rt.m.ringChurn.Load(),
@@ -641,22 +601,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.writeMetrics(w)
 }
 
-func (rt *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, code int, msg, kind string) {
-	rt.writeJSON(w, code, server.ErrorResponse{Error: msg, Kind: kind})
-}
-
-func retrySeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if d%time.Second != 0 || secs == 0 {
-		secs++
-	}
-	return fmt.Sprintf("%d", secs)
+func writeError(w http.ResponseWriter, code int, msg, kind string) {
+	frontdoor.WriteJSON(w, code, server.ErrorResponse{Error: msg, Kind: kind})
 }

@@ -173,6 +173,40 @@ func TestRouterHedging(t *testing.T) {
 	}
 }
 
+// TestRouterClientDisconnect: a client that gives up while its request
+// is still at a replica gets the replica's own canceled-wait answer
+// (408, kind timeout), counted as a router-side 4xx and not as a
+// gateway error, and the replica — which did nothing wrong — stays in
+// the ring.
+func TestRouterClientDisconnect(t *testing.T) {
+	slow := newFakeReplica(t, 300*time.Millisecond)
+	rt := newTestRouter(t, Config{Replicas: []string{slow.host()}, HedgeDelay: -1})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/promote",
+		bytes.NewReader(promoteBody(t, "int f() { return 1; }"))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, req)
+
+	var fail server.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &fail); err != nil {
+		t.Fatalf("decoding %d body: %v\n%s", rec.Code, err, rec.Body.String())
+	}
+	if rec.Code != http.StatusRequestTimeout || fail.Kind != "timeout" {
+		t.Fatalf("disconnected client: %d kind=%q, want 408 timeout", rec.Code, fail.Kind)
+	}
+	if got := rt.m.gatewayErrors.Load(); got != 0 {
+		t.Fatalf("gatewayErrors = %d, want 0", got)
+	}
+	if got := rt.m.badRequests.Load(); got != 1 {
+		t.Fatalf("badRequests = %d, want 1", got)
+	}
+	if !rt.byName[slow.host()].healthy.Load() || rt.m.demotions.Load() != 0 {
+		t.Fatal("replica demoted for the client's own disconnect")
+	}
+}
+
 // TestRouterFailoverAndRecovery: a blacked-out replica's requests fail
 // over transparently (clients see 200s), the replica is demoted from
 // the ring at once, and probe cycles bring it back after recovery.

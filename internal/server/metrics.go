@@ -151,14 +151,14 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) {
 		gauge("rpserved_disk_quarantined", "disk entries quarantined since start", st.Quarantined)
 		gauge("rpserved_disk_gc_evicted", "disk entries evicted by GC since start", st.Evicted)
 	}
-	gauge("rpserved_rate_limit_clients", "clients with a live rate-limit bucket", int64(s.limiter.clients()))
+	gauge("rpserved_rate_limit_clients", "clients with a live rate-limit bucket", int64(s.limiter.Len()))
 	draining := int64(0)
-	if s.isDraining() {
+	if s.gate.Draining() {
 		draining = 1
 	}
 	gauge("rpserved_draining", "1 while the server is draining", draining)
 	ready := int64(1)
-	if s.isDraining() || s.adm.saturated() {
+	if s.gate.Draining() || s.adm.saturated() {
 		ready = 0
 	}
 	gauge("rpserved_ready", "1 while the server would answer /readyz with 200", ready)

@@ -48,12 +48,12 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/diskcache"
 	"repro/internal/faults"
+	"repro/internal/frontdoor"
 	"repro/internal/interp"
 	"repro/internal/pipeline"
 	"repro/internal/report"
@@ -150,18 +150,11 @@ type Server struct {
 	cache   *lruCache
 	disk    *diskcache.Store // nil when CacheDir is empty
 	flights *flightGroup
-	limiter *rateLimiter // nil when RateLimit is 0
+	limiter *frontdoor.Limiter // nil when RateLimit is 0
 	adm     *admission
 	m       *metrics
 	start   time.Time
-
-	// drainMu orders request admission against Drain: a request
-	// registers in wg only while draining is false, and Drain flips the
-	// flag before waiting on wg, so no request can slip in after the
-	// wait starts.
-	drainMu  sync.Mutex
-	draining bool
-	wg       sync.WaitGroup
+	gate    frontdoor.Gate
 
 	// testHook, when non-nil, runs while the request holds its worker
 	// slot, before the pipeline run. Tests use it to keep slots busy
@@ -179,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cache:   newLRUCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
-		limiter: newRateLimiter(cfg.RateLimit, cfg.RateBurst),
+		limiter: frontdoor.NewLimiter(cfg.RateLimit, cfg.RateBurst),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
 		m:       newMetrics(),
 		start:   time.Now(),
@@ -212,41 +205,7 @@ func (s *Server) Handler() http.Handler {
 // request to finish (or ctx to expire). After Drain, /healthz and
 // /v1/promote answer 503; the caller is expected to stop the listener
 // and exit.
-func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	s.draining = true
-	s.drainMu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: drain: %w", ctx.Err())
-	}
-}
-
-// isDraining reports whether Drain has started.
-func (s *Server) isDraining() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	return s.draining
-}
-
-// beginRequest registers an in-flight request unless the server is
-// draining.
-func (s *Server) beginRequest() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.wg.Add(1)
-	return true
-}
+func (s *Server) Drain(ctx context.Context) error { return s.gate.Drain(ctx) }
 
 // PromoteRequest is the JSON body of POST /v1/promote.
 type PromoteRequest struct {
@@ -397,6 +356,38 @@ type ServingMeta struct {
 	Stages      []report.StageMS `json:"stages,omitempty"`
 }
 
+// Rejection is a request refused at the door, before any work: the
+// HTTP status and the error body to answer with.
+type Rejection struct {
+	Status int
+	Body   ErrorResponse
+}
+
+// DecodePromote reads, size-limits and decodes a /v1/promote body,
+// returning the raw bytes too so a router can forward them unchanged.
+// Replica and router both admit requests through it, so both reject a
+// malformed body with the same status and error body.
+func DecodePromote(r *http.Request, maxBytes int64) (PromoteRequest, []byte, *Rejection) {
+	var req PromoteRequest
+	reject := func(status int, msg string) (PromoteRequest, []byte, *Rejection) {
+		return req, nil, &Rejection{status, ErrorResponse{Error: msg, Kind: "bad_request"}}
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
+	if err != nil {
+		return reject(http.StatusBadRequest, "reading body: "+err.Error())
+	}
+	if int64(len(body)) > maxBytes {
+		return reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBytes))
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		return reject(http.StatusBadRequest, "decoding request: "+err.Error())
+	}
+	if req.Source == "" {
+		return reject(http.StatusBadRequest, "empty source")
+	}
+	return req, body, nil
+}
+
 // PromoteResponse is the JSON body of a successful promotion.
 type PromoteResponse struct {
 	// Outcome is the stable, versioned outcome encoding — identical for
@@ -437,52 +428,32 @@ func (s *Server) timedPromote(w http.ResponseWriter, r *http.Request) {
 // handlePromote serves POST /v1/promote.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, ErrorResponse{
+		frontdoor.WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{
 			Error: "use POST", Kind: "bad_request"})
 		return
 	}
-	if !s.beginRequest() {
+	if !s.gate.Enter() {
 		s.m.drained.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, ErrorResponse{
+		frontdoor.WriteJSON(w, http.StatusServiceUnavailable, ErrorResponse{
 			Error: "server is draining", Kind: "draining"})
 		return
 	}
-	defer s.wg.Done()
+	defer s.gate.Exit()
 
 	// Rate limiting comes first: a limited client should not even cost
 	// the server a body read, let alone a cache lookup.
-	if ok, retry := s.limiter.allow(clientKey(r), time.Now()); !ok {
+	if ok, retry := s.limiter.Allow(frontdoor.ClientKey(r), time.Now()); !ok {
 		s.m.rateLimited.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(retry))
-		s.writeError(w, http.StatusTooManyRequests, ErrorResponse{
+		w.Header().Set("Retry-After", frontdoor.RetryAfter(retry))
+		frontdoor.WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error: "per-client rate limit exceeded", Kind: "rate_limited"})
 		return
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSourceBytes+1))
-	if err != nil {
+	req, _, rej := DecodePromote(r, s.cfg.MaxSourceBytes)
+	if rej != nil {
 		s.m.clientErrors.Add(1)
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{
-			Error: "reading body: " + err.Error(), Kind: "bad_request"})
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxSourceBytes {
-		s.m.clientErrors.Add(1)
-		s.writeError(w, http.StatusRequestEntityTooLarge, ErrorResponse{
-			Error: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxSourceBytes), Kind: "bad_request"})
-		return
-	}
-	var req PromoteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.m.clientErrors.Add(1)
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{
-			Error: "decoding request: " + err.Error(), Kind: "bad_request"})
-		return
-	}
-	if req.Source == "" {
-		s.m.clientErrors.Add(1)
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{
-			Error: "empty source", Kind: "bad_request"})
+		frontdoor.WriteJSON(w, rej.Status, rej.Body)
 		return
 	}
 	resolved, popts, err := s.resolve(req.Options)
@@ -493,95 +464,115 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &oe) {
 			resp.Field = oe.Field
 		}
-		s.writeError(w, http.StatusBadRequest, resp)
+		frontdoor.WriteJSON(w, http.StatusBadRequest, resp)
 		return
 	}
 	s.m.requests.Add(1)
+	s.lookup(w, r, cacheKey(req.Source, resolved), req.Source, popts)
+}
 
-	// Cache lookups before admission: a hit never needs a worker slot,
-	// so a hot cache keeps absorbing traffic even when the pool is
-	// saturated. Memory tier first, then disk; a disk hit is promoted
-	// into the memory tier on the way out.
-	key := cacheKey(req.Source, resolved)
-	var f *flight
+// lookup answers key from the first tier that has it — memory, then
+// disk, then another request's in-flight computation — and otherwise
+// leads a new flight that computes it. Every tier before compute runs
+// without a worker slot, so a hot cache keeps absorbing traffic even
+// when the pool is saturated.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, key, src string, popts pipeline.Options) {
 	for attempt := 0; ; attempt++ {
-		if hit, ok := s.cache.Get(key); ok {
-			s.m.cacheHits.Add(1)
-			s.serveCached(w, hit, "hit")
+		if entry, ok := s.memoryGet(key); ok {
+			s.serve(w, entry, ServingMeta{Cache: "hit"})
 			return
 		}
 		if entry, ok := s.diskGet(key); ok {
-			if s.cfg.CacheEntries > 0 {
-				s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
-			}
-			s.serveCached(w, entry, "disk")
+			s.serve(w, entry, ServingMeta{Cache: "disk"})
 			return
 		}
-
-		// Singleflight: concurrent identical misses share one pipeline
-		// execution. Waiters block here — holding no worker slot — until
-		// the leader publishes its bytes or its error.
-		var leader bool
-		f, leader = s.flights.join(key)
+		f, leader := s.flights.join(key)
 		if leader {
-			break
+			s.lead(w, r, key, f, src, popts)
+			return
 		}
-		select {
-		case <-f.done:
-			if f.err != nil {
-				// A leader canceled by its own client — a hedge loser
-				// the router gave up on, a disconnect — says nothing
-				// about this request. Re-run the flight (often becoming
-				// the new leader) instead of propagating a stranger's
-				// cancellation to a live caller.
-				if attempt < 3 && isCanceled(f.err) && r.Context().Err() == nil {
-					continue
-				}
-				s.writeFlightError(w, f.err)
-				return
-			}
-			s.m.collapsed.Add(1)
-			s.serveCached(w, f.entry, "collapsed")
-		case <-r.Context().Done():
-			s.m.clientErrors.Add(1)
-			s.writeError(w, http.StatusRequestTimeout, ErrorResponse{
-				Error: "canceled while waiting for shared result: " + r.Context().Err().Error(), Kind: "timeout"})
+		if !s.await(w, r, f, attempt) {
+			return
 		}
-		return
 	}
+}
 
-	// Leader path. Whatever happens below — backpressure, pipeline
-	// failure, even a panic unwinding this handler — the flight must be
-	// completed exactly once, or waiters would hang forever.
-	var (
-		entry     cachedOutcome
-		runErr    error
-		published bool
-	)
-	publish := func() {
-		if !published {
-			published = true
-			s.flights.complete(key, f, entry, runErr)
-		}
+// memoryGet consults the hot tier.
+func (s *Server) memoryGet(key string) (cachedOutcome, bool) {
+	entry, ok := s.cache.Get(key)
+	if ok {
+		s.m.cacheHits.Add(1)
 	}
+	return entry, ok
+}
+
+// await waits — holding no worker slot — for the leader of f to
+// publish, and answers with the leader's bytes or its error. It
+// returns true, having written nothing, when the caller should look
+// the key up again: a leader canceled by its own client (a hedge loser
+// the router gave up on, a disconnect) says nothing about this
+// request, so a live caller re-runs the flight (often becoming the new
+// leader) instead of inheriting a stranger's cancellation.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, f *flight, attempt int) (retry bool) {
+	select {
+	case <-f.done:
+		if f.err == nil {
+			s.m.collapsed.Add(1)
+			s.serve(w, f.entry, ServingMeta{Cache: "collapsed"})
+			return false
+		}
+		if attempt < 3 && isCanceled(f.err) && r.Context().Err() == nil {
+			return true
+		}
+		s.writeFlightError(w, f.err)
+	case <-r.Context().Done():
+		s.m.clientErrors.Add(1)
+		frontdoor.WriteJSON(w, http.StatusRequestTimeout, ErrorResponse{
+			Error: "canceled while waiting for shared result: " + r.Context().Err().Error(), Kind: "timeout"})
+	}
+	return false
+}
+
+// lead computes key as the leader of flight f, publishes the result to
+// the flight's waiters, and writes it through both cache tiers. A
+// rejection or failure propagates to the waiters too: if the system is
+// too loaded to run this key once, it is too loaded to run it at all.
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, key string, f *flight, src string, popts pipeline.Options) {
+	// Whatever happens below — even a panic unwinding this handler —
+	// the flight must be completed exactly once, or waiters would hang
+	// forever.
+	published := false
 	defer func() {
 		if !published {
-			runErr = errLeaderAborted
-			publish()
+			s.flights.complete(key, f, cachedOutcome{}, errLeaderAborted)
 		}
 	}()
-
-	// Admission: take a worker slot or reject with backpressure. The
-	// leader's rejection propagates to its waiters — if the system is
-	// too loaded to run this key once, it is too loaded to run it at
-	// all.
-	waitStart := time.Now()
-	release, queued, err := s.adm.acquire(r.Context())
+	entry, meta, err := s.compute(r.Context(), src, popts)
+	published = true
+	s.flights.complete(key, f, entry, err)
 	if err != nil {
-		runErr = err
-		publish()
 		s.writeFlightError(w, err)
 		return
+	}
+
+	s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
+	s.diskPut(key, entry)
+	meta.Cache = "bypass"
+	if s.cache.max > 0 {
+		s.m.cacheMisses.Add(1)
+		meta.Cache = "miss"
+	}
+	s.serve(w, entry, meta)
+}
+
+// compute is the one admitted step: take a worker slot (or be rejected
+// with backpressure), run the pipeline, and encode the outcome. The
+// returned meta carries everything but the cache state.
+func (s *Server) compute(ctx context.Context, src string, popts pipeline.Options) (cachedOutcome, ServingMeta, error) {
+	waitStart := time.Now()
+	release, queued, err := s.adm.acquire(ctx)
+	if err != nil {
+		return cachedOutcome{}, ServingMeta{}, err
 	}
 	defer release()
 	queueWait := time.Since(waitStart)
@@ -602,7 +593,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.ChaosSlow > 0 {
 		select {
 		case <-time.After(s.cfg.ChaosSlow):
-		case <-r.Context().Done():
+		case <-ctx.Done():
 		}
 	}
 
@@ -612,14 +603,10 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	popts.AnalysisCache = acache
 
 	pipeStart := time.Now()
-	out, pipeErr := pipeline.Run(req.Source, popts)
+	out, err := pipeline.Run(src, popts)
 	pipeWall := time.Since(pipeStart)
-
-	if pipeErr != nil {
-		runErr = pipeErr
-		publish()
-		s.writeRunError(w, pipeErr)
-		return
+	if err != nil {
+		return cachedOutcome{}, ServingMeta{}, err
 	}
 	s.m.pipelineNS.Add(int64(pipeWall))
 	s.m.pipeSeconds.Observe(pipeWall)
@@ -629,52 +616,30 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 	outcomeJSON, err := json.Marshal(report.EncodeOutcome(out))
 	if err != nil {
-		runErr = fmt.Errorf("encoding outcome: %w", err)
-		publish()
-		s.m.serverErrors.Add(1)
-		s.writeError(w, http.StatusInternalServerError, ErrorResponse{
-			Error: runErr.Error(), Kind: "stage_error"})
-		return
+		return cachedOutcome{}, ServingMeta{}, fmt.Errorf("encoding outcome: %w", err)
 	}
-	entry = cachedOutcome{outcome: outcomeJSON, report: out.Report()}
-	publish()
-
-	cacheState := "bypass"
-	if s.cfg.CacheEntries > 0 {
-		s.m.cacheMisses.Add(1)
-		s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
-		cacheState = "miss"
-	}
-	s.diskPut(key, entry)
-
-	s.m.ok.Add(1)
-	s.writeJSON(w, http.StatusOK, PromoteResponse{
-		Outcome: json.RawMessage(outcomeJSON),
-		Report:  entry.report,
-		Serving: ServingMeta{
-			SchemaVersion: report.SchemaVersion,
-			Cache:         cacheState,
-			QueueWaitMS:   float64(queueWait.Microseconds()) / 1000,
-			PipelineMS:    float64(pipeWall.Microseconds()) / 1000,
-			Stages:        report.StageTimingsMS(report.SumStageTimings(out)),
-		},
-	})
+	return cachedOutcome{outcome: outcomeJSON, report: out.Report()}, ServingMeta{
+		QueueWaitMS: float64(queueWait.Microseconds()) / 1000,
+		PipelineMS:  float64(pipeWall.Microseconds()) / 1000,
+		Stages:      report.StageTimingsMS(report.SumStageTimings(out)),
+	}, nil
 }
 
-// serveCached writes a 200 for an outcome that did not run the pipeline
-// in this request.
-func (s *Server) serveCached(w http.ResponseWriter, entry cachedOutcome, state string) {
+// serve writes a 200 carrying entry.
+func (s *Server) serve(w http.ResponseWriter, entry cachedOutcome, meta ServingMeta) {
 	s.m.ok.Add(1)
-	s.writeJSON(w, http.StatusOK, PromoteResponse{
+	meta.SchemaVersion = report.SchemaVersion
+	frontdoor.WriteJSON(w, http.StatusOK, PromoteResponse{
 		Outcome: json.RawMessage(entry.outcome),
 		Report:  entry.report,
-		Serving: ServingMeta{SchemaVersion: report.SchemaVersion, Cache: state},
+		Serving: meta,
 	})
 }
 
-// diskGet consults the cold tier. Every failure — absence, corruption
-// (already quarantined by the store), injected or real IO errors —
-// degrades to a miss; the counters keep score.
+// diskGet consults the cold tier; a hit is promoted into the memory
+// tier. Every failure — absence, corruption (already quarantined by the
+// store), injected or real IO errors — degrades to a miss; the counters
+// keep score.
 func (s *Server) diskGet(key string) (cachedOutcome, bool) {
 	if s.disk == nil {
 		return cachedOutcome{}, false
@@ -696,6 +661,7 @@ func (s *Server) diskGet(key string) (cachedOutcome, bool) {
 		return cachedOutcome{}, false
 	}
 	s.m.diskHits.Add(1)
+	s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
 	return entry, true
 }
 
@@ -719,13 +685,13 @@ func (s *Server) writeFlightError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrQueueFull):
 		s.m.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, ErrorResponse{
+		frontdoor.WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error: "admission queue full", Kind: "queue_full"})
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The leader's client went away while queued; its waiters (if
 		// any) see the same retryable shape.
 		s.m.clientErrors.Add(1)
-		s.writeError(w, http.StatusRequestTimeout, ErrorResponse{
+		frontdoor.WriteJSON(w, http.StatusRequestTimeout, ErrorResponse{
 			Error: "canceled while queued: " + err.Error(), Kind: "timeout"})
 	default:
 		s.writeRunError(w, err)
@@ -746,11 +712,11 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 	if errors.Is(err, interp.ErrTimeout) || errors.Is(err, interp.ErrStepLimit) {
 		resp.Kind = "timeout"
 		s.m.timeouts.Add(1)
-		s.writeError(w, http.StatusRequestTimeout, resp)
+		frontdoor.WriteJSON(w, http.StatusRequestTimeout, resp)
 		return
 	}
 	s.m.serverErrors.Add(1)
-	s.writeError(w, http.StatusInternalServerError, resp)
+	frontdoor.WriteJSON(w, http.StatusInternalServerError, resp)
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 while
@@ -759,11 +725,11 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if s.isDraining() {
+	if s.gate.Draining() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	s.writeJSON(w, code, map[string]any{
+	frontdoor.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"uptime_s": int64(time.Since(s.start).Seconds()),
 	})
@@ -777,34 +743,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	reason := ""
 	switch {
-	case s.isDraining():
+	case s.gate.Draining():
 		reason = "draining"
 	case s.adm.saturated():
 		reason = "admission queue saturated"
 	}
 	if reason != "" {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		frontdoor.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "not_ready", "reason": reason,
 		})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	frontdoor.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
 // handleMetrics serves GET /metrics in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.m.writePrometheus(w, s)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func (s *Server) writeError(w http.ResponseWriter, code int, resp ErrorResponse) {
-	s.writeJSON(w, code, resp)
 }

@@ -307,7 +307,7 @@ func TestDrain(t *testing.T) {
 		defer cancel()
 		drained <- s.Drain(ctx)
 	}()
-	waitFor(t, "draining flag", s.isDraining)
+	waitFor(t, "draining flag", s.gate.Draining)
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
