@@ -1,9 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-BATCH ?= 32
-JOBS ?= $(shell nproc 2>/dev/null || echo 4)
 
-.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench-par bench-hot bench-smoke bench-pressure pressure-smoke serve-smoke bench-serve chaos-smoke cluster-smoke bench-cluster bench-check ci
+.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
 
 build:
 	$(GO) build ./...
@@ -54,25 +52,23 @@ oracle:
 	$(GO) run ./cmd/rpbench -oracle 500 -seed 2 -size medium -oracle-roundtrip -json BENCH_oracle.json
 	$(GO) run ./cmd/rpbench -oracle 100 -seed 3 -size large -oracle-roundtrip
 
-# Sharded-batch benchmark: the stress corpus under -j 1 vs -j $(JOBS),
-# each writing a machine-readable record for before/after comparison.
-bench-par:
-	$(GO) run ./cmd/rpbench -batch $(BATCH) -j 1       -timings -json BENCH_parallel_j1.json
-	$(GO) run ./cmd/rpbench -batch $(BATCH) -j $(JOBS) -timings -json BENCH_parallel_jN.json
+# The benchmark records: every bench/ workload once untraced
+# (end-to-end metrics, BENCH_e2e.json) and once traced (per-layer time
+# and allocations, BENCH_layers.json). Each record is the result file
+# the harness names on its "result file:" line, copied byte for byte,
+# so both carry its schema_version and machine block. A run takes
+# several minutes and its numbers are noisy, so ci runs bench-check
+# instead of this.
+BENCH_LOG = bench/out/make-bench.log
 
-# Hot-path benchmark: the same corpus at -j 1 on the legacy paths
-# (no analysis cache, reference interpreter) versus the optimized
-# default, then merged into one before/after record. Compare the
-# ns_per_function and allocs_per_func fields.
-bench-hot:
-	$(GO) run ./cmd/rpbench -batch $(BATCH) -j 1 -legacy -timings -json BENCH_hotpath_before.json
-	$(GO) run ./cmd/rpbench -batch $(BATCH) -j 1         -timings -json BENCH_hotpath_after.json
-	printf '{\n  "before": ' >  BENCH_hotpath.json
-	cat BENCH_hotpath_before.json >> BENCH_hotpath.json
-	printf ',\n  "after": ' >> BENCH_hotpath.json
-	cat BENCH_hotpath_after.json  >> BENCH_hotpath.json
-	printf '}\n' >> BENCH_hotpath.json
-	rm -f BENCH_hotpath_before.json BENCH_hotpath_after.json
+bench:
+	mkdir -p bench/out
+	sh bench/run.sh --workload all --trace 0 > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
+	cat $(BENCH_LOG)
+	cp "bench/$$(sed -n 's/^result file: //p' $(BENCH_LOG))" BENCH_e2e.json
+	sh bench/run.sh --workload all --trace 1 > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
+	cat $(BENCH_LOG)
+	cp "bench/$$(sed -n 's/^result file: //p' $(BENCH_LOG))" BENCH_layers.json
 
 # One-iteration pass over every microbenchmark, as a compile-and-run
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
@@ -113,21 +109,6 @@ serve-smoke:
 	wait $$pid || { echo "rpserved did not drain cleanly under load"; kill $$lpid 2>/dev/null; exit 1; }; \
 	wait $$lpid 2>/dev/null; \
 	echo "serve-smoke: clean drain under load"
-
-# Serving benchmark: a larger replay mix against a local rpserved,
-# recorded as BENCH_serve.json (p50/p95/p99 latency, throughput, cache
-# hit rate).
-bench-serve:
-	$(GO) build -o bin/rpserved ./cmd/rpserved
-	$(GO) build -o bin/rploadgen ./cmd/rploadgen
-	rm -f bin/rpserved.port; \
-	bin/rpserved -addr 127.0.0.1:0 -port-file bin/rpserved.port & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -f bin/rpserved.port ] && break; sleep 0.1; done; \
-	[ -f bin/rpserved.port ] || { echo "rpserved never published its port"; kill $$pid 2>/dev/null; exit 1; }; \
-	bin/rploadgen -addr "$$(cat bin/rpserved.port)" -n 512 -c 8 -unique 8 -size small -json BENCH_serve.json || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid
 
 # Chaos drill: kill -9 mid-load and restart against the same cache dir
 # (must come back warm with byte-identical outcomes), then serve through

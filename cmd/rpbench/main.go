@@ -7,20 +7,21 @@
 //	rpbench -table 2        # just the dynamic counts table
 //	rpbench -ablations      # just the ablations
 //	rpbench -static-profile # promote with the static estimator instead
-//
-// Batch mode shards a stress corpus (the suite plus generated
-// programs) across goroutines and reports throughput, per-stage wall
-// time, and a machine-readable record for before/after comparison:
-//
-//	rpbench -batch 24 -j 8             # suite + 24 generated, 8 shards
-//	rpbench -batch 24 -j 1 -json a.json && rpbench -batch 24 -j 8 -json b.json
-//	rpbench -workers 4                 # per-program transform workers
+//	rpbench -workers 4      # per-program transform workers
 //
 // Pressure mode runs the suite (plus -pressure-gen generated programs)
 // under pressure-aware promotion and reports the Table-3-style color
 // counts against the no-cap baseline:
 //
 //	rpbench -pressure-bench -pressure-cap 8 -pressure-gen 8 -json BENCH_pressure.json
+//
+// Oracle mode checks seeded generated programs for semantic
+// equivalence with and without promotion:
+//
+//	rpbench -oracle 200 -seed 1 -size small -oracle-roundtrip
+//
+// Throughput and per-layer cost are measured by the benchmark in
+// bench/ (make bench), not here.
 package main
 
 import (
@@ -34,196 +35,173 @@ import (
 	"repro/internal/report"
 )
 
+// config holds rpbench's parsed flags.
+type config struct {
+	table                    int
+	ablations, static, paper bool
+	check                    string
+	failFast                 bool
+	workers                  int
+	seed                     int64
+	size                     string
+	oracleN                  int
+	oracleRT, presBench      bool
+	presCap, presGen         int
+	jsonOut                  string
+	cpuprofile, memprofile   string
+}
+
+// registerFlags defines rpbench's flags on fs.
+func registerFlags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.IntVar(&c.table, "table", 0, "table to regenerate: 1, 2, or 3 (0 = all)")
+	fs.BoolVar(&c.ablations, "ablations", false, "run only the ablation comparisons")
+	fs.BoolVar(&c.static, "static-profile", false, "use the static loop-depth profile estimator")
+	fs.BoolVar(&c.paper, "paper-formula", false, "use the paper's exact profit formula")
+	fs.StringVar(&c.check, "check", "off", "pipeline self-checking level: off, boundaries, or paranoid")
+	fs.BoolVar(&c.failFast, "failfast", false, "abort on the first stage failure instead of degrading the function")
+	fs.IntVar(&c.workers, "workers", 1, "per-program pipeline workers (0 = GOMAXPROCS, 1 = sequential)")
+	fs.Int64Var(&c.seed, "seed", 1, "base seed for the -oracle and -pressure-gen generated programs")
+	fs.StringVar(&c.size, "size", "medium", "generated program size for -oracle and -pressure-gen: small, medium, or large")
+	fs.IntVar(&c.oracleN, "oracle", 0, "run the semantics oracle over N seeded generated programs (uses -seed and -size), write -json, and exit")
+	fs.BoolVar(&c.oracleRT, "oracle-roundtrip", false, "oracle mode: also check print→reimport round-trip equivalence")
+	fs.BoolVar(&c.presBench, "pressure-bench", false, "run the pressure-aware promotion table over the suite plus -pressure-gen programs, write -json, and exit")
+	fs.IntVar(&c.presCap, "pressure-cap", 8, "pressure mode: register-pressure color cap")
+	fs.IntVar(&c.presGen, "pressure-gen", 0, "pressure mode: generated stress programs to add to the suite (uses -seed and -size)")
+	fs.StringVar(&c.jsonOut, "json", "", "oracle and pressure modes: write a machine-readable record to this file")
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile to this file on exit")
+	return c
+}
+
+// validate rejects flag values that would otherwise be ignored or
+// misread before any work starts, and returns the options the tables,
+// ablations and pressure mode run with. Values the pipeline, the oracle
+// or the pressure table check themselves (-workers, -size,
+// -pressure-cap) are left to them.
+func (c *config) validate() (report.Options, error) {
+	if c.table < 0 || c.table > 3 {
+		return report.Options{}, fmt.Errorf("-table %d: want 1, 2, or 3 (0 = all)", c.table)
+	}
+	level, err := pipeline.ParseCheckLevel(c.check)
+	if err != nil {
+		return report.Options{}, err
+	}
+	if c.oracleN < 0 {
+		return report.Options{}, fmt.Errorf("-oracle %d: want 0 or more", c.oracleN)
+	}
+	if c.presGen < 0 {
+		return report.Options{}, fmt.Errorf("-pressure-gen %d: want 0 or more", c.presGen)
+	}
+	return report.Options{
+		StaticProfile:      c.static,
+		PaperProfitFormula: c.paper,
+		Check:              level,
+		FailFast:           c.failFast,
+		Workers:            c.workers,
+	}, nil
+}
+
 func main() {
-	var (
-		table      = flag.Int("table", 0, "table to regenerate: 1, 2, or 3 (0 = all)")
-		ablations  = flag.Bool("ablations", false, "run only the ablation comparisons")
-		static     = flag.Bool("static-profile", false, "use the static loop-depth profile estimator")
-		paper      = flag.Bool("paper-formula", false, "use the paper's exact profit formula")
-		check      = flag.String("check", "off", "pipeline self-checking level: off, boundaries, or paranoid")
-		failFast   = flag.Bool("failfast", false, "abort on the first stage failure instead of degrading the function")
-		workers    = flag.Int("workers", 1, "per-program pipeline workers (0 = GOMAXPROCS, 1 = sequential)")
-		batch      = flag.Int("batch", -1, "batch mode: run the suite plus N generated stress programs (-1 = off, 0 = suite only)")
-		seed       = flag.Int64("seed", 1, "base seed for the generated batch corpus")
-		size       = flag.String("size", "medium", "batch mode: generated workload size: small, medium, or large")
-		jobs       = flag.Int("j", 1, "batch mode: shard corpus entries across N goroutines")
-		legacy     = flag.Bool("legacy", false, "batch mode: run the pre-optimization paths (no analysis cache, reference interpreter) as the benchmark baseline")
-		irEvery    = flag.Int("ir-every", 0, "batch mode: replace every Nth generated entry with an imported real-IR program (0 = off)")
-		oracleN    = flag.Int("oracle", 0, "run the semantics oracle over N seeded generated programs (uses -seed and -size), write -json, and exit")
-		oracleRT   = flag.Bool("oracle-roundtrip", false, "oracle mode: also check print→reimport round-trip equivalence")
-		presBench  = flag.Bool("pressure-bench", false, "run the pressure-aware promotion table over the suite plus -pressure-gen programs, write -json, and exit")
-		presCap    = flag.Int("pressure-cap", 8, "pressure mode: register-pressure color cap")
-		presGen    = flag.Int("pressure-gen", 0, "pressure mode: generated stress programs to add to the suite (uses -seed and -size)")
-		timings    = flag.Bool("timings", false, "batch mode: print aggregated per-stage wall times")
-		jsonOut    = flag.String("json", "", "batch mode: write a machine-readable benchmark record to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	)
+	c := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	stopCPU, err := profiling.StartCPU(*cpuprofile)
+	opts, err := c.validate()
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "rpbench:", err)
+		os.Exit(2)
 	}
-	// Flushed both on the normal return path (deferred) and right before
-	// fatal exits, which bypass defers; the once-guard keeps the two
-	// paths from flushing twice.
-	flushed := false
-	finishProfiles := func() {
-		if flushed {
-			return
+	if err := run(c, opts); err != nil {
+		// Stage failures print as their structured one-line message,
+		// never a raw panic trace.
+		var se *pipeline.StageError
+		if errors.As(err, &se) {
+			err = se
 		}
-		flushed = true
-		stopCPU()
-		if err := profiling.WriteHeap(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "rpbench:", err)
-		}
-	}
-	defer finishProfiles()
-
-	if *oracleN > 0 {
-		if err := runOracle(oracleConfig{
-			Programs:  *oracleN,
-			Seed:      *seed,
-			Size:      *size,
-			RoundTrip: *oracleRT,
-			JSONPath:  *jsonOut,
-		}); err != nil {
-			finishProfiles()
-			fatal(err)
-		}
-		return
-	}
-
-	checkLevel, err := pipeline.ParseCheckLevel(*check)
-	if err != nil {
-		fatal(err)
-	}
-	opts := report.Options{
-		StaticProfile:      *static,
-		PaperProfitFormula: *paper,
-		Check:              checkLevel,
-		FailFast:           *failFast,
-		Workers:            *workers,
-	}
-
-	if *presBench {
-		if err := runPressureBench(pressureConfig{
-			Cap:       *presCap,
-			Generated: *presGen,
-			Seed:      *seed,
-			Size:      *size,
-			Opts:      opts,
-			JSONPath:  *jsonOut,
-		}); err != nil {
-			finishProfiles()
-			fatal(err)
-		}
-		return
-	}
-
-	if *batch >= 0 {
-		if err := runBatch(batchConfig{
-			Generated: *batch,
-			IREvery:   *irEvery,
-			Seed:      *seed,
-			Size:      *size,
-			Jobs:      *jobs,
-			Workers:   *workers,
-			Check:     checkLevel,
-			Legacy:    *legacy,
-			Timings:   *timings,
-			JSONPath:  *jsonOut,
-		}); err != nil {
-			finishProfiles()
-			fatal(err)
-		}
-		return
-	}
-
-	if *ablations {
-		runAblations()
-		return
-	}
-
-	if *table == 0 || *table == 1 {
-		rows, err := report.Table1(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(report.FormatTable1(rows))
-		fmt.Println()
-	}
-	if *table == 0 || *table == 2 {
-		rows, err := report.Table2(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(report.FormatTable2(rows))
-		fmt.Println()
-	}
-	if *table == 0 || *table == 3 {
-		rows, err := report.Table3(opts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(report.FormatTable3(rows))
-		fmt.Println()
-	}
-	if *table == 0 {
-		runAblations()
+		fmt.Fprintln(os.Stderr, "rpbench:", err)
+		os.Exit(1)
 	}
 }
 
-func runAblations() {
+// run executes the selected mode. Every error returns through here, so
+// the deferred profile flush runs on failing paths too.
+func run(c *config, opts report.Options) (err error) {
+	stopCPU, err := profiling.StartCPU(c.cpuprofile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		stopCPU()
+		if werr := profiling.WriteHeap(c.memprofile); werr != nil && err == nil {
+			err = werr
+		}
+	}()
+
+	switch {
+	case c.oracleN > 0:
+		return runOracle(oracleConfig{
+			Programs:  c.oracleN,
+			Seed:      c.seed,
+			Size:      c.size,
+			RoundTrip: c.oracleRT,
+			JSONPath:  c.jsonOut,
+		})
+	case c.presBench:
+		return runPressureBench(pressureConfig{
+			Cap:       c.presCap,
+			Generated: c.presGen,
+			Seed:      c.seed,
+			Size:      c.size,
+			Opts:      opts,
+			JSONPath:  c.jsonOut,
+		})
+	case c.ablations:
+		return runAblations()
+	}
+
+	if c.table == 0 || c.table == 1 {
+		rows, err := report.Table1(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Println(report.FormatTable1(rows))
+	}
+	if c.table == 0 || c.table == 2 {
+		rows, err := report.Table2(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Println(report.FormatTable2(rows))
+	}
+	if c.table == 0 || c.table == 3 {
+		rows, err := report.Table3(opts)
+		if err != nil {
+			return err
+		}
+		fmt.Println(report.FormatTable3(rows))
+	}
+	if c.table == 0 {
+		return runAblations()
+	}
+	return nil
+}
+
+func runAblations() error {
 	comparisons := []struct {
 		a, b           report.Options
 		labelA, labelB string
 	}{
-		{
-			report.Options{Algorithm: pipeline.AlgSSA},
-			report.Options{Algorithm: pipeline.AlgBaseline},
-			"ssa", "loop-baseline",
-		},
-		{
-			report.Options{},
-			report.Options{StaticProfile: true},
-			"measured-profile", "static-profile",
-		},
-		{
-			report.Options{},
-			report.Options{PaperProfitFormula: true},
-			"safe-formula", "paper-formula",
-		},
-		{
-			report.Options{},
-			report.Options{WholeFunctionScope: true},
-			"interval-scope", "whole-func-scope",
-		},
-		{
-			report.Options{},
-			report.Options{Algorithm: pipeline.AlgMemOpt},
-			"promotion", "memopt-only",
-		},
+		{report.Options{Algorithm: pipeline.AlgSSA}, report.Options{Algorithm: pipeline.AlgBaseline}, "ssa", "loop-baseline"},
+		{report.Options{}, report.Options{StaticProfile: true}, "measured-profile", "static-profile"},
+		{report.Options{}, report.Options{PaperProfitFormula: true}, "safe-formula", "paper-formula"},
+		{report.Options{}, report.Options{WholeFunctionScope: true}, "interval-scope", "whole-func-scope"},
+		{report.Options{}, report.Options{Algorithm: pipeline.AlgMemOpt}, "promotion", "memopt-only"},
 	}
 	for _, c := range comparisons {
 		rows, err := report.Ablation(c.a, c.b, c.labelA, c.labelB)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report.FormatAblation(rows))
-		fmt.Println()
+		fmt.Println(report.FormatAblation(rows))
 	}
-}
-
-// fatal prints the error — stage failures as their structured one-line
-// message, never a raw panic trace — and exits non-zero.
-func fatal(err error) {
-	var se *pipeline.StageError
-	if errors.As(err, &se) {
-		fmt.Fprintln(os.Stderr, "rpbench:", se.Error())
-	} else {
-		fmt.Fprintln(os.Stderr, "rpbench:", err)
-	}
-	os.Exit(1)
+	return nil
 }

@@ -3,7 +3,7 @@
 // percentiles, and cache hit rate.
 //
 // The mix is fully derived from -seed: -unique generated programs (the
-// same derived-seed corpus the batch harness uses) visited in a
+// derived-seed corpus of workload.ReplayCorpusMix) visited in a
 // deterministic order of -n requests, so two runs against equivalent
 // servers see identical traffic whatever -c concurrency is. Because the
 // mix revisits programs, a correct server serves most requests from its
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	rploadgen -addr 127.0.0.1:8080 -n 512 -c 8 -unique 8 -size small
-//	rploadgen -addr $(cat rpserved.port) -n 64 -qps 100 -json BENCH_serve.json
+//	rploadgen -addr $(cat rpserved.port) -n 64 -qps 100 -json serve.json
 //	rploadgen -addr $(cat rprouter.port) -profile hotkey -c 16
 //	rploadgen -addr ... -profile spike -qps 300 -duration 60s   # soak
 //
@@ -71,7 +71,7 @@ func main() {
 		check    = flag.String("check", "off", "per-request pipeline check level")
 		workers  = flag.Int("workers", 0, "per-request transform worker count (0 = server default)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "client-side HTTP timeout per request")
-		jsonPath = flag.String("json", "", "write a machine-readable BENCH_serve record to this file")
+		jsonPath = flag.String("json", "", "write a machine-readable serve record to this file")
 
 		retries      = flag.Int("retries", 3, "retry budget per request for 429 responses (0 = no retries)")
 		retryMaxWait = flag.Duration("retry-max-wait", 5*time.Second, "cap on a single Retry-After backoff")
@@ -481,8 +481,8 @@ func retryAfter(h string) time.Duration {
 	return 100 * time.Millisecond
 }
 
-// serveRecord is the machine-readable BENCH_serve.json shape, stamped
-// with the shared report.SchemaVersion like every other BENCH record.
+// serveRecord is the machine-readable -json record shape, stamped with
+// the shared report.SchemaVersion.
 type serveRecord struct {
 	SchemaVersion     int            `json:"schema_version"`
 	Addr              string         `json:"addr"`

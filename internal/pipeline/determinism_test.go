@@ -35,14 +35,12 @@ func TestRunTwiceIdentical(t *testing.T) {
 	}
 }
 
-// TestRunTwiceIdenticalLegacy repeats the corpus-twice check on the
-// no-cache, legacy-interpreter configuration, so the baseline paths
-// rpbench -legacy measures stay deterministic too.
+// TestRunTwiceIdenticalLegacy repeats the corpus-twice check with the
+// reference interpreter doing the training and measurement runs, so
+// the spec the bytecode engine is diffed against stays deterministic
+// too.
 func TestRunTwiceIdenticalLegacy(t *testing.T) {
-	opts := pipeline.Options{
-		PreMemOpts:      true,
-		NoAnalysisCache: true,
-	}
+	opts := pipeline.Options{PreMemOpts: true}
 	opts.Interp.Legacy = true
 	for _, w := range workload.Suite() {
 		_, report1, prog1 := runReport(t, w.Src, opts)
@@ -57,18 +55,23 @@ func TestRunTwiceIdenticalLegacy(t *testing.T) {
 }
 
 // TestCachedMatchesUncachedReport asserts the analysis cache is
-// semantically invisible: a cached run and a NoAnalysisCache run of the
-// same source produce byte-identical reports and IR.
+// semantically invisible. At CheckParanoid every cache hit is checked
+// against a fresh rebuild and a mismatch panics, so that run consumes
+// exactly the uncached analyses; its report and IR must be
+// byte-identical to a CheckOff run's. It covers the suite and the
+// imported real-IR programs.
 func TestCachedMatchesUncachedReport(t *testing.T) {
-	for _, w := range workload.Suite() {
-		_, cachedReport, cachedProg := runReport(t, w.Src, pipeline.Options{PreMemOpts: true})
-		_, plainReport, plainProg := runReport(t, w.Src, pipeline.Options{PreMemOpts: true, NoAnalysisCache: true})
-		if cachedReport != plainReport {
-			t.Errorf("%s: cached and uncached reports differ:\n--- cached\n%s\n--- uncached\n%s",
-				w.Name, cachedReport, plainReport)
+	for _, w := range append(workload.Suite(), workload.ImportedSuite()...) {
+		opts := pipeline.Options{PreMemOpts: true, Lang: w.Lang}
+		_, cachedReport, cachedProg := runReport(t, w.Src, opts)
+		opts.Check = pipeline.CheckParanoid
+		_, paranoidReport, paranoidProg := runReport(t, w.Src, opts)
+		if cachedReport != paranoidReport {
+			t.Errorf("%s: CheckOff and CheckParanoid reports differ:\n--- cached\n%s\n--- paranoid\n%s",
+				w.Name, cachedReport, paranoidReport)
 		}
-		if cachedProg != plainProg {
-			t.Errorf("%s: cached and uncached transformed programs differ", w.Name)
+		if cachedProg != paranoidProg {
+			t.Errorf("%s: CheckOff and CheckParanoid transformed programs differ", w.Name)
 		}
 	}
 }

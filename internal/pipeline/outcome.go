@@ -12,8 +12,7 @@ import (
 // stacks), and the measured runs' observable behavior (output, return
 // value, final global memory in sorted order). Two Runs over the same
 // source with the same options produce byte-identical reports whatever
-// Options.Workers is — the determinism tests and the batch harness
-// compare this string. Timings are deliberately excluded: wall time is
+// Options.Workers is — the determinism tests compare this string. Timings are deliberately excluded: wall time is
 // the one thing that legitimately differs between runs.
 func (o *Outcome) Report() string {
 	var sb strings.Builder

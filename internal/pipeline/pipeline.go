@@ -36,7 +36,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/irimport"
-	"repro/internal/liveness"
 	"repro/internal/opt"
 	"repro/internal/profile"
 	"repro/internal/source"
@@ -145,13 +144,8 @@ type Options struct {
 	Faults *faults.Injector
 	// AnalysisCache optionally supplies the analysis cache the run
 	// memoizes CFG analyses in (tests pass their own to inspect build
-	// counts). Nil means the run creates one, unless NoAnalysisCache is
-	// set.
+	// counts). Nil means the run creates one.
 	AnalysisCache *analysis.Cache
-	// NoAnalysisCache disables cross-stage analysis memoization: every
-	// stage rebuilds its own dominators/frontiers, the pre-caching
-	// behavior. Kept as a benchmark baseline (rpbench -legacy).
-	NoAnalysisCache bool
 	// Workers bounds how many functions are transformed concurrently.
 	// Each worker runs the full per-function chain (SSA build →
 	// promote → destruct → verify) behind the usual isolation and
@@ -229,7 +223,7 @@ type runner struct {
 	snapshots map[string]*ir.Function
 	degraded  map[string]bool
 	// cache memoizes per-function CFG analyses across stages, keyed on
-	// the functions' CFG version counters; nil when NoAnalysisCache.
+	// the functions' CFG version counters. Never nil during a run.
 	cache *analysis.Cache
 }
 
@@ -240,29 +234,10 @@ type runner struct {
 // rewrites recompile safely).
 func (r *runner) interpOptions() interp.Options {
 	popts := r.opts.Interp
-	if popts.Code == nil && r.cache != nil {
+	if popts.Code == nil {
 		popts.Code = r.cache
 	}
 	return popts
-}
-
-// domOf returns f's dominator tree: memoized when the cache is on,
-// freshly built otherwise.
-func (r *runner) domOf(f *ir.Function) *cfg.DomTree {
-	if r.cache != nil {
-		return r.cache.Dom(f)
-	}
-	return cfg.BuildDomTree(f)
-}
-
-// analyses returns f's dominator tree and dominance frontiers, memoized
-// when the cache is on.
-func (r *runner) analyses(f *ir.Function) (*cfg.DomTree, cfg.DomFrontiers) {
-	if r.cache != nil {
-		return r.cache.Dom(f), r.cache.DF(f)
-	}
-	dom := cfg.BuildDomTree(f)
-	return dom, cfg.BuildDomFrontiers(dom)
 }
 
 // Run executes the full pipeline on mini-C source text. Options are
@@ -282,10 +257,10 @@ func Run(src string, opts Options) (*Outcome, error) {
 		r.out.Pressure = make(map[string]*core.PressureResult)
 	}
 	r.cache = opts.AnalysisCache
-	if r.cache == nil && !opts.NoAnalysisCache {
+	if r.cache == nil {
 		r.cache = analysis.New()
 	}
-	if r.cache != nil && opts.Check >= CheckParanoid {
+	if opts.Check >= CheckParanoid {
 		r.cache.Paranoid = true
 	}
 
@@ -397,12 +372,10 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 				}
 			}
 			forests[f.Name] = forest
-			if r.cache != nil {
-				// Normalize just built this forest at the function's
-				// current CFG version; seed the cache so the estimate and
-				// promote paths never rebuild it.
-				r.cache.PutIntervals(f, forest)
-			}
+			// Normalize just built this forest at the function's current
+			// CFG version; seed the cache so the estimate and promote
+			// paths never rebuild it.
+			r.cache.PutIntervals(f, forest)
 			return nil
 		})
 		if err != nil {
@@ -501,12 +474,11 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	case AlgSSA:
 		chain = append(chain, transformStep{StageSSABuild, func() error {
 			cfg.RemoveUnreachable(f)
-			dom, df := r.analyses(f)
-			return ssa.BuildWith(f, dom, df)
+			return ssa.BuildWith(f, r.cache.Dom(f), r.cache.DF(f))
 		}, true})
 		if r.opts.PreMemOpts {
 			chain = append(chain, transformStep{StageMemOpts, func() error {
-				opt.ForwardStoresWith(f, r.domOf(f))
+				opt.ForwardStoresWith(f, r.cache.Dom(f))
 				opt.DeadStoreElim(f)
 				opt.Cleanup(f)
 				return nil
@@ -517,25 +489,20 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 			if r.opts.WholeFunctionScope {
 				scope = core.ScopeWholeFunction
 			}
-			dom, df := r.analyses(f)
 			ccfg := core.Config{
 				Profile:         fp,
 				Scope:           scope,
 				CountTailStores: !r.opts.PaperProfitFormula,
 				MaxPromotedWebs: r.opts.MaxPromotedWebs,
-				Dom:             dom,
-				DF:              df,
+				Dom:             r.cache.Dom(f),
+				DF:              r.cache.DF(f),
 			}
 			if r.opts.PressureCap > 0 {
 				// The cap search seeds its budgets from the
 				// pre-promotion liveness; hand it the cache's copy
 				// (keyed on version + instruction fingerprint) so
 				// repeated analyses of the same form are hits.
-				var live *liveness.Info
-				if r.cache != nil {
-					live = r.cache.Liveness(f)
-				}
-				pres, err := core.PromoteUnderPressureWith(f, forest, ccfg, r.opts.PressureCap, live)
+				pres, err := core.PromoteUnderPressureWith(f, forest, ccfg, r.opts.PressureCap, r.cache.Liveness(f))
 				if err != nil {
 					return err
 				}
@@ -556,11 +523,10 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	case AlgMemOpt:
 		chain = append(chain, transformStep{StageSSABuild, func() error {
 			cfg.RemoveUnreachable(f)
-			dom, df := r.analyses(f)
-			return ssa.BuildWith(f, dom, df)
+			return ssa.BuildWith(f, r.cache.Dom(f), r.cache.DF(f))
 		}, true})
 		chain = append(chain, transformStep{StageMemOpts, func() error {
-			opt.ForwardStoresWith(f, r.domOf(f))
+			opt.ForwardStoresWith(f, r.cache.Dom(f))
 			opt.DeadStoreElim(f)
 			opt.Cleanup(f)
 			return nil
@@ -624,7 +590,7 @@ func (r *runner) boundaryCheck(f *ir.Function, inSSA bool) error {
 		return nil
 	}
 	if inSSA {
-		if err := ssa.VerifyDominanceWith(f, r.domOf(f)); err != nil {
+		if err := ssa.VerifyDominanceWith(f, r.cache.Dom(f)); err != nil {
 			return fmt.Errorf("boundary verify (ssa): %w", err)
 		}
 		return nil
@@ -650,11 +616,9 @@ func (r *runner) degrade(prog *ir.Program, f *ir.Function, snap *ir.Function, st
 	delete(r.out.Stats, f.Name)
 	delete(r.out.Pressure, f.Name)
 	r.mu.Unlock()
-	if r.cache != nil {
-		// The function object just left the program; drop its analyses so
-		// a recycled pointer can never alias a stale entry.
-		r.cache.Invalidate(f)
-	}
+	// The function object just left the program; drop its analyses so a
+	// recycled pointer can never alias a stale entry.
+	r.cache.Invalidate(f)
 	r.recordDegradation(f.Name, stage, err)
 	return nil
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // SchemaVersion is the version stamped into every machine-readable
-// record this repo emits: the serving layer's outcome payloads
-// (rpserved), the batch benchmark records (rpbench -batch -json), and
-// the load-generator's BENCH_serve.json. Bump it whenever a field
+// record the promoter's tools emit: the serving layer's outcome payloads
+// (rpserved), the rpbench -oracle and -pressure-bench records, and the
+// load generator's -json record. Bump it whenever a field
 // changes meaning or shape, so downstream consumers can reject records
 // they do not understand instead of misreading them.
 const SchemaVersion = 1
@@ -67,8 +67,8 @@ type GlobalJSON struct {
 }
 
 // OutcomeJSON is the stable, versioned JSON encoding of a
-// pipeline.Outcome, shared by the promotion service, rpbench's batch
-// records, and the BENCH_*.json writers. Every slice is in canonical
+// pipeline.Outcome, written by the promotion service and read by its
+// clients (rploadgen, the benchmark). Every slice is in canonical
 // order (function declaration order comes pre-canonicalized from the
 // pipeline; stats and globals sort by name here), and wall-clock
 // timings are deliberately excluded, so two runs over the same

@@ -46,10 +46,9 @@ func SumStageTimings(outcomes ...*pipeline.Outcome) []StageTime {
 	return rows
 }
 
-// StageMS is the stable JSON shape of one aggregated stage-timing row,
-// shared by rpbench's batch records and the serving layer's metrics
-// payloads (wall time in milliseconds so the records are directly
-// plottable).
+// StageMS is the stable JSON shape of one aggregated stage-timing row
+// in the serving layer's response payloads (wall time in milliseconds
+// so the rows are directly plottable).
 type StageMS struct {
 	Stage  string  `json:"stage"`
 	WallMS float64 `json:"wall_ms"`

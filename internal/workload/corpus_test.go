@@ -9,8 +9,8 @@ import (
 )
 
 // TestCorpusConcurrentDeterminism: generating corpus entries from many
-// goroutines at once (the rpbench -j sharding pattern) must produce the
-// same programs as a sequential Corpus call — each entry owns a
+// goroutines at once must produce the same programs as a sequential
+// Corpus call — each entry owns a
 // derived-seed rng, so there is no shared random state to race on or to
 // leak ordering into. Run under -race this is also the regression test
 // for generator thread safety.

@@ -4,10 +4,11 @@ import "fmt"
 
 // ReplayCorpus generates the n distinct programs a load-generation run
 // replays against the promotion service. It is the client-side twin of
-// the batch harness's corpus: the same derived-seed generation, so a
-// server-side run over the same (seed, size) produces byte-identical
-// sources and the load generator's determinism checks can compare
-// outcomes across processes and machines.
+// SizedCorpusEntry, which the benchmark's serve-cold corpus also draws
+// from: the same derived-seed generation, so a server-side run over the
+// same (seed, size) produces byte-identical sources and the load
+// generator's determinism checks can compare outcomes across processes
+// and machines.
 func ReplayCorpus(seed int64, n int, size string) ([]Workload, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("workload: replay corpus needs n >= 1, got %d", n)

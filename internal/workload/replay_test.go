@@ -3,7 +3,7 @@ package workload
 import "testing"
 
 // TestReplayCorpusMatchesCorpusEntries checks the client-side replay
-// corpus is byte-identical to the batch harness's corpus entries.
+// corpus is byte-identical to SizedCorpusEntry's entries.
 func TestReplayCorpusMatchesCorpusEntries(t *testing.T) {
 	entries, err := ReplayCorpus(7, 5, "small")
 	if err != nil {
