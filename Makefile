@@ -73,9 +73,10 @@ bench:
 # One-iteration pass over every microbenchmark, as a compile-and-run
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working). The interp benchmarks
-# cover the bytecode engine and the reference interpreter.
+# cover the bytecode engine and the reference interpreter; the core
+# benchmark covers whole-function promotion.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/interp/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

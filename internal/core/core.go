@@ -34,7 +34,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/profile"
-	"repro/internal/ssa"
 )
 
 // Scope selects the promotion scope.
@@ -209,39 +208,50 @@ type promoter struct {
 // instruction insertion point.
 func (p *promoter) freq(b *ir.Block) float64 { return p.config.Profile.BlockFreq(b) }
 
+// candidate is one web of an interval with its plan and, under a
+// budget, its sort score.
+type candidate struct {
+	w     *web
+	plan  *webPlan
+	score float64
+}
+
 func (p *promoter) promoteInInterval(iv *cfg.Interval) error {
+	// Every web is planned once, before any is promoted. Promoting a web
+	// leaves the other webs' plans unchanged: it renames only uses of
+	// its own versions, and the definitions it inserts are current only
+	// where its own versions were.
 	webs := p.constructSSAWebs(iv)
+	cands := make([]candidate, len(webs))
+	for i, w := range webs {
+		cands[i] = candidate{w: w, plan: p.planWeb(iv, w)}
+	}
 	if p.config.MaxPromotedWebs > 0 || p.config.PressureBudget > 0 {
 		// Under a budget, spend it on the best webs first: by raw profit
 		// when only the web count is capped, by profit per unit of
 		// pressure cost when a pressure budget is set (a web referenced
 		// only in cold blocks is cheap to carry; one spanning the hot
 		// loop body is not).
-		plans := make(map[*web]*webPlan, len(webs))
-		for _, w := range webs {
-			plans[w] = p.planWeb(iv, w)
+		for i := range cands {
+			c := &cands[i]
+			c.score = c.plan.profit()
+			if p.config.PressureBudget > 0 {
+				cost := p.pressureCost(iv, c.w)
+				if cost <= 0 {
+					cost = 1
+				}
+				c.score /= cost
+			}
 		}
-		score := func(w *web) float64 {
-			pr := plans[w].profit()
-			if p.config.PressureBudget <= 0 {
-				return pr
+		sort.SliceStable(cands, func(i, j int) bool {
+			if cands[i].score != cands[j].score {
+				return cands[i].score > cands[j].score
 			}
-			cost := p.pressureCost(iv, w)
-			if cost <= 0 {
-				cost = 1
-			}
-			return pr / cost
-		}
-		sort.SliceStable(webs, func(i, j int) bool {
-			si, sj := score(webs[i]), score(webs[j])
-			if si != sj {
-				return si > sj
-			}
-			return plans[webs[i]].profit() > plans[webs[j]].profit()
+			return cands[i].plan.profit() > cands[j].plan.profit()
 		})
 	}
-	for _, w := range webs {
-		if err := p.promoteInWeb(iv, w); err != nil {
+	for _, c := range cands {
+		if err := p.promoteInWeb(iv, c.w, c.plan); err != nil {
 			return err
 		}
 	}
@@ -338,11 +348,10 @@ func (p *promoter) budgetExhausted() bool {
 		p.stats.WebsPromoted+p.stats.WebsLoadOnly >= p.config.MaxPromotedWebs
 }
 
-// promoteInWeb is the paper's Figure 4.
-func (p *promoter) promoteInWeb(iv *cfg.Interval, w *web) error {
+// promoteInWeb is the paper's Figure 4, applied to w with its plan.
+func (p *promoter) promoteInWeb(iv *cfg.Interval, w *web, plan *webPlan) error {
 	p.stats.WebsConsidered++
 
-	plan := p.planWeb(iv, w)
 	if plan.profit() < 0 || p.budgetExhausted() {
 		p.stats.WebsRejected++
 		// An unpromoted web with references still needs the parent to
@@ -447,15 +456,3 @@ func replaceWithCopy(load *ir.Instr, v ir.Value) {
 	load.Loc = ir.MemLoc{}
 	load.MemUses = nil
 }
-
-// sortResources returns the web's resources in deterministic order.
-func sortResources(set map[ir.ResourceID]bool) []ir.ResourceID {
-	out := make([]ir.ResourceID, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-var _ = ssa.PruneTrivialPhis // keep import grouping honest during refactors

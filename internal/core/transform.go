@@ -75,13 +75,7 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 		return reg, nil
 	}
 	f := t.p.f
-	var memPhi *ir.Instr
-	for _, phi := range t.w.memPhis {
-		if phi.MemDefs[0].Res == memRes {
-			memPhi = phi
-			break
-		}
-	}
+	memPhi := t.plan.definedByPhi[memRes]
 	if memPhi == nil {
 		return ir.NoReg, fmt.Errorf("core: materialize %s: not in vrMap and not phi-defined", f.Res(memRes))
 	}
@@ -115,17 +109,9 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 // replaceLoadsByCopies is Figure 5: every load of a store- or phi-
 // defined resource becomes a copy from the materialized register.
 func (t *transformer) replaceLoadsByCopies() {
-	definedByStore := make(map[ir.ResourceID]bool)
-	for _, st := range t.w.stores {
-		definedByStore[st.MemDefs[0].Res] = true
-	}
-	definedByPhi := make(map[ir.ResourceID]bool)
-	for _, phi := range t.w.memPhis {
-		definedByPhi[phi.MemDefs[0].Res] = true
-	}
 	for _, ld := range t.w.loads {
 		x := ld.MemUses[0].Res
-		if !definedByStore[x] && !definedByPhi[x] {
+		if !t.plan.definedByStore[x] && t.plan.definedByPhi[x] == nil {
 			continue // live-in or aliased-def value: must stay a load
 		}
 		reg, err := t.materializeStoreValue(x)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -25,8 +23,8 @@ func (r memRefSite) res() ir.ResourceID {
 // web is one memory SSA web inside an interval, with the reference sets
 // of section 4.2 of the paper.
 type web struct {
-	base      ir.ResourceID // base resource all versions rename
-	resources map[ir.ResourceID]bool
+	base      ir.ResourceID   // base resource all versions rename
+	resources []ir.ResourceID // member versions, ascending
 
 	// Reference sets, all restricted to the interval.
 	loads        []*ir.Instr  // singleton loads (OpLoad)
@@ -38,28 +36,39 @@ type web struct {
 	// defsInInterval lists web resources defined inside the interval
 	// (by any kind of definition).
 	defsInInterval map[ir.ResourceID]*ir.Instr
+
+	// usedOutside, indexed by ResourceID and shared by every web of the
+	// interval, marks the versions with a use outside the interval. One
+	// scan per interval fills it, and promoting the interval's webs
+	// keeps it exact: promoting a web renames only uses of its own
+	// versions and inserts only its own or fresh versions, so no other
+	// web of the interval gains or loses an outside use.
+	usedOutside []bool
 }
 
 // constructSSAWebs partitions the promotable resource versions
 // referenced in the interval into webs: the union-find pass of the
 // paper's Figure 3, seeded with every referenced resource and unioned
-// across each memphi's target and operands.
+// across each memphi's target and operands. The union-find and the
+// web lookup are dense slices indexed by ResourceID.
 func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
-	parent := make(map[ir.ResourceID]ir.ResourceID)
-	var find func(r ir.ResourceID) ir.ResourceID
-	find = func(r ir.ResourceID) ir.ResourceID {
-		if parent[r] == r {
-			return r
+	n := len(p.f.Resources)
+	parent := make([]ir.ResourceID, n)
+	for i := range parent {
+		parent[i] = ir.NoResource
+	}
+	find := func(r ir.ResourceID) ir.ResourceID {
+		root := r
+		for parent[root] != root {
+			root = parent[root]
 		}
-		root := find(parent[r])
-		parent[r] = root
+		for parent[r] != root {
+			parent[r], r = root, parent[r]
+		}
 		return root
 	}
-	add := func(r ir.ResourceID) {
-		if _, ok := parent[r]; !ok {
-			parent[r] = r
-		}
-	}
+	// The smaller resource becomes the root, so a class's root is its
+	// smallest member.
 	union := func(a, b ir.ResourceID) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
@@ -78,12 +87,12 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		for _, in := range b.Instrs {
 			for _, d := range in.MemDefs {
 				if promotable(d.Res) {
-					add(d.Res)
+					parent[d.Res] = d.Res
 				}
 			}
 			for _, u := range in.MemUses {
 				if promotable(u.Res) {
-					add(u.Res)
+					parent[u.Res] = u.Res
 				}
 			}
 		}
@@ -100,20 +109,44 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		}
 	}
 
-	// Group into webs keyed by representative.
-	websByRoot := make(map[ir.ResourceID]*web)
-	for r := range parent {
+	// Mark the web versions used outside the interval, in one scan of
+	// the blocks outside it.
+	usedOutside := make([]bool, n)
+	for _, b := range p.f.Blocks {
+		if iv.Contains(b) {
+			continue
+		}
+		for _, in := range b.Instrs {
+			for _, u := range in.MemUses {
+				if parent[u.Res] != ir.NoResource {
+					usedOutside[u.Res] = true
+				}
+			}
+		}
+	}
+
+	// Group into webs by representative. Visiting resources in
+	// ascending order meets each class's root first, so the webs come
+	// out ordered by smallest member and each member list is sorted.
+	webOf := make([]*web, n)
+	var webs []*web
+	for r := ir.ResourceID(0); int(r) < n; r++ {
+		if parent[r] == ir.NoResource {
+			continue
+		}
 		root := find(r)
-		w := websByRoot[root]
+		w := webOf[root]
 		if w == nil {
 			w = &web{
 				base:           p.f.BaseOf(r).ID,
-				resources:      make(map[ir.ResourceID]bool),
 				defsInInterval: make(map[ir.ResourceID]*ir.Instr),
+				usedOutside:    usedOutside,
 			}
-			websByRoot[root] = w
+			webOf[root] = w
+			webs = append(webs, w)
 		}
-		w.resources[r] = true
+		webOf[r] = w
+		w.resources = append(w.resources, r)
 	}
 
 	// Collect reference sets in one scan (the paper's single pass over
@@ -125,7 +158,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				if !promotable(r) {
 					continue
 				}
-				w := websByRoot[find(r)]
+				w := webOf[r]
 				w.defsInInterval[r] = in
 				switch {
 				case in.Op == ir.OpMemPhi:
@@ -141,7 +174,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 				if !promotable(r) {
 					continue
 				}
-				w := websByRoot[find(r)]
+				w := webOf[r]
 				switch in.Op {
 				case ir.OpMemPhi:
 					// phi operands are web structure, not references
@@ -153,28 +186,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 			}
 		}
 	}
-
-	// Deterministic order by smallest member resource.
-	webs := make([]*web, 0, len(websByRoot))
-	for _, w := range websByRoot {
-		webs = append(webs, w)
-	}
-	sort.Slice(webs, func(i, j int) bool {
-		return minRes(webs[i].resources) < minRes(webs[j].resources)
-	})
 	return webs
-}
-
-func minRes(set map[ir.ResourceID]bool) ir.ResourceID {
-	first := true
-	var m ir.ResourceID
-	for r := range set {
-		if first || r < m {
-			m = r
-			first = false
-		}
-	}
-	return m
 }
 
 // webPlan holds the placement and profitability analysis of section 4.3:
@@ -182,6 +194,11 @@ func minRes(set map[ir.ResourceID]bool) ir.ResourceID {
 // resources, and the profit components.
 type webPlan struct {
 	liveIn ir.ResourceID // version valid on interval entry (NoResource if none)
+
+	// definedByStore and definedByPhi index the web's versions defined
+	// by its stores and by its memphis; the transformer reuses them.
+	definedByStore map[ir.ResourceID]bool
+	definedByPhi   map[ir.ResourceID]*ir.Instr
 
 	// loadsAdded maps each insertion point to the resource to load
 	// before it (the paper's loads-added pairs (x, i)).
@@ -217,15 +234,18 @@ func (pl *webPlan) profit() float64 {
 
 // planWeb computes the analysis of section 4.3 for one web.
 func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
-	pl := &webPlan{liveIn: p.findLiveIn(iv, w)}
-
-	definedByStore := make(map[ir.ResourceID]bool)
+	definedByStore := make(map[ir.ResourceID]bool, len(w.stores))
 	for _, st := range w.stores {
 		definedByStore[st.MemDefs[0].Res] = true
 	}
-	definedByPhi := make(map[ir.ResourceID]*ir.Instr)
+	definedByPhi := make(map[ir.ResourceID]*ir.Instr, len(w.memPhis))
 	for _, phi := range w.memPhis {
 		definedByPhi[phi.MemDefs[0].Res] = phi
+	}
+	pl := &webPlan{
+		liveIn:         findLiveIn(w),
+		definedByStore: definedByStore,
+		definedByPhi:   definedByPhi,
 	}
 
 	// loads-added: for each phi operand x:L that is a leaf (not defined
@@ -298,10 +318,9 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	// Interval tail stores: per exit edge, the reaching web definition;
 	// a store is needed when it is a store- or phi-defined version with
 	// uses outside the interval.
-	liveOut := p.liveOutResources(iv, w, definedByStore, definedByPhi)
 	for _, e := range iv.ExitEdges {
-		r := p.reachingWebDefAt(iv, w, e.From)
-		if r == ir.NoResource || !liveOut[r] {
+		r := p.reachingWebDefAt(w, e.From)
+		if r == ir.NoResource || !pl.liveOut(w, r) {
 			continue
 		}
 		pl.tailStores = append(pl.tailStores, tailStore{res: r, tail: e.Tail})
@@ -386,34 +405,20 @@ func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
 // findLiveIn returns the web's unique live-in resource: the version used
 // inside the interval but defined outside it (or never defined, i.e.
 // version 0). NoResource if the web has none.
-func (p *promoter) findLiveIn(iv *cfg.Interval, w *web) ir.ResourceID {
-	for _, r := range sortResources(w.resources) {
-		def, definedInside := w.defsInInterval[r]
-		_ = def
-		if !definedInside {
+func findLiveIn(w *web) ir.ResourceID {
+	for _, r := range w.resources {
+		if _, definedInside := w.defsInInterval[r]; !definedInside {
 			return r
 		}
 	}
 	return ir.NoResource
 }
 
-// liveOutResources returns the web versions defined inside the interval
-// by a store or phi that have uses outside it.
-func (p *promoter) liveOutResources(iv *cfg.Interval, w *web, byStore map[ir.ResourceID]bool, byPhi map[ir.ResourceID]*ir.Instr) map[ir.ResourceID]bool {
-	out := make(map[ir.ResourceID]bool)
-	for _, b := range p.f.Blocks {
-		if iv.Contains(b) {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for _, u := range in.MemUses {
-				if w.resources[u.Res] && (byStore[u.Res] || byPhi[u.Res] != nil) {
-					out[u.Res] = true
-				}
-			}
-		}
-	}
-	return out
+// liveOut reports whether the web version r is live out of the
+// interval: defined inside it by one of the web's stores or phis, and
+// used outside it.
+func (pl *webPlan) liveOut(w *web, r ir.ResourceID) bool {
+	return w.usedOutside[r] && (pl.definedByStore[r] || pl.definedByPhi[r] != nil)
 }
 
 // reachingWebDefAt finds the web version of the base live at the end of
@@ -421,12 +426,12 @@ func (p *promoter) liveOutResources(iv *cfg.Interval, w *web, byStore map[ir.Res
 // through the block and up the dominator tree. Returns NoResource when
 // the reaching version does not belong to this web (another web of the
 // same base, or a version from outside the interval).
-func (p *promoter) reachingWebDefAt(iv *cfg.Interval, w *web, blk *ir.Block) ir.ResourceID {
+func (p *promoter) reachingWebDefAt(w *web, blk *ir.Block) ir.ResourceID {
 	for b := blk; b != nil; {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			for _, d := range b.Instrs[i].MemDefs {
 				if p.f.BaseOf(d.Res).ID == w.base {
-					if w.resources[d.Res] && w.defsInInterval[d.Res] != nil {
+					if w.defsInInterval[d.Res] != nil {
 						return d.Res
 					}
 					return ir.NoResource

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/alias"
 	"repro/internal/cfg"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/profile"
 	"repro/internal/source"
 	"repro/internal/ssa"
+	"repro/internal/workload"
 )
 
 // prep compiles to SSA and returns a promoter ready for white-box
@@ -292,4 +296,121 @@ void main() {
 			}
 		}
 	}
+}
+
+// rescanLiveOut is the full-function rescan the usedOutside index
+// replaces: the web versions defined inside the interval by one of the
+// web's stores or memphis that some instruction outside the interval
+// uses.
+func rescanLiveOut(f *ir.Function, iv *cfg.Interval, w *web) map[ir.ResourceID]bool {
+	inWeb := make(map[ir.ResourceID]bool)
+	for _, r := range w.resources {
+		inWeb[r] = true
+	}
+	defined := make(map[ir.ResourceID]bool)
+	for _, in := range w.stores {
+		defined[in.MemDefs[0].Res] = true
+	}
+	for _, in := range w.memPhis {
+		defined[in.MemDefs[0].Res] = true
+	}
+	out := make(map[ir.ResourceID]bool)
+	for _, b := range f.Blocks {
+		if iv.Contains(b) {
+			continue
+		}
+		for _, in := range b.Instrs {
+			for _, u := range in.MemUses {
+				if inWeb[u.Res] && defined[u.Res] {
+					out[u.Res] = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestUsedOutsideIndexMatchesRescan replays promotion's interval walk
+// and checks, before each web is promoted, that the live-out set the
+// interval's usedOutside index gives equals a full-function rescan, and
+// that the plan made before any web of the interval was promoted equals
+// a fresh one. Both indexes are built once per interval, so promoting
+// the interval's earlier webs must leave them exact.
+func TestUsedOutsideIndexMatchesRescan(t *testing.T) {
+	srcs := map[string]string{}
+	for _, w := range workload.Suite() {
+		srcs[w.Name] = w.Src
+	}
+	for _, seed := range []int64{1, 7} {
+		for i := 0; i < 3; i++ {
+			gen, err := workload.SizedGenConfig(workload.DeriveSeed(seed, i), "large")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen.LoopMax = 3
+			srcs[fmt.Sprintf("gen-%d-%d", seed, i)] = workload.Generate(gen)
+		}
+	}
+	checked, liveOuts := 0, 0
+	for name, src := range srcs {
+		prog, err := source.Compile(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := alias.Analyze(prog); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, f := range prog.Funcs {
+			forest, err := cfg.Normalize(f)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, f.Name, err)
+			}
+			prof := profile.Estimate(f, forest)
+			if _, err := ssa.Build(f); err != nil {
+				t.Fatalf("%s/%s: %v", name, f.Name, err)
+			}
+			p := &promoter{
+				f:      f,
+				forest: forest,
+				config: Config{Profile: prof, CountTailStores: true},
+				stats:  &Stats{},
+			}
+			p.dom = cfg.BuildDomTree(f)
+			p.df = cfg.BuildDomFrontiers(p.dom)
+			forest.Root.Walk(func(iv *cfg.Interval) {
+				if iv.Root {
+					return
+				}
+				webs := p.constructSSAWebs(iv)
+				plans := make([]*webPlan, len(webs))
+				for i, w := range webs {
+					plans[i] = p.planWeb(iv, w)
+				}
+				for i, w := range webs {
+					want := rescanLiveOut(f, iv, w)
+					liveOuts += len(want)
+					for _, r := range w.resources {
+						if got := plans[i].liveOut(w, r); got != want[r] {
+							t.Errorf("%s/%s: %s live-out: index %v, rescan %v", name, f.Name, f.Res(r), got, want[r])
+						}
+					}
+					fresh := p.planWeb(iv, w)
+					if fresh.liveIn != plans[i].liveIn || fresh.profit() != plans[i].profit() ||
+						!reflect.DeepEqual(fresh.loadsAdded, plans[i].loadsAdded) ||
+						!reflect.DeepEqual(fresh.storesAdded, plans[i].storesAdded) ||
+						!reflect.DeepEqual(fresh.tailStores, plans[i].tailStores) {
+						t.Errorf("%s/%s: plan of web %d changed after earlier webs were promoted", name, f.Name, i)
+					}
+					if err := p.promoteInWeb(iv, w, plans[i]); err != nil {
+						t.Fatalf("%s/%s: %v", name, f.Name, err)
+					}
+					checked++
+				}
+			})
+		}
+	}
+	if checked == 0 || liveOuts == 0 {
+		t.Fatalf("vacuous: %d webs checked, %d live-out versions", checked, liveOuts)
+	}
+	t.Logf("%d webs checked, %d live-out versions", checked, liveOuts)
 }

@@ -69,8 +69,8 @@ func CopyPropagate(f *ir.Function) int {
 // memory uses keep the defining memphi alive). Returns the number of
 // instructions removed.
 func DCE(f *ir.Function) int {
-	regDef := make(map[ir.RegID]*ir.Instr)
-	resDef := make(map[ir.ResourceID]*ir.Instr)
+	regDef := make([]*ir.Instr, f.NumRegs)
+	resDef := make([]*ir.Instr, len(f.Resources))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.HasDst() {

@@ -37,26 +37,27 @@ import (
 // step 4 is why the paper can promise that cloning introduces no dead
 // code.
 //
-// It returns the set of memphi instructions it inserted and left alive.
+// Step 4's sweep is scoped to the base: it marks and deletes only
+// versions of the updated base.
+//
+// It returns the memphi instructions it inserted and left alive, in
+// the order phi placement visited their blocks.
 func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
 	if len(oldRes) == 0 {
 		return nil, fmt.Errorf("ssa: update with empty oldRes set")
 	}
 	base := f.BaseOf(oldRes[0]).ID
-	for _, r := range append(append([]ir.ResourceID(nil), oldRes...), cloned...) {
-		if f.BaseOf(r).ID != base {
-			return nil, fmt.Errorf("ssa: update resources span different bases (%s vs %s)",
-				f.Res(base), f.BaseOf(r))
+	for _, set := range [][]ir.ResourceID{oldRes, cloned} {
+		for _, r := range set {
+			if f.BaseOf(r).ID != base {
+				return nil, fmt.Errorf("ssa: update resources span different bases (%s vs %s)",
+					f.Res(base), f.BaseOf(r))
+			}
 		}
 	}
 
-	u := &updater{
-		f:    f,
-		dom:  dom,
-		base: base,
-		old:  make(map[ir.ResourceID]bool, len(oldRes)),
-		all:  make(map[ir.ResourceID]bool, len(oldRes)+len(cloned)),
-	}
+	u := &updater{f: f, dom: dom, base: base}
+	u.grow()
 	for _, r := range oldRes {
 		u.old[r] = true
 		u.all[r] = true
@@ -66,19 +67,25 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	}
 
 	// Step 1: batch phi placement at the IDF of every definition block.
+	// The same scan indexes each tracked version's defining instruction.
 	var defBlocks []*ir.Block
-	seen := make(map[*ir.Block]bool)
 	for _, b := range f.Blocks {
+		seen := false
 		for _, in := range b.Instrs {
 			for _, d := range in.MemDefs {
-				if u.all[d.Res] && !seen[b] {
-					seen[b] = true
-					defBlocks = append(defBlocks, b)
+				if u.all[d.Res] {
+					u.defInstr[d.Res] = in
+					if !seen {
+						seen = true
+						defBlocks = append(defBlocks, b)
+					}
 				}
 			}
 		}
 	}
-	newPhis := make(map[*ir.Instr]bool)
+	// placed lists the inserted phis in IDF order, which fixes the
+	// order of the returned slice.
+	var placed []*ir.Instr
 	for _, jb := range cfg.IteratedDF(df, defBlocks) {
 		if dom.RPOIndex(jb) < 0 {
 			continue
@@ -91,18 +98,22 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			phi.MemUses[i] = ir.MemRef{Res: base} // placeholder until filled
 		}
 		jb.InsertPhi(phi)
-		newPhis[phi] = true
+		placed = append(placed, phi)
+		u.grow()
 		u.all[target.ID] = true
+		u.newPhi[target.ID] = true
+		u.defInstr[target.ID] = phi
 	}
-	u.indexDefs()
 
-	// Step 2: rename uses of old resources to their reaching defs.
-	live := make(map[*ir.Instr]bool)
+	// Step 2: rename uses of old resources to their reaching defs. A new
+	// phi becomes live (livePhi, indexed by its target) when a renamed
+	// use or a live phi's operand reaches it.
+	livePhi := make([]bool, len(u.all))
 	var work []*ir.Instr
 	enqueue := func(def ir.ResourceID) {
-		if phi := u.defInstr[def]; phi != nil && newPhis[phi] && !live[phi] {
-			live[phi] = true
-			work = append(work, phi)
+		if u.newPhi[def] && !livePhi[def] {
+			livePhi[def] = true
+			work = append(work, u.defInstr[def])
 		}
 	}
 	for _, b := range f.Blocks {
@@ -110,7 +121,7 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			continue
 		}
 		for idx, in := range b.Instrs {
-			if newPhis[in] {
+			if in.Op == ir.OpMemPhi && u.newPhi[in.MemDefs[0].Res] {
 				continue // operands are filled in step 3
 			}
 			for i := range in.MemUses {
@@ -146,10 +157,9 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 
 	// Unreached new phis are dead; remove them before counting uses so
 	// their placeholder operands do not hold other defs alive.
-	var alive []*ir.Instr
-	for phi := range newPhis {
-		if !live[phi] {
-			delete(u.all, phi.MemDefs[0].Res)
+	for _, phi := range placed {
+		if r := phi.MemDefs[0].Res; !livePhi[r] {
+			u.all[r] = false
 			phi.Parent.Remove(phi)
 		}
 	}
@@ -159,19 +169,14 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	// and a join phi feeding each other), so liveness is computed by
 	// mark and sweep: a version is live when a non-phi instruction uses
 	// it, or when a memphi whose own target is live uses it. The sweep
-	// must see every memphi in the function — phis outside the updated
+	// must see every memphi of the base — phis outside the updated
 	// family (for example an enclosing loop's header phi) legitimately
-	// keep cloned definitions alive.
-	u.indexDefs()
-	allPhiDefs := make(map[ir.ResourceID]*ir.Instr)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi {
-				allPhiDefs[in.MemDefs[0].Res] = in
-			}
-		}
-	}
-	liveRes := make(map[ir.ResourceID]bool)
+	// keep cloned definitions alive — but only versions of the base:
+	// memphis never mix bases, so another base's versions can neither
+	// keep this base's definitions alive nor be swept here.
+	res := f.Resources
+	basePhi := make([]*ir.Instr, len(res))
+	liveRes := make([]bool, len(res))
 	var resWork []ir.ResourceID
 	markRes := func(r ir.ResourceID) {
 		if !liveRes[r] {
@@ -182,65 +187,73 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpMemPhi {
+				if r := in.MemDefs[0].Res; res[r].Orig == base {
+					basePhi[r] = in
+				}
 				continue
 			}
 			for _, use := range in.MemUses {
-				markRes(use.Res)
+				if res[use.Res].Orig == base {
+					markRes(use.Res)
+				}
 			}
 		}
 	}
 	for len(resWork) > 0 {
 		r := resWork[len(resWork)-1]
 		resWork = resWork[:len(resWork)-1]
-		if phi := allPhiDefs[r]; phi != nil {
+		if phi := basePhi[r]; phi != nil {
 			for _, use := range phi.MemUses {
 				markRes(use.Res)
 			}
 		}
 	}
-	for res := range u.all {
-		if liveRes[res] {
+	for r, tracked := range u.all {
+		if !tracked || liveRes[r] {
 			continue
 		}
-		in := u.defInstr[res]
+		in := u.defInstr[r]
 		if in == nil || in.Parent == nil {
 			continue
 		}
 		switch in.Op {
 		case ir.OpMemPhi, ir.OpStore:
 			in.Parent.Remove(in)
-			delete(newPhis, in)
 		}
 	}
-	for phi := range newPhis {
-		if phi.Parent != nil && live[phi] {
+	var alive []*ir.Instr
+	for _, phi := range placed {
+		if phi.Parent != nil {
 			alive = append(alive, phi)
 		}
 	}
 	return alive, nil
 }
 
+// updater holds the update's dense per-version state, indexed by
+// ResourceID.
 type updater struct {
 	f    *ir.Function
 	dom  *cfg.DomTree
 	base ir.ResourceID
-	old  map[ir.ResourceID]bool
-	all  map[ir.ResourceID]bool
 
-	defInstr map[ir.ResourceID]*ir.Instr
+	old      []bool // versions whose uses are renamed
+	all      []bool // old, cloned and live inserted versions
+	newPhi   []bool // targets of the phis step 1 inserted
+	defInstr []*ir.Instr
 }
 
-func (u *updater) indexDefs() {
-	u.defInstr = make(map[ir.ResourceID]*ir.Instr)
-	for _, b := range u.f.Blocks {
-		for _, in := range b.Instrs {
-			for _, d := range in.MemDefs {
-				if u.all[d.Res] {
-					u.defInstr[d.Res] = in
-				}
-			}
-		}
+// grow extends the per-version slices to cover every resource of the
+// function; phi placement appends a version per inserted phi.
+func (u *updater) grow() {
+	n := len(u.f.Resources) - len(u.all)
+	if n <= 0 {
+		return
 	}
+	u.old = append(u.old, make([]bool, n)...)
+	u.all = append(u.all, make([]bool, n)...)
+	u.newPhi = append(u.newPhi, make([]bool, n)...)
+	u.defInstr = append(u.defInstr, make([]*ir.Instr, n)...)
 }
 
 // reachingDef is the paper's computeReachingDef: the nearest definition

@@ -306,3 +306,169 @@ func TestUpdateRejectsMixedBases(t *testing.T) {
 		t.Fatal("mixed-base update accepted, want error")
 	}
 }
+
+// twoDiamonds builds two diamonds in sequence, each with a cloned store
+// of x on its left arm and a use of the old version x.1 at its join:
+//
+//	b0 (def x.1) -> b1 (clone x.2), b2 -> b3 (use) -> b4 (clone x.3), b5 -> b6 (use)
+//
+// An update of {x.1} with clones {x.2, x.3} leaves a live phi at b3
+// and another at b6. It returns the function, the old and cloned
+// versions, and the definition blocks in block order.
+func twoDiamonds(t *testing.T) (*ir.Function, ir.ResourceID, []ir.ResourceID, []*ir.Block) {
+	t.Helper()
+	p := ir.NewProgram()
+	g := p.AddGlobal("x", 1, false, nil)
+	f := ir.NewFunction(p, "m")
+	base := f.AddResource("x", ir.ResScalar, ir.GlobalLoc(g, 0))
+	cond := f.NewReg("c")
+	f.Params = []ir.RegID{cond}
+
+	var b []*ir.Block
+	for i := 0; i < 7; i++ {
+		b = append(b, f.NewBlock())
+	}
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {4, 6}, {5, 6}} {
+		ir.AddEdge(b[e[0]], b[e[1]])
+	}
+	store := func(v ir.ResourceID, c int64) *ir.Instr {
+		st := ir.NewInstr(ir.OpStore, ir.NoReg, ir.ConstVal(c))
+		st.Loc = ir.GlobalLoc(g, 0)
+		st.MemDefs = []ir.MemRef{{Res: v}}
+		return st
+	}
+	load := func(v ir.ResourceID) *ir.Instr {
+		ld := ir.NewInstr(ir.OpLoad, f.NewReg(""))
+		ld.Loc = ir.GlobalLoc(g, 0)
+		ld.MemUses = []ir.MemRef{{Res: v}}
+		return ld
+	}
+	v1 := f.NewVersion(base.ID).ID
+	b[0].Append(store(v1, 1))
+	b[0].Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	b[1].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	b[2].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	b[3].Append(load(v1))
+	b[3].Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	b[4].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	b[5].Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	b[6].Append(load(v1))
+	b[6].Append(ir.NewInstr(ir.OpRet, ir.NoReg))
+	if err := f.Verify(ir.VerifySSA); err != nil {
+		t.Fatalf("two-diamond program invalid: %v", err)
+	}
+
+	v2 := f.NewVersion(base.ID).ID
+	b[1].InsertBeforeTerm(store(v2, 2))
+	v3 := f.NewVersion(base.ID).ID
+	b[4].InsertBeforeTerm(store(v3, 3))
+	return f, v1, []ir.ResourceID{v2, v3}, []*ir.Block{b[0], b[1], b[4]}
+}
+
+// TestUpdateLivePhiOrderDeterministic: with two phis surviving, the
+// update returns them in IDF placement order on every call.
+func TestUpdateLivePhiOrderDeterministic(t *testing.T) {
+	f, v1, cloned, defBlocks := twoDiamonds(t)
+	dom := cfg.BuildDomTree(f)
+	var want []ir.BlockID
+	for _, b := range cfg.IteratedDF(cfg.BuildDomFrontiers(dom), defBlocks) {
+		want = append(want, b.ID)
+	}
+	if len(want) < 2 {
+		t.Fatalf("IDF = %v, want at least two blocks", want)
+	}
+	for call := 0; call < 50; call++ {
+		g := f.Clone()
+		gdom := cfg.BuildDomTree(g)
+		live, err := UpdateForClonedResources(g, gdom, cfg.BuildDomFrontiers(gdom), []ir.ResourceID{v1}, cloned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []ir.BlockID
+		for _, phi := range live {
+			got = append(got, phi.Parent.ID)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("call %d: live phis in %v, want %v\n%s", call, got, want, g)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("call %d: live phis in %v, want IDF order %v", call, got, want)
+			}
+		}
+	}
+}
+
+// TestUpdateSweepScopedToBase: the dead-definition sweep deletes only
+// versions of the updated base. A dead store and a dead memphi of an
+// unrelated base y survive an update of x.
+func TestUpdateSweepScopedToBase(t *testing.T) {
+	p := ir.NewProgram()
+	gx := p.AddGlobal("x", 1, false, nil)
+	gy := p.AddGlobal("y", 1, false, nil)
+	f := ir.NewFunction(p, "m")
+	bx := f.AddResource("x", ir.ResScalar, ir.GlobalLoc(gx, 0))
+	by := f.AddResource("y", ir.ResScalar, ir.GlobalLoc(gy, 0))
+	cond := f.NewReg("c")
+	f.Params = []ir.RegID{cond}
+
+	b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	ir.AddEdge(b0, b1)
+	ir.AddEdge(b0, b2)
+	ir.AddEdge(b1, b3)
+	ir.AddEdge(b2, b3)
+	store := func(g *ir.Global, v ir.ResourceID, c int64) *ir.Instr {
+		st := ir.NewInstr(ir.OpStore, ir.NoReg, ir.ConstVal(c))
+		st.Loc = ir.GlobalLoc(g, 0)
+		st.MemDefs = []ir.MemRef{{Res: v}}
+		return st
+	}
+
+	x1 := f.NewVersion(bx.ID).ID
+	b0.Append(store(gx, x1, 1))
+	b0.Append(ir.NewInstr(ir.OpBr, ir.NoReg, ir.RegVal(cond)))
+	// y.1 is stored on one arm and merged at the join by y.2, and
+	// nothing reads either: both definitions are dead.
+	y1 := f.NewVersion(by.ID).ID
+	deadStore := store(gy, y1, 7)
+	b1.Append(deadStore)
+	b1.Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	b2.Append(ir.NewInstr(ir.OpJmp, ir.NoReg))
+	y2 := f.NewVersion(by.ID).ID
+	deadPhi := ir.NewInstr(ir.OpMemPhi, ir.NoReg)
+	deadPhi.MemDefs = []ir.MemRef{{Res: y2}}
+	deadPhi.MemUses = []ir.MemRef{{Res: y1}, {Res: by.ID}}
+	b3.InsertPhi(deadPhi)
+	use := ir.NewInstr(ir.OpLoad, f.NewReg(""))
+	use.Loc = ir.GlobalLoc(gx, 0)
+	use.MemUses = []ir.MemRef{{Res: x1}}
+	b3.Append(use)
+	b3.Append(ir.NewInstr(ir.OpRet, ir.NoReg))
+	if err := f.Verify(ir.VerifySSA); err != nil {
+		t.Fatalf("program invalid: %v", err)
+	}
+
+	x2 := f.NewVersion(bx.ID).ID
+	b1.InsertBeforeTerm(store(gx, x2, 2))
+	dom := cfg.BuildDomTree(f)
+	live, err := UpdateForClonedResources(f, dom, cfg.BuildDomFrontiers(dom),
+		[]ir.ResourceID{x1}, []ir.ResourceID{x2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 1 || use.MemUses[0].Res != live[0].MemDefs[0].Res {
+		t.Fatalf("x update did not merge at the join:\n%s", f)
+	}
+	if deadStore.Parent != b1 {
+		t.Error("dead store of y deleted by an update of x")
+	}
+	if deadPhi.Parent != b3 {
+		t.Error("dead memphi of y deleted by an update of x")
+	}
+	if deadPhi.MemUses[0].Res != y1 || deadPhi.MemUses[1].Res != by.ID {
+		t.Errorf("y memphi operands changed: %v", deadPhi.MemUses)
+	}
+	if err := f.Verify(ir.VerifySSA); err != nil {
+		t.Fatalf("post-update SSA invalid: %v\n%s", err, f)
+	}
+}
