@@ -85,9 +85,12 @@ bench-smoke:
 bench-pressure:
 	$(GO) run ./cmd/rpbench -pressure-bench -pressure-cap 8 -pressure-gen 8 -json BENCH_pressure.json
 
-# CI smoke for the pressure path: suite only, no JSON artifact.
+# CI smoke for the pressure path: suite only, no JSON artifact. Cap 4
+# binds on several suite routines, so the re-coloring check also covers
+# demoted webs.
 pressure-smoke:
 	$(GO) run ./cmd/rpbench -pressure-bench -pressure-cap 8 -pressure-gen 0
+	$(GO) run ./cmd/rpbench -pressure-bench -pressure-cap 4 -pressure-gen 0
 
 # Serving smoke test: start rpserved on an ephemeral port, replay a
 # small deterministic mix through rploadgen (which exits non-zero on

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
-	"repro/internal/liveness"
 )
 
 // Kind names one cached analysis, for instrumentation.
@@ -38,18 +37,12 @@ const (
 	// version. Builds for this kind are once per (version, instruction
 	// stream), not once per version.
 	KindCode Kind = "code"
-	// KindLiveness and KindPressure track the static liveness analysis
-	// and its per-interval MaxLive summary. Like KindCode they depend on
-	// instruction content, so entries are keyed on (CFG version,
-	// liveness.Fingerprint) and builds are once per (version, stream).
-	KindLiveness Kind = "liveness"
-	KindPressure Kind = "pressure"
 )
 
 // Kinds lists every cached analysis kind, in a fixed order — the
 // serving layer iterates this to export per-kind build counters.
 func Kinds() []Kind {
-	return []Kind{KindDom, KindDF, KindIntervals, KindRPO, KindCode, KindLiveness, KindPressure}
+	return []Kind{KindDom, KindDF, KindIntervals, KindRPO, KindCode}
 }
 
 // Cache memoizes CFG analyses per function, keyed on the CFG version.
@@ -89,11 +82,6 @@ type entry struct {
 	// instruments it.
 	code      any
 	codeValid bool
-
-	// live and pressure are keyed on (CFG version, instruction
-	// fingerprint), both recorded inside the values themselves.
-	live     *liveness.Info
-	pressure *liveness.Pressure
 
 	builds map[Kind][]uint64
 }
@@ -227,47 +215,6 @@ func (c *Cache) PutCompiledCode(f *ir.Function, code any) {
 	e.builds[KindCode] = append(e.builds[KindCode], f.CFGVersion())
 }
 
-// Liveness returns the static liveness analysis of f, rebuilding when
-// either the CFG version or the instruction-stream fingerprint moved
-// since the last build — promotion rewrites loads and stores without
-// touching the CFG, and liveness must see the rewrite.
-func (c *Cache) Liveness(f *ir.Function) *liveness.Info {
-	e := c.entryFor(f)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	v := f.CFGVersion()
-	fp := liveness.Fingerprint(f)
-	if e.live != nil && e.live.Version == v && e.live.Fingerprint == fp {
-		if c.Paranoid {
-			verifyLiveness(f, e.live)
-		}
-		return e.live
-	}
-	e.live = liveness.Compute(f)
-	e.builds[KindLiveness] = append(e.builds[KindLiveness], v)
-	return e.live
-}
-
-// Pressure returns the per-interval MaxLive summary of f, derived from
-// the cached liveness and interval forest and keyed the same way as
-// Liveness.
-func (c *Cache) Pressure(f *ir.Function) *liveness.Pressure {
-	info := c.Liveness(f)
-	forest := c.Intervals(f)
-	e := c.entryFor(f)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.pressure != nil && e.pressure.Version == info.Version && e.pressure.Fingerprint == info.Fingerprint {
-		if c.Paranoid {
-			verifyPressure(f, info, forest, e.pressure)
-		}
-		return e.pressure
-	}
-	e.pressure = liveness.ComputePressure(info, forest)
-	e.builds[KindPressure] = append(e.builds[KindPressure], info.Version)
-	return e.pressure
-}
-
 // Invalidate drops every cached analysis of f. The pipeline calls it
 // when a function object is replaced wholesale (snapshot rollback), so
 // a recycled pointer with a rewound version counter cannot alias a
@@ -355,24 +302,6 @@ func verifyDF(f *ir.Function, dom *cfg.DomTree, cached cfg.DomFrontiers) {
 				panic(fmt.Sprintf("analysis: stale frontiers for %s at %v (missing CFG version bump?)", f.Name, b))
 			}
 		}
-	}
-}
-
-// verifyLiveness panics unless the cached liveness matches a fresh
-// rebuild.
-func verifyLiveness(f *ir.Function, cached *liveness.Info) {
-	fresh := liveness.Compute(f)
-	if !cached.Equal(fresh) {
-		panic(fmt.Sprintf("analysis: stale liveness for %s: cached MaxLive %d, fresh %d (missing CFG version bump or fingerprint change?)", f.Name, cached.MaxLive, fresh.MaxLive))
-	}
-}
-
-// verifyPressure panics unless the cached pressure summary matches one
-// freshly derived from the given liveness and forest.
-func verifyPressure(f *ir.Function, info *liveness.Info, forest *cfg.Forest, cached *liveness.Pressure) {
-	fresh := liveness.ComputePressure(info, forest)
-	if !cached.Equal(fresh) {
-		panic(fmt.Sprintf("analysis: stale pressure summary for %s (missing CFG version bump or fingerprint change?)", f.Name))
 	}
 }
 

@@ -66,37 +66,6 @@ type Config struct {
 	// benchmark harness) is strictly safer. Disable to match the
 	// paper's formula exactly — the ablation benchmarks compare both.
 	CountTailStores bool
-	// MaxPromotedWebs bounds the number of webs promoted (fully or
-	// load-only) per function, 0 meaning unlimited. Each promoted web
-	// adds a long live range, so this is a crude register pressure
-	// budget — the knob the paper's conclusion says a production
-	// compiler would need. Within an interval, webs are considered in
-	// descending profit order when a budget is set; across intervals
-	// the budget is spent greedily in the bottom-up traversal order
-	// (an inner interval's promotion cannot be deferred, because the
-	// enclosing interval's planning depends on it).
-	MaxPromotedWebs int
-	// KeepCleanupResidue skips the final copy-propagation/DCE sweep,
-	// leaving the transformation residue visible (used by tests that
-	// inspect intermediate structure).
-	KeepCleanupResidue bool
-	// PressureBudget, when positive, makes promotion pressure-aware: a
-	// web is promoted only if, in every block its promoted register
-	// spans, the pre-promotion register pressure (BlockPressure) plus
-	// the registers charged by promotions so far plus this web's one
-	// register stays within the budget. Webs that do not fit are demoted
-	// (left in memory, counted in Stats.WebsDemoted), and within an
-	// interval webs are considered in profit-per-pressure order — the
-	// cheapest pressure per unit of saved memory traffic first — instead
-	// of raw profit order. The budget is a heuristic, not a hard bound
-	// on regalloc colors; PromoteUnderPressure wraps it in a
-	// trial-and-measure loop for the hard guarantee.
-	PressureBudget int
-	// BlockPressure is the per-block baseline MaxLive, indexed by
-	// ir.BlockID (liveness.Compute on the pre-promotion SSA form).
-	// Required when PressureBudget > 0; blocks beyond the slice are
-	// treated as pressure 0.
-	BlockPressure []int
 	// Dom and DF optionally supply prebuilt analyses of f's current CFG
 	// (the pipeline passes them from its analysis cache). When Dom is
 	// nil or DF is invalid, PromoteFunction computes its own.
@@ -136,6 +105,25 @@ func (s *Stats) Add(other Stats) {
 // form with memory resources annotated, on the normalized CFG described
 // by forest. It returns statistics about the transformation.
 func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats, error) {
+	return promote(f, forest, config, pressureBudget{})
+}
+
+// pressureBudget makes promotion pressure-aware; only
+// PromoteUnderPressure sets one. When limit is positive, a web is
+// promoted only if, in every block its promoted register spans, the
+// pre-promotion register pressure (block, indexed by ir.BlockID;
+// blocks beyond the slice count as 0) plus the registers charged by
+// promotions so far plus this web's one register stays within limit.
+// Webs that do not fit are demoted (left in memory, counted in
+// Stats.WebsDemoted), and within an interval webs are considered in
+// profit-per-pressure order instead of construction order. The budget is a
+// placement heuristic, not a bound on regalloc colors.
+type pressureBudget struct {
+	limit int
+	block []int
+}
+
+func promote(f *ir.Function, forest *cfg.Forest, config Config, budget pressureBudget) (*Stats, error) {
 	if config.Profile == nil {
 		return nil, fmt.Errorf("core: promotion requires a profile")
 	}
@@ -143,6 +131,7 @@ func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats,
 		f:      f,
 		forest: forest,
 		config: config,
+		budget: budget,
 		stats:  &Stats{},
 	}
 	p.dom = config.Dom
@@ -153,7 +142,7 @@ func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats,
 	if !p.df.Valid() {
 		p.df = cfg.BuildDomFrontiers(p.dom)
 	}
-	if config.PressureBudget > 0 {
+	if budget.limit > 0 {
 		p.extra = make([]int, f.BlockIDBound())
 	}
 
@@ -185,9 +174,7 @@ func PromoteFunction(f *ir.Function, forest *cfg.Forest, config Config) (*Stats,
 			}
 		}
 	}
-	if !config.KeepCleanupResidue {
-		opt.Cleanup(f)
-	}
+	opt.Cleanup(f)
 	return p.stats, nil
 }
 
@@ -195,12 +182,13 @@ type promoter struct {
 	f      *ir.Function
 	forest *cfg.Forest
 	config Config
+	budget pressureBudget
 	stats  *Stats
 	dom    *cfg.DomTree
 	df     cfg.DomFrontiers
 	// extra, indexed by block ID, counts the registers already charged
-	// to each block by promotions in this pass (only allocated when a
-	// pressure budget is set).
+	// to each block by promotions in this pass (only allocated under a
+	// pressure budget).
 	extra []int
 }
 
@@ -209,7 +197,7 @@ type promoter struct {
 func (p *promoter) freq(b *ir.Block) float64 { return p.config.Profile.BlockFreq(b) }
 
 // candidate is one web of an interval with its plan and, under a
-// budget, its sort score.
+// pressure budget, its sort score.
 type candidate struct {
 	w     *web
 	plan  *webPlan
@@ -226,22 +214,17 @@ func (p *promoter) promoteInInterval(iv *cfg.Interval) error {
 	for i, w := range webs {
 		cands[i] = candidate{w: w, plan: p.planWeb(iv, w)}
 	}
-	if p.config.MaxPromotedWebs > 0 || p.config.PressureBudget > 0 {
-		// Under a budget, spend it on the best webs first: by raw profit
-		// when only the web count is capped, by profit per unit of
-		// pressure cost when a pressure budget is set (a web referenced
-		// only in cold blocks is cheap to carry; one spanning the hot
-		// loop body is not).
+	if p.budget.limit > 0 {
+		// Spend the budget on the best webs first, by profit per unit of
+		// pressure cost: a web referenced only in cold blocks is cheap
+		// to carry; one spanning the hot loop body is not.
 		for i := range cands {
 			c := &cands[i]
-			c.score = c.plan.profit()
-			if p.config.PressureBudget > 0 {
-				cost := p.pressureCost(iv, c.w)
-				if cost <= 0 {
-					cost = 1
-				}
-				c.score /= cost
+			cost := p.pressureCost(iv, c.w)
+			if cost <= 0 {
+				cost = 1
 			}
+			c.score = c.plan.profit() / cost
 		}
 		sort.SliceStable(cands, func(i, j int) bool {
 			if cands[i].score != cands[j].score {
@@ -310,19 +293,19 @@ func (p *promoter) pressureCost(iv *cfg.Interval, w *web) float64 {
 // fitsPressure reports whether promoting one more register for w keeps
 // every spanned block within the pressure budget.
 func (p *promoter) fitsPressure(iv *cfg.Interval, w *web) bool {
-	if p.config.PressureBudget <= 0 {
+	if p.budget.limit <= 0 {
 		return true
 	}
 	for _, b := range p.spanBlocks(iv, w) {
 		base := 0
-		if int(b.ID) < len(p.config.BlockPressure) {
-			base = p.config.BlockPressure[b.ID]
+		if int(b.ID) < len(p.budget.block) {
+			base = p.budget.block[b.ID]
 		}
 		extra := 0
 		if int(b.ID) < len(p.extra) {
 			extra = p.extra[b.ID]
 		}
-		if base+extra+1 > p.config.PressureBudget {
+		if base+extra+1 > p.budget.limit {
 			return false
 		}
 	}
@@ -331,7 +314,7 @@ func (p *promoter) fitsPressure(iv *cfg.Interval, w *web) bool {
 
 // chargePressure records w's promoted register against its span.
 func (p *promoter) chargePressure(iv *cfg.Interval, w *web) {
-	if p.config.PressureBudget <= 0 {
+	if p.budget.limit <= 0 {
 		return
 	}
 	for _, b := range p.spanBlocks(iv, w) {
@@ -341,18 +324,11 @@ func (p *promoter) chargePressure(iv *cfg.Interval, w *web) {
 	}
 }
 
-// budgetExhausted reports whether the pressure budget forbids another
-// promotion.
-func (p *promoter) budgetExhausted() bool {
-	return p.config.MaxPromotedWebs > 0 &&
-		p.stats.WebsPromoted+p.stats.WebsLoadOnly >= p.config.MaxPromotedWebs
-}
-
 // promoteInWeb is the paper's Figure 4, applied to w with its plan.
 func (p *promoter) promoteInWeb(iv *cfg.Interval, w *web, plan *webPlan) error {
 	p.stats.WebsConsidered++
 
-	if plan.profit() < 0 || p.budgetExhausted() {
+	if plan.profit() < 0 {
 		p.stats.WebsRejected++
 		// An unpromoted web with references still needs the parent to
 		// keep memory valid at the interval boundary.

@@ -479,9 +479,10 @@ void main() {
 	}
 }
 
-// TestPressureBudget: a budget of one web still promotes the single
-// most profitable web, keeps semantics, and bounds the register
-// pressure increase relative to the unlimited run.
+// TestPressureBudget: a pressure cap one color above the unpromoted
+// function still promotes exactly one of the four loop webs, keeps
+// semantics, and bounds the register pressure increase relative to the
+// unlimited run.
 func TestPressureBudget(t *testing.T) {
 	src := `
 int a; int b; int c; int d;
@@ -493,27 +494,30 @@ void main() {
 	print(a + b + c + d);
 }
 `
-	limited := promote(t, src, pipeline.Options{MaxPromotedWebs: 1})
+	limited := promote(t, src, pipeline.Options{PressureCap: 4})
 	unlimited := promote(t, src, pipeline.Options{})
 	s := limited.Stats["main"]
 	if got := s.WebsPromoted + s.WebsLoadOnly; got != 1 {
-		t.Fatalf("budget of 1 promoted %d webs: %+v", got, s)
+		t.Fatalf("cap 4 promoted %d webs, want 1: %+v", got, s)
 	}
-	// Budgeted promotion still improves, but less than unlimited.
+	if pres := limited.Pressure["main"]; pres.FinalColors > 4 {
+		t.Errorf("cap 4 accepted %d colors", pres.FinalColors)
+	}
+	// Capped promotion still improves, but less than unlimited.
 	if limited.After.DynMemOps() >= limited.Before.DynMemOps() {
-		t.Errorf("budgeted promotion did not improve: %d -> %d",
+		t.Errorf("capped promotion did not improve: %d -> %d",
 			limited.Before.DynMemOps(), limited.After.DynMemOps())
 	}
 	if unlimited.After.DynMemOps() >= limited.After.DynMemOps() {
-		t.Errorf("unlimited (%d ops) should beat budgeted (%d ops)",
+		t.Errorf("unlimited (%d ops) should beat capped (%d ops)",
 			unlimited.After.DynMemOps(), limited.After.DynMemOps())
 	}
 }
 
 // TestPressureBudgetPicksBestWeb: with two candidate webs of very
-// different heat in the same interval, the budget must go to the
-// hotter one (within an interval, webs are considered in descending
-// profit order).
+// different heat in the same interval and room for only one more
+// register, the cap must keep the hotter one (under a pressure budget,
+// webs are considered in profit-per-pressure order).
 func TestPressureBudgetPicksBestWeb(t *testing.T) {
 	src := `
 int hot; int cold;
@@ -526,12 +530,14 @@ void main() {
 	print(hot); print(cold);
 }
 `
-	out := promote(t, src, pipeline.Options{MaxPromotedWebs: 1})
-	// hot's ~2000 operations must be the ones removed; cold's ~8 may
-	// stay.
-	if out.After.DynMemOps() > 30 {
-		t.Errorf("budget picked the wrong web: %d ops remain (before %d)",
-			out.After.DynMemOps(), out.Before.DynMemOps())
+	out := promote(t, src, pipeline.Options{PressureCap: 3})
+	if s := out.Stats["main"]; s.WebsDemoted != 1 {
+		t.Errorf("cap 3 demoted %d webs, want 1 (cold): %+v", s.WebsDemoted, s)
+	}
+	// hot's ~2000 operations must be the ones removed; cold's stay.
+	before, after := out.Before.DynMemOps(), out.After.DynMemOps()
+	if before != 2010 || before-after != 1998 {
+		t.Errorf("cap kept the wrong web: %d -> %d ops, want 2010 -> 12", before, after)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/liveness"
+	"repro/internal/opt"
 	"repro/internal/regalloc"
 	"repro/internal/ssa"
 )
@@ -26,7 +27,9 @@ type PressureResult struct {
 	// fix that, and not promoting at all is always available — so the
 	// guarantee is FinalColors <= EffectiveCap.
 	EffectiveCap int
-	// BaselineColors is the regalloc color count with no promotion.
+	// BaselineColors is the regalloc color count with promotion
+	// skipped: the function after the cleanup promoted code also gets,
+	// destructed — the same count as the paper's Table 3 "before".
 	BaselineColors int
 	// UncappedColors is the color count after unrestricted promotion.
 	UncappedColors int
@@ -45,36 +48,33 @@ type PressureResult struct {
 
 // PromoteUnderPressure promotes f subject to a hard register-pressure
 // cap: after promotion, destruction, and coloring, the function needs
-// at most max(cap, baseline) colors, where baseline is what the
-// unpromoted function needs.
+// at most max(cap, baseline) colors, where baseline is what f needs
+// when promotion is skipped.
 //
-// The pressure budget inside the promoter is a placement heuristic — a
-// greedy coloring can exceed MaxLive — so the hard guarantee comes from
-// measuring: each candidate configuration is tried on a Clone (promote,
-// SSA-destruct, color) and accepted only if it fits. Trials run
-// uncapped first, then at descending per-block budgets seeded from the
-// pre-promotion liveness; if nothing fits within maxPressureTrials, the
-// function is left unpromoted, which meets the cap by construction.
-// Clone preserves block IDs and register numbers and promotion is
-// deterministic, so replaying the winning configuration on f reproduces
-// the trial exactly.
+// The per-block pressure budget inside the promoter is a placement
+// heuristic — a greedy coloring can exceed MaxLive — so the hard
+// guarantee comes from measuring: each candidate configuration is tried
+// on a Clone (promote, SSA-destruct, color) and accepted only if it
+// fits. Trials run uncapped first, then at descending budgets seeded
+// from the baseline's per-block liveness; if nothing fits within
+// maxPressureTrials, promotion is skipped, which meets the cap by
+// construction. Clone preserves block IDs and register numbers and
+// promotion is deterministic, so replaying the winning configuration on
+// f reproduces the trial exactly.
 func PromoteUnderPressure(f *ir.Function, forest *cfg.Forest, config Config, cap int) (*PressureResult, error) {
-	return PromoteUnderPressureWith(f, forest, config, cap, nil)
-}
-
-// PromoteUnderPressureWith is PromoteUnderPressure with a precomputed
-// liveness Info for f's current (pre-promotion) SSA form — the pipeline
-// passes the analysis cache's copy so the seeding is not recomputed per
-// run. nil means compute it on demand.
-func PromoteUnderPressureWith(f *ir.Function, forest *cfg.Forest, config Config, cap int, info *liveness.Info) (*PressureResult, error) {
 	if cap <= 0 {
 		return nil, fmt.Errorf("core: pressure cap must be positive, got %d", cap)
 	}
 	res := &PressureResult{Cap: cap, BudgetUsed: -1, Stats: &Stats{}}
 
-	// Baseline: the unpromoted function's color count. Destruct runs on
-	// a clone; the real f must stay in SSA for the promotion below.
+	// Baseline: the form f takes when promotion is skipped — the same
+	// copy-propagation/DCE cleanup promoted code gets, then destruction.
+	// Both run on a clone; the real f must stay in SSA for the promotion
+	// below. The budget seeds come from the same cleaned form, so they
+	// charge only registers the emitted code really keeps live.
 	base := f.Clone()
+	opt.Cleanup(base)
+	seeds := liveness.Compute(base).BlockMaxLive
 	ssa.Destruct(base)
 	res.BaselineColors = regalloc.Allocate(base).Colors
 	res.EffectiveCap = cap
@@ -85,31 +85,25 @@ func PromoteUnderPressureWith(f *ir.Function, forest *cfg.Forest, config Config,
 	// trial promotes a fresh clone under the given budget and reports
 	// the resulting color count. The clone needs its own annotated
 	// forest and dominance info: config's point into f's blocks.
-	trial := func(budget int, blockPressure []int) (int, *Stats, error) {
+	trial := func(budget pressureBudget) (int, error) {
 		c := f.Clone()
 		tc := config
 		tc.Dom = nil
 		tc.DF = cfg.DomFrontiers{}
-		tc.PressureBudget = budget
-		tc.BlockPressure = blockPressure
-		st, err := PromoteFunction(c, cfg.AnnotatedIntervals(c), tc)
-		if err != nil {
-			return 0, nil, err
+		if _, err := promote(c, cfg.AnnotatedIntervals(c), tc, budget); err != nil {
+			return 0, err
 		}
 		ssa.Destruct(c)
-		return regalloc.Allocate(c).Colors, st, nil
+		return regalloc.Allocate(c).Colors, nil
 	}
 
-	accept := func(budget int, blockPressure []int, colors int) error {
-		fc := config
-		fc.PressureBudget = budget
-		fc.BlockPressure = blockPressure
-		stats, err := PromoteFunction(f, forest, fc)
+	accept := func(budget pressureBudget, colors int) error {
+		stats, err := promote(f, forest, config, budget)
 		if err != nil {
 			return err
 		}
 		res.FinalColors = colors
-		res.BudgetUsed = budget
+		res.BudgetUsed = budget.limit
 		res.Stats = stats
 		return nil
 	}
@@ -117,38 +111,37 @@ func PromoteUnderPressureWith(f *ir.Function, forest *cfg.Forest, config Config,
 	// Trial 1: unrestricted promotion. If it fits the cap there is
 	// nothing to demote.
 	res.Trials++
-	colors, _, err := trial(0, nil)
+	colors, err := trial(pressureBudget{})
 	if err != nil {
 		return nil, err
 	}
 	res.UncappedColors = colors
 	if colors <= res.EffectiveCap {
-		return res, accept(0, nil, colors)
+		return res, accept(pressureBudget{}, colors)
 	}
 
-	// Descending working budgets, charged against the pre-promotion
-	// SSA liveness. The budget is deliberately tried below the cap too:
-	// greedy coloring can need more colors than the per-block pressure.
-	if info == nil {
-		info = liveness.Compute(f)
-	}
+	// Descending working budgets. The budget is deliberately tried below
+	// the cap too: greedy coloring can need more colors than the
+	// per-block pressure.
 	lo := res.EffectiveCap - (maxPressureTrials - 1)
 	if lo < 1 {
 		lo = 1
 	}
-	for budget := res.EffectiveCap; budget >= lo; budget-- {
+	for limit := res.EffectiveCap; limit >= lo; limit-- {
 		res.Trials++
-		colors, _, err := trial(budget, info.BlockMaxLive)
+		budget := pressureBudget{limit: limit, block: seeds}
+		colors, err := trial(budget)
 		if err != nil {
 			return nil, err
 		}
 		if colors <= res.EffectiveCap {
-			return res, accept(budget, info.BlockMaxLive, colors)
+			return res, accept(budget, colors)
 		}
 	}
 
-	// Nothing fit: skip promotion. The unpromoted function needs
-	// BaselineColors <= EffectiveCap by construction.
+	// Nothing fit: skip promotion. The cleaned, unpromoted function
+	// needs BaselineColors <= EffectiveCap by construction.
+	opt.Cleanup(f)
 	res.FinalColors = res.BaselineColors
 	return res, nil
 }

@@ -1,24 +1,15 @@
 // Package liveness computes static per-block register liveness for the
-// IR: live-in/live-out bitsets indexed by block ID, the per-block and
+// IR: live-in/live-out bitsets indexed by block ID and the per-block and
 // whole-function MaxLive (the largest number of registers simultaneously
-// live at any program point), and per-interval pressure summaries. The
-// analysis uses exactly the semantics regalloc's interference walk
-// assumes — phi operands are live-out of the corresponding predecessor,
-// not live-in of the phi's block, and phi definitions are killed at
-// block entry — so regalloc consumes an Info directly and the two can
-// never disagree about MaxLive.
-//
-// Results are pure functions of the instruction stream, which the CFG
-// version counter alone does not capture (promotion rewrites
-// instructions without touching the CFG). Info therefore carries an
-// FNV-1a fingerprint of the stream, and the analysis cache keys on
-// (CFGVersion, Fingerprint) — the same discipline as the compiled
-// bytecode kind.
+// live at any program point). The analysis uses exactly the semantics
+// regalloc's interference walk assumes — phi operands are live-out of
+// the corresponding predecessor, not live-in of the phi's block, and
+// phi definitions are killed at block entry — so regalloc consumes an
+// Info directly and the two can never disagree about MaxLive.
 package liveness
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -42,11 +33,6 @@ type Info struct {
 	// MaxLive is the maximum of BlockMaxLive — the function's register
 	// pressure floor and a lower bound on regalloc Colors.
 	MaxLive int
-	// Version is the function's CFGVersion when the analysis ran.
-	Version uint64
-	// Fingerprint is the FNV-1a hash of the instruction stream the
-	// analysis saw (see Fingerprint).
-	Fingerprint uint64
 }
 
 // Compute runs backward liveness to a fixed point over all blocks. It
@@ -61,8 +47,6 @@ func Compute(f *ir.Function) *Info {
 		LiveIn:       make([]*bitset.Dense, bound),
 		LiveOut:      make([]*bitset.Dense, bound),
 		BlockMaxLive: make([]int, bound),
-		Version:      f.CFGVersion(),
-		Fingerprint:  Fingerprint(f),
 	}
 	for _, b := range f.Blocks {
 		info.LiveIn[b.ID] = bitset.NewDense(n)
@@ -148,28 +132,6 @@ func Compute(f *ir.Function) *Info {
 	return info
 }
 
-// Equal reports whether two Infos describe identical liveness (ignoring
-// Version and Fingerprint). Used by the cache's paranoid revalidation.
-func (info *Info) Equal(other *Info) bool {
-	if info.NumRegs != other.NumRegs || info.MaxLive != other.MaxLive ||
-		len(info.LiveIn) != len(other.LiveIn) {
-		return false
-	}
-	for id := range info.LiveIn {
-		a, b := info.LiveIn[id], other.LiveIn[id]
-		if (a == nil) != (b == nil) {
-			return false
-		}
-		if a != nil && (!a.Equal(b) || !info.LiveOut[id].Equal(other.LiveOut[id])) {
-			return false
-		}
-		if info.BlockMaxLive[id] != other.BlockMaxLive[id] {
-			return false
-		}
-	}
-	return true
-}
-
 // LiveAcross reports whether register r is live at any point in block id
 // (live-in, live-out, or defined/used inside — approximated as live-in
 // or live-out, which is exact for SSA webs spanning the block).
@@ -178,65 +140,4 @@ func (info *Info) LiveAcross(id ir.BlockID, r ir.RegID) bool {
 		return false
 	}
 	return info.LiveIn[id].Has(int(r)) || info.LiveOut[id].Has(int(r))
-}
-
-// Pressure summarizes MaxLive per cfg.Interval: the budget input for
-// pressure-aware promotion. Intervals are identified by their header
-// block ID; the root pseudo-interval maps to the whole function.
-type Pressure struct {
-	// FunctionMaxLive is MaxLive over the whole function.
-	FunctionMaxLive int
-	// ByHeader[h] is the max BlockMaxLive over the blocks of the
-	// interval whose header has block ID h.
-	ByHeader map[ir.BlockID]int
-	// Version and Fingerprint identify the Info this was derived from.
-	Version     uint64
-	Fingerprint uint64
-}
-
-// ComputePressure folds Info's per-block MaxLive over an interval
-// forest. Nested intervals each get their own entry (an inner loop's
-// pressure counts toward every enclosing interval, since its blocks are
-// members of all of them).
-func ComputePressure(info *Info, forest *cfg.Forest) *Pressure {
-	p := &Pressure{
-		FunctionMaxLive: info.MaxLive,
-		ByHeader:        make(map[ir.BlockID]int),
-		Version:         info.Version,
-		Fingerprint:     info.Fingerprint,
-	}
-	forest.Root.Walk(func(iv *cfg.Interval) {
-		max := 0
-		for _, b := range iv.Blocks {
-			if int(b.ID) < len(info.BlockMaxLive) && info.BlockMaxLive[b.ID] > max {
-				max = info.BlockMaxLive[b.ID]
-			}
-		}
-		p.ByHeader[iv.Header.ID] = max
-	})
-	return p
-}
-
-// IntervalMaxLive returns the pressure recorded for iv, or the function
-// MaxLive when iv is unknown (conservative).
-func (p *Pressure) IntervalMaxLive(iv *cfg.Interval) int {
-	if m, ok := p.ByHeader[iv.Header.ID]; ok {
-		return m
-	}
-	return p.FunctionMaxLive
-}
-
-// Equal reports whether two Pressure summaries coincide (ignoring
-// Version and Fingerprint).
-func (p *Pressure) Equal(other *Pressure) bool {
-	if p.FunctionMaxLive != other.FunctionMaxLive || len(p.ByHeader) != len(other.ByHeader) {
-		return false
-	}
-	for h, m := range p.ByHeader {
-		om, ok := other.ByHeader[h]
-		if !ok || om != m {
-			return false
-		}
-	}
-	return true
 }

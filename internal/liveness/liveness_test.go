@@ -1,6 +1,7 @@
 package liveness_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/alias"
@@ -41,8 +42,8 @@ void main() {
 `
 
 // buildSSA compiles src through the front half of the pipeline and
-// returns each function in SSA form along with its interval forest.
-func buildSSA(t *testing.T, src string) (*ir.Program, map[string]*cfg.Forest) {
+// returns it with each function in SSA form.
+func buildSSA(t *testing.T, src string) *ir.Program {
 	t.Helper()
 	prog, err := source.Compile(src)
 	if err != nil {
@@ -51,18 +52,15 @@ func buildSSA(t *testing.T, src string) (*ir.Program, map[string]*cfg.Forest) {
 	if err := alias.Analyze(prog); err != nil {
 		t.Fatalf("alias: %v", err)
 	}
-	forests := make(map[string]*cfg.Forest, len(prog.Funcs))
 	for _, f := range prog.Funcs {
-		forest, err := cfg.Normalize(f)
-		if err != nil {
+		if _, err := cfg.Normalize(f); err != nil {
 			t.Fatalf("normalize %s: %v", f.Name, err)
 		}
 		if _, err := ssa.Build(f); err != nil {
 			t.Fatalf("ssa %s: %v", f.Name, err)
 		}
-		forests[f.Name] = forest
 	}
-	return prog, forests
+	return prog
 }
 
 func fn(t *testing.T, prog *ir.Program, name string) *ir.Function {
@@ -80,7 +78,7 @@ func fn(t *testing.T, prog *ir.Program, name string) *ir.Function {
 // example. The values are goldens: any change to the front end, the
 // SSA builder, or the analysis that moves them is worth noticing.
 func TestFigure1Golden(t *testing.T) {
-	prog, forests := buildSSA(t, figure1Src)
+	prog := buildSSA(t, figure1Src)
 
 	foo := liveness.Compute(fn(t, prog, "foo"))
 	if foo.MaxLive != 1 {
@@ -101,29 +99,13 @@ func TestFigure1Golden(t *testing.T) {
 			t.Errorf("main BlockMaxLive[%d] = %d, want %d", id, got, want)
 		}
 	}
-	// Interval pressure: the function root sees 5; the first loop's
-	// interval (header 1) contains the hot blocks, the second (header
-	// 5) only the call loop.
-	pres := liveness.ComputePressure(info, forests["main"])
-	if pres.FunctionMaxLive != 5 {
-		t.Errorf("FunctionMaxLive = %d, want 5", pres.FunctionMaxLive)
-	}
-	wantHeaders := map[ir.BlockID]int{0: 5, 1: 5, 5: 3}
-	if len(pres.ByHeader) != len(wantHeaders) {
-		t.Errorf("ByHeader = %v, want headers %v", pres.ByHeader, wantHeaders)
-	}
-	for h, want := range wantHeaders {
-		if got, ok := pres.ByHeader[h]; !ok || got != want {
-			t.Errorf("ByHeader[%d] = %d (present %v), want %d", h, got, ok, want)
-		}
-	}
 }
 
 // TestFigure7Golden pins the liveness facts of the cold-call example:
 // the conditional call keeps both globals' webs live around the
 // branch diamond, so every diamond block carries the same 6 live webs.
 func TestFigure7Golden(t *testing.T) {
-	prog, forests := buildSSA(t, figure7Src)
+	prog := buildSSA(t, figure7Src)
 
 	foo := liveness.Compute(fn(t, prog, "foo"))
 	if foo.MaxLive != 2 {
@@ -139,16 +121,6 @@ func TestFigure7Golden(t *testing.T) {
 	for id, want := range wantBlock {
 		if got := info.BlockMaxLive[id]; got != want {
 			t.Errorf("main BlockMaxLive[%d] = %d, want %d", id, got, want)
-		}
-	}
-	pres := liveness.ComputePressure(info, forests["main"])
-	wantHeaders := map[ir.BlockID]int{0: 7, 1: 7}
-	if len(pres.ByHeader) != len(wantHeaders) {
-		t.Errorf("ByHeader = %v, want headers %v", pres.ByHeader, wantHeaders)
-	}
-	for h, want := range wantHeaders {
-		if got, ok := pres.ByHeader[h]; !ok || got != want {
-			t.Errorf("ByHeader[%d] = %d (present %v), want %d", h, got, ok, want)
 		}
 	}
 }
@@ -226,7 +198,7 @@ func TestMatchesReference(t *testing.T) {
 	corpus := workload.Suite()
 	corpus = append(corpus, workload.Corpus(7, 6)...)
 	for _, w := range corpus {
-		prog, _ := buildSSA(t, w.Src)
+		prog := buildSSA(t, w.Src)
 		for _, f := range prog.Funcs {
 			info := liveness.Compute(f)
 			refIn, refOut := referenceLiveness(f)
@@ -246,60 +218,22 @@ func TestMatchesReference(t *testing.T) {
 	}
 }
 
-// TestComputeIsDeterministic checks Equal and that recomputation on a
-// clone reproduces the Info bit for bit, fingerprint included.
+// TestComputeIsDeterministic checks that recomputation on a clone
+// reproduces the Info bit for bit.
 func TestComputeIsDeterministic(t *testing.T) {
-	prog, _ := buildSSA(t, figure7Src)
+	prog := buildSSA(t, figure7Src)
 	main := fn(t, prog, "main")
 	a := liveness.Compute(main)
 	b := liveness.Compute(main.Clone())
-	if !a.Equal(b) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("liveness of a clone differs from the original")
-	}
-	if a.Fingerprint != b.Fingerprint {
-		t.Fatalf("fingerprints differ across Clone: %x vs %x", a.Fingerprint, b.Fingerprint)
-	}
-}
-
-// TestFingerprintSensitivity checks the fingerprint moves when the
-// instruction stream changes without a CFG edit — the exact situation
-// the (version, fingerprint) cache key exists for.
-func TestFingerprintSensitivity(t *testing.T) {
-	prog, _ := buildSSA(t, figure1Src)
-	main := fn(t, prog, "main")
-	before := liveness.Fingerprint(main)
-
-	// Swap one instruction's opcode in place: no CFG change, no
-	// version bump, different stream.
-	var victim *ir.Instr
-	for _, b := range main.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpAdd {
-				victim = in
-				break
-			}
-		}
-		if victim != nil {
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("no add instruction to mutate")
-	}
-	victim.Op = ir.OpSub
-	if after := liveness.Fingerprint(main); after == before {
-		t.Fatal("fingerprint unchanged after in-place opcode rewrite")
-	}
-	victim.Op = ir.OpAdd
-	if restored := liveness.Fingerprint(main); restored != before {
-		t.Fatal("fingerprint not restored after undoing the rewrite")
 	}
 }
 
 // TestLiveAcross spot-checks the helper against the Figure 7 diamond:
 // whatever is live-in of the branch block stays live across both arms.
 func TestLiveAcross(t *testing.T) {
-	prog, _ := buildSSA(t, figure7Src)
+	prog := buildSSA(t, figure7Src)
 	main := fn(t, prog, "main")
 	info := liveness.Compute(main)
 	found := false

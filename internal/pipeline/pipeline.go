@@ -93,9 +93,6 @@ type Options struct {
 	// (the paper's rejected first approach) instead of interval by
 	// interval; for the scope ablation.
 	WholeFunctionScope bool
-	// MaxPromotedWebs caps promotions per function (0 = unlimited), a
-	// crude register pressure budget.
-	MaxPromotedWebs int
 	// PressureCap, when positive, makes promotion pressure-aware: each
 	// function is promoted through core.PromoteUnderPressure, which
 	// guarantees the post-promotion regalloc color count never exceeds
@@ -493,16 +490,11 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 				Profile:         fp,
 				Scope:           scope,
 				CountTailStores: !r.opts.PaperProfitFormula,
-				MaxPromotedWebs: r.opts.MaxPromotedWebs,
 				Dom:             r.cache.Dom(f),
 				DF:              r.cache.DF(f),
 			}
 			if r.opts.PressureCap > 0 {
-				// The cap search seeds its budgets from the
-				// pre-promotion liveness; hand it the cache's copy
-				// (keyed on version + instruction fingerprint) so
-				// repeated analyses of the same form are hits.
-				pres, err := core.PromoteUnderPressureWith(f, forest, ccfg, r.opts.PressureCap, r.cache.Liveness(f))
+				pres, err := core.PromoteUnderPressure(f, forest, ccfg, r.opts.PressureCap)
 				if err != nil {
 					return err
 				}

@@ -67,10 +67,6 @@ func (o Options) Validate() error {
 		return &OptionError{Field: "Workers", Value: o.Workers,
 			Reason: "must be >= 0 (0 = GOMAXPROCS)"}
 	}
-	if o.MaxPromotedWebs < 0 {
-		return &OptionError{Field: "MaxPromotedWebs", Value: o.MaxPromotedWebs,
-			Reason: "must be >= 0 (0 = unlimited)"}
-	}
 	if o.PressureCap < 0 {
 		return &OptionError{Field: "PressureCap", Value: o.PressureCap,
 			Reason: "must be >= 0 (0 = no pressure cap)"}

@@ -19,7 +19,7 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 		field string
 	}{
 		{"negative workers", Options{Workers: -1}, "Workers"},
-		{"negative webs cap", Options{MaxPromotedWebs: -2}, "MaxPromotedWebs"},
+		{"negative pressure cap", Options{PressureCap: -2}, "PressureCap"},
 		{"algorithm too big", Options{Algorithm: AlgNone + 1}, "Algorithm"},
 		{"algorithm negative", Options{Algorithm: -1}, "Algorithm"},
 		{"check too big", Options{Check: CheckParanoid + 1}, "Check"},
@@ -52,7 +52,7 @@ func TestValidateAcceptsDefaultsAndExtremes(t *testing.T) {
 	good := []Options{
 		{},
 		{Algorithm: AlgNone, Check: CheckParanoid, Workers: 64},
-		{Workers: 0, MaxPromotedWebs: 0},
+		{Workers: 0, PressureCap: 0},
 		{Interp: interp.Options{MaxSteps: 1, MaxDepth: 1, MaxOutput: 1, Timeout: time.Nanosecond}},
 	}
 	for _, o := range good {

@@ -35,15 +35,10 @@ type Result struct {
 // it. It accepts SSA or non-SSA IR: phi uses count as live-out of the
 // corresponding predecessor, phi definitions interfere like ordinary
 // definitions at block entry.
+// MaxLive is taken from liveness.Compute directly, so regalloc and the
+// static analysis layer can never disagree.
 func Allocate(f *ir.Function) *Result {
-	return AllocateWith(f, liveness.Compute(f))
-}
-
-// AllocateWith colors f using an already-computed liveness analysis
-// (typically from the analysis cache). The Info must describe f's
-// current instruction stream; MaxLive is taken from it directly, so
-// regalloc and the static analysis layer can never disagree.
-func AllocateWith(f *ir.Function, info *liveness.Info) *Result {
+	info := liveness.Compute(f)
 	n := f.NumRegs
 
 	// Interference graph. Walk each block backward from live-out; a
@@ -93,7 +88,19 @@ func AllocateWith(f *ir.Function, info *liveness.Info) *Result {
 			}
 		}
 	}
-	info.LiveIn[f.Entry().ID].ForEach(func(r int) { everLive[r] = true })
+	// Registers live into the entry block (parameters, and anything
+	// read before it is written) are all defined at once on entry, so
+	// no definition above adds their edges: they interfere pairwise.
+	var entryLive []ir.RegID
+	info.LiveIn[f.Entry().ID].ForEach(func(r int) {
+		everLive[r] = true
+		entryLive = append(entryLive, ir.RegID(r))
+	})
+	for i, a := range entryLive {
+		for _, b := range entryLive[i+1:] {
+			addEdge(a, b)
+		}
+	}
 	for _, p := range f.Params {
 		everLive[p] = true
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/regalloc"
+	"repro/internal/workload"
 )
 
 // straightLine builds r0=1; r1=2; r2=r0+r1; print r2; ret — r0 and r1
@@ -101,8 +102,25 @@ func TestLoopCarriedLiveness(t *testing.T) {
 	}
 }
 
+// TestColorsAtLeastMaxLive checks the lower bound on the four-global
+// loop and on every suite routine, unpromoted and promoted. The suite
+// includes routines whose parameters are live together on entry.
 func TestColorsAtLeastMaxLive(t *testing.T) {
-	out, err := pipeline.Run(`
+	check := func(name, src string, opts pipeline.Options) {
+		t.Helper()
+		out, err := pipeline.Run(src, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, f := range out.Prog.Funcs {
+			res := regalloc.Allocate(f)
+			if res.Colors < res.MaxLive {
+				t.Errorf("%s/%s (%v): colors %d < maxlive %d (impossible)",
+					name, f.Name, opts.Algorithm, res.Colors, res.MaxLive)
+			}
+		}
+	}
+	check("loop", `
 int a; int b; int c; int d;
 void main() {
 	int i;
@@ -111,13 +129,9 @@ void main() {
 	}
 	print(a + b + c + d);
 }`, pipeline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range out.Prog.Funcs {
-		res := regalloc.Allocate(f)
-		if res.Colors < res.MaxLive {
-			t.Errorf("%s: colors %d < maxlive %d (impossible)", f.Name, res.Colors, res.MaxLive)
+	for _, w := range workload.Suite() {
+		for _, alg := range []pipeline.Algorithm{pipeline.AlgNone, pipeline.AlgSSA} {
+			check(w.Name, w.Src, pipeline.Options{Algorithm: alg, SkipMeasurement: true})
 		}
 	}
 }

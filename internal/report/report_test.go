@@ -95,6 +95,36 @@ func TestTable3Shapes(t *testing.T) {
 	_ = FormatTable3(rows)
 }
 
+// TestPressureBaselineMatchesTable3 checks that the pressure cap and
+// Table 3 agree on what a routine needs before promotion: the cap's
+// baseline is the form the pass emits when it promotes nothing, which
+// must color exactly like the unpromoted program.
+func TestPressureBaselineMatchesTable3(t *testing.T) {
+	t3, err := Table3(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := PressureTable(Options{}, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := map[string]int{}
+	for _, r := range rows {
+		baseline[r.Benchmark+"/"+r.Routine] = r.BaselineColors
+	}
+	for _, r := range t3 {
+		key := r.Benchmark + "/" + r.Routine
+		got, ok := baseline[key]
+		if !ok {
+			t.Errorf("%s: in Table 3 but missing from the pressure table", key)
+			continue
+		}
+		if got != r.ColorsBefore {
+			t.Errorf("%s: pressure baseline %d colors, Table 3 colors before %d", key, got, r.ColorsBefore)
+		}
+	}
+}
+
 func TestAblationBaseline(t *testing.T) {
 	rows, err := Ablation(
 		Options{Algorithm: pipeline.AlgSSA},

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/frontdoor"
 )
 
@@ -61,15 +62,13 @@ func TestStripPortShapes(t *testing.T) {
 }
 
 // TestMetricsAnalysisBuilds checks /metrics exports per-kind analysis
-// build counts and that a pressure-capped run makes the liveness kind
-// move: the pipeline pulls the seeding liveness from the per-request
-// cache, whose totals the server folds into the gauge.
+// build counts: a pipeline run makes the dom kind move, since the
+// server folds the per-request cache's totals into the gauge.
 func TestMetricsAnalysisBuilds(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 
 	postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{
 		SkipMeasurement: true,
-		PressureCap:     6,
 	}})
 
 	rec := httptest.NewRecorder()
@@ -96,25 +95,23 @@ func TestMetricsAnalysisBuilds(t *testing.T) {
 	if n := series("dom"); n == 0 {
 		t.Error("dom builds = 0 after a pipeline run")
 	}
-	if n := series("liveness"); n == 0 {
-		t.Error("liveness builds = 0 after a pressure-capped run")
-	}
 	// Every registered kind renders a series, even at zero.
-	if !strings.Contains(body, `rpserved_analysis_builds{kind="pressure"}`) {
-		t.Errorf("/metrics missing the pressure kind series:\n%s", body)
+	for _, kind := range analysis.Kinds() {
+		if !strings.Contains(body, fmt.Sprintf(`rpserved_analysis_builds{kind=%q}`, kind)) {
+			t.Errorf("/metrics missing the %s kind series:\n%s", kind, body)
+		}
 	}
 
 	// A cache hit (identical request) runs no pipeline: builds stay put.
-	before := series("liveness")
+	before := series("dom")
 	postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{
 		SkipMeasurement: true,
-		PressureCap:     6,
 	}})
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body = rec.Body.String()
-	if after := series("liveness"); after != before {
-		t.Errorf("liveness builds moved on a cache hit: %d -> %d", before, after)
+	if after := series("dom"); after != before {
+		t.Errorf("dom builds moved on a cache hit: %d -> %d", before, after)
 	}
 }
 

@@ -99,10 +99,6 @@ func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) 
 		return res, &badRequestError{&pipeline.OptionError{Field: "Interp.Timeout", Value: ro.TimeoutMS,
 			Reason: "must be >= 0 (0 = server ceiling)"}}
 	}
-	if ro.MaxPromotedWebs < 0 {
-		return res, &badRequestError{&pipeline.OptionError{Field: "MaxPromotedWebs", Value: ro.MaxPromotedWebs,
-			Reason: "must be >= 0 (0 = unlimited)"}}
-	}
 	if ro.PressureCap < 0 {
 		return res, &badRequestError{&pipeline.OptionError{Field: "PressureCap", Value: ro.PressureCap,
 			Reason: "must be >= 0 (0 = no pressure cap)"}}
@@ -120,7 +116,6 @@ func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) 
 	res.PreMemOpts = ro.PreMemOpts
 	res.PaperProfitFormula = ro.PaperProfitFormula
 	res.WholeFunctionScope = ro.WholeFunctionScope
-	res.MaxPromotedWebs = ro.MaxPromotedWebs
 	res.PressureCap = ro.PressureCap
 	res.SkipMeasurement = ro.SkipMeasurement
 	res.Fault = ro.Fault

@@ -428,7 +428,7 @@ func TestBadRequestFieldNames(t *testing.T) {
 		{RequestOptions{Workers: 99}, "Workers"},
 		{RequestOptions{MaxSteps: -5}, "Interp.MaxSteps"},
 		{RequestOptions{TimeoutMS: -5}, "Interp.Timeout"},
-		{RequestOptions{MaxPromotedWebs: -1}, "MaxPromotedWebs"},
+		{RequestOptions{PressureCap: -1}, "PressureCap"},
 		{RequestOptions{Fault: "promote:panic"}, "Fault"}, // faults disabled
 	}
 	for _, tc := range cases {

@@ -240,8 +240,6 @@ type RequestOptions struct {
 	PaperProfitFormula bool `json:"paper_profit_formula,omitempty"`
 	// WholeFunctionScope promotes at whole-function scope.
 	WholeFunctionScope bool `json:"whole_function_scope,omitempty"`
-	// MaxPromotedWebs caps promotions per function (0 = unlimited).
-	MaxPromotedWebs int `json:"max_promoted_webs,omitempty"`
 	// PressureCap, when positive, promotes under a hard register-
 	// pressure cap (see pipeline.Options.PressureCap).
 	PressureCap int `json:"pressure_cap,omitempty"`
@@ -271,7 +269,6 @@ type resolvedOptions struct {
 	PreMemOpts         bool   `json:"pre_mem_opts"`
 	PaperProfitFormula bool   `json:"paper_profit_formula"`
 	WholeFunctionScope bool   `json:"whole_function_scope"`
-	MaxPromotedWebs    int    `json:"max_promoted_webs"`
 	PressureCap        int    `json:"pressure_cap"`
 	SkipMeasurement    bool   `json:"skip_measurement"`
 	MaxSteps           int64  `json:"max_steps"`
@@ -307,7 +304,6 @@ func (s *Server) resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, 
 		PreMemOpts:         res.PreMemOpts,
 		PaperProfitFormula: res.PaperProfitFormula,
 		WholeFunctionScope: res.WholeFunctionScope,
-		MaxPromotedWebs:    res.MaxPromotedWebs,
 		PressureCap:        res.PressureCap,
 		SkipMeasurement:    res.SkipMeasurement,
 		Interp: interp.Options{
