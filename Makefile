@@ -74,9 +74,10 @@ bench:
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working). The interp benchmarks
 # cover the bytecode engine and the reference interpreter; the core
-# benchmark covers whole-function promotion.
+# benchmark covers whole-function promotion; the source and pipeline
+# benchmarks cover the frontend and whole promote-only pipeline runs.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/ ./internal/source/ ./internal/pipeline/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 )
@@ -12,15 +13,23 @@ import (
 // register numbers, and resource IDs are preserved, so a clone prints
 // identically to the original.
 //
-// The clone is not registered in the program; it serves as a shadow
-// copy — the pipeline snapshots each function before transforming it
-// and swaps the snapshot back in with Program.ReplaceFunction when a
-// transformation stage fails.
-func (f *Function) Clone() *Function {
+// The clone is not registered in the program; promotion's pressure cap
+// and the diagnostics rules use it as a scratch copy to transform
+// without touching the original.
+func (f *Function) Clone() *Function { return f.CloneInto(f.Prog) }
+
+// CloneInto is Clone for a function that is to live in program p, a
+// separate compile of the same source: the copy's Prog is p, and every
+// memory location that names a global of f's program is rebound to the
+// global at the same position in p.Globals. It panics if the two
+// programs' global lists differ in length or in any name. The pipeline
+// uses it to roll a failing function of the promoted program back to
+// the baseline program's copy of it.
+func (f *Function) CloneInto(p *Program) *Function {
 	nf := &Function{
 		Name:       f.Name,
 		Params:     slices.Clone(f.Params),
-		Prog:       f.Prog,
+		Prog:       p,
 		NumRegs:    f.NumRegs,
 		regNames:   slices.Clone(f.regNames),
 		nextBlock:  f.nextBlock,
@@ -44,9 +53,22 @@ func (f *Function) Clone() *Function {
 		slotMap[s] = ns
 		nf.Slots = append(nf.Slots, ns)
 	}
+	var globalMap map[*Global]*Global
+	if p != f.Prog {
+		globalMap = rebindGlobals(f.Prog, p)
+	}
 	remapLoc := func(l MemLoc) MemLoc {
-		if l.Kind == LocSlot {
+		switch l.Kind {
+		case LocSlot:
 			l.Slot = slotMap[l.Slot]
+		case LocGlobal:
+			if globalMap != nil {
+				g, ok := globalMap[l.Global]
+				if !ok {
+					panic(fmt.Sprintf("ir: CloneInto: %s references global %s outside its program", f.Name, l.Global.Name))
+				}
+				l.Global = g
+			}
 		}
 		return l
 	}
@@ -90,4 +112,22 @@ func (f *Function) Clone() *Function {
 		}
 	}
 	return nf
+}
+
+// rebindGlobals maps each global of from to the global at the same
+// position in to, panicking unless both lists name the same globals in
+// the same order.
+func rebindGlobals(from, to *Program) map[*Global]*Global {
+	if len(from.Globals) != len(to.Globals) {
+		panic(fmt.Sprintf("ir: CloneInto: programs have %d and %d globals", len(from.Globals), len(to.Globals)))
+	}
+	m := make(map[*Global]*Global, len(from.Globals))
+	for i, g := range from.Globals {
+		h := to.Globals[i]
+		if h.Name != g.Name {
+			panic(fmt.Sprintf("ir: CloneInto: global %d is %s here and %s in the target program", i, g.Name, h.Name))
+		}
+		m[g] = h
+	}
+	return m
 }

@@ -29,9 +29,10 @@ func (r *runner) workerCount(nfuncs int) int {
 // transformAll runs the per-function transformation chain over every
 // function of after, either sequentially or on a bounded worker pool
 // (Options.Workers). Each function's chain is independent — its own
-// SSA construction, interval tree, webs, and rollback snapshot — so
-// the only shared state is program-level bookkeeping, which the
-// runner's mutex serializes and finish canonicalizes. The outcome is
+// SSA construction, interval tree and webs, and on failure a rollback
+// cloned from the read-only baseline program — so the only shared
+// state is program-level bookkeeping, which the runner's mutex
+// serializes and finish canonicalizes. The outcome is
 // therefore identical for every worker count; only wall time changes.
 func (r *runner) transformAll(after *ir.Program, forests map[string]*cfg.Forest, prof *profile.Profile) error {
 	// Materialize every function's profile before spawning workers:

@@ -13,12 +13,14 @@
 // Every phase of the flow runs as a named, panic-isolated stage: a
 // panicking or erring stage becomes a structured *StageError instead of
 // killing the process. Per-function stages additionally degrade
-// gracefully — the pipeline snapshots each function before transforming
-// it, and a failure rolls that one function back to its unpromoted IR,
-// records a Degradation in the Outcome, and keeps compiling the rest of
-// the program. Options.Check turns on stage-boundary re-verification
-// and a paranoid semantic differential check; Options.Faults injects
-// deterministic failures so the recovery paths themselves stay tested.
+// gracefully — a failure rolls that one function back to its unpromoted
+// IR, records a Degradation in the Outcome, and keeps compiling the rest
+// of the program. Nothing is copied up front for this: the rollback copy
+// is cloned from the baseline compile, which is never mutated, only when
+// a stage actually fails. Options.Check turns on stage-boundary
+// re-verification and a paranoid semantic differential check;
+// Options.Faults injects deterministic failures so the recovery paths
+// themselves stay tested.
 package pipeline
 
 import (
@@ -209,16 +211,17 @@ func (o *Outcome) DegradedFuncs() []string {
 type runner struct {
 	opts Options
 	out  *Outcome
-	// mu guards the shared run state (out, snapshots, degraded, the
-	// program's function registry) while the per-function transform
-	// chains execute on the worker pool. Outside that phase the run is
-	// single-goroutine and the lock is uncontended.
+	// mu guards the shared run state (out, degraded, the program's
+	// function registry) while the per-function transform chains execute
+	// on the worker pool. Outside that phase the run is single-goroutine
+	// and the lock is uncontended.
 	mu sync.Mutex
-	// snapshots holds each function's pre-transformation clone, used to
-	// roll a failing function back and to bisect differential-check
-	// mismatches down to one function.
-	snapshots map[string]*ir.Function
-	degraded  map[string]bool
+	// before is the baseline program, set once its frontend finishes and
+	// never mutated after that. A function of the promoted program rolls
+	// back to a CloneInto of its namesake here, both when a stage fails
+	// on it and when the differential check bisects for a culprit.
+	before   *ir.Program
+	degraded map[string]bool
 	// cache memoizes per-function CFG analyses across stages, keyed on
 	// the functions' CFG version counters. Never nil during a run.
 	cache *analysis.Cache
@@ -245,10 +248,9 @@ func Run(src string, opts Options) (*Outcome, error) {
 		return nil, err
 	}
 	r := &runner{
-		opts:      opts,
-		out:       &Outcome{Stats: make(map[string]*core.Stats)},
-		snapshots: make(map[string]*ir.Function),
-		degraded:  make(map[string]bool),
+		opts:     opts,
+		out:      &Outcome{Stats: make(map[string]*core.Stats)},
+		degraded: make(map[string]bool),
 	}
 	if opts.PressureCap > 0 {
 		r.out.Pressure = make(map[string]*core.PressureResult)
@@ -266,6 +268,7 @@ func Run(src string, opts Options) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.before = before
 	r.out.StaticBefore = countStatic(before)
 
 	// Opt-in static diagnostics, on the baseline program: the rules
@@ -339,7 +342,10 @@ func Run(src string, opts Options) (*Outcome, error) {
 // frontend compiles and prepares a program up to (but excluding) SSA,
 // one isolated stage per phase. Compile and alias failures abort the
 // run; a per-function normalize failure degrades that function (its
-// forest stays nil and promotion is skipped).
+// forest stays nil and promotion is skipped). The degraded function
+// goes back to its pre-normalize IR, taken from a fresh compile of src:
+// compile and alias analysis are deterministic, so that copy is what
+// the function was before normalize touched it.
 func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, error) {
 	var prog *ir.Program
 	if err := r.runStage(StageCompile, "", nil, func() error {
@@ -355,9 +361,9 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 		return nil, nil, err
 	}
 	forests := make(map[string]*cfg.Forest, len(prog.Funcs))
+	var pristine *ir.Program // compiled on the first normalize failure
 	for _, f := range prog.Funcs {
 		f := f
-		snap := f.Clone()
 		err := r.runStage(StageNormalize, f.Name, func() string { return f.String() }, func() error {
 			forest, err := cfg.Normalize(f)
 			if err != nil {
@@ -379,7 +385,15 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 			if r.opts.FailFast {
 				return nil, nil, err
 			}
-			prog.ReplaceFunction(snap)
+			if pristine == nil {
+				p, perr := compileAnalyzed(r.opts.Lang, src)
+				if perr != nil {
+					return nil, nil, &StageError{Stage: StageNormalize, Func: f.Name,
+						Err: fmt.Errorf("recompiling for rollback: %w", perr)}
+				}
+				pristine = p
+			}
+			prog.ReplaceFunction(pristine.Func(f.Name).CloneInto(prog))
 			forests[f.Name] = nil
 			r.recordDegradation(f.Name, StageNormalize, err)
 		}
@@ -452,17 +466,15 @@ type transformStep struct {
 
 // transformFunc runs the per-function transformation chain for f. Any
 // stage failure (including a boundary-check failure) rolls f back to
-// its pre-transformation snapshot and records a Degradation, unless
+// the baseline program's copy and records a Degradation, unless
 // FailFast is set, in which case the *StageError is returned.
 func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.Forest, prof *profile.Profile) error {
 	r.mu.Lock()
-	if r.degraded[f.Name] {
-		r.mu.Unlock()
+	degraded := r.degraded[f.Name]
+	r.mu.Unlock()
+	if degraded {
 		return nil // degraded at normalize; already in known-good state
 	}
-	snap := f.Clone()
-	r.snapshots[f.Name] = snap
-	r.mu.Unlock()
 	fp := prof.ForFunc(f.Name)
 
 	var stats *core.Stats
@@ -554,7 +566,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 			return r.boundaryCheck(f, st.inSSA)
 		})
 		if err != nil {
-			return r.degrade(prog, f, snap, st.name, err)
+			return r.degrade(prog, f, st.name, err)
 		}
 	}
 
@@ -563,7 +575,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	if err := r.runStage(StageVerify, f.Name, func() string { return f.String() }, func() error {
 		return f.Verify(ir.VerifyCFG)
 	}); err != nil {
-		return r.degrade(prog, f, snap, StageVerify, err)
+		return r.degrade(prog, f, StageVerify, err)
 	}
 
 	if stats != nil {
@@ -593,18 +605,19 @@ func (r *runner) boundaryCheck(f *ir.Function, inSSA bool) error {
 	return nil
 }
 
-// degrade rolls f back to snap inside prog and records the absorbed
-// failure, or returns it when FailFast is set. The rollback and the
-// bookkeeping run under the runner's lock: ReplaceFunction mutates the
-// program's shared function registry, which concurrent workers may be
-// swapping other functions into.
-func (r *runner) degrade(prog *ir.Program, f *ir.Function, snap *ir.Function, stage string, err error) error {
+// degrade rolls f back to the baseline program's copy inside prog and
+// records the absorbed failure, or returns it when FailFast is set. The
+// swap and the bookkeeping run under the runner's lock: ReplaceFunction
+// mutates the program's shared function registry, which concurrent
+// workers may be swapping other functions into. The clone itself only
+// reads the baseline, which nothing mutates, so it runs unlocked.
+func (r *runner) degrade(prog *ir.Program, f *ir.Function, stage string, err error) error {
 	if r.opts.FailFast {
 		return err
 	}
+	rollback := r.before.Func(f.Name).CloneInto(prog)
 	r.mu.Lock()
-	prog.ReplaceFunction(snap)
-	r.snapshots[f.Name] = snap
+	prog.ReplaceFunction(rollback)
 	delete(r.out.Stats, f.Name)
 	delete(r.out.Pressure, f.Name)
 	r.mu.Unlock()
@@ -649,7 +662,7 @@ func (r *runner) recomputeTotals() {
 // transformed programs must print the same output, return the same
 // value, and leave identical global memory. On a mismatch the pipeline
 // bisects — it retries with one function at a time rolled back to its
-// unpromoted snapshot, and if a single rollback restores equivalence,
+// baseline copy, and if a single rollback restores equivalence,
 // that function is degraded and compilation succeeds.
 func (r *runner) differential(before, after *ir.Program) error {
 	return r.runStage(StageDifferential, "", func() string { return after.String() }, func() error {
@@ -722,22 +735,17 @@ func (r *runner) bisect(after *ir.Program, want *interp.Result) bool {
 	if r.opts.FailFast {
 		return false
 	}
-	for _, f := range after.Funcs {
-		snap := r.snapshots[f.Name]
-		if snap == nil || r.degraded[f.Name] {
-			continue
+	for _, cur := range after.Funcs {
+		if r.degraded[cur.Name] {
+			continue // rolled back already
 		}
-		cur := after.Func(f.Name)
-		if cur == snap {
-			continue
-		}
-		after.ReplaceFunction(snap)
+		after.ReplaceFunction(r.before.Func(cur.Name).CloneInto(after))
 		res, err := interp.Run(after, r.interpOptions())
 		if err == nil && compareResults(want, res) == "" {
-			delete(r.out.Stats, f.Name)
-			delete(r.out.Pressure, f.Name)
-			r.recordDegradation(f.Name, StageDifferential, fmt.Errorf(
-				"transformed program diverged from baseline; rolling back %s restored equivalence", f.Name))
+			delete(r.out.Stats, cur.Name)
+			delete(r.out.Pressure, cur.Name)
+			r.recordDegradation(cur.Name, StageDifferential, fmt.Errorf(
+				"transformed program diverged from baseline; rolling back %s restored equivalence", cur.Name))
 			if !r.opts.SkipMeasurement {
 				r.out.After = res
 			}
@@ -795,15 +803,25 @@ func compileInput(lang, src string) (*ir.Program, error) {
 	return source.Compile(src)
 }
 
+// compileAnalyzed compiles src and runs alias analysis, without stage
+// isolation.
+func compileAnalyzed(lang, src string) (*ir.Program, error) {
+	prog, err := compileInput(lang, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := alias.Analyze(prog); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
 // plainFrontend compiles and prepares a program without stage isolation
 // (used for the training-input variant, whose failures are reported as
 // train-stage errors by the caller).
 func plainFrontend(lang, src string) (*ir.Program, map[string]*cfg.Forest, error) {
-	prog, err := compileInput(lang, src)
+	prog, err := compileAnalyzed(lang, src)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := alias.Analyze(prog); err != nil {
 		return nil, nil, err
 	}
 	forests := make(map[string]*cfg.Forest, len(prog.Funcs))

@@ -28,8 +28,10 @@ type Symbol struct {
 	AddrTaken bool
 }
 
-// Checked is the result of type checking: the file plus resolution and
-// type annotations keyed by AST node identity.
+// Checked is the result of type checking: the file plus resolution
+// annotations keyed by AST node identity. Expression types are checked
+// but not recorded: lowering needs only the symbols, which carry their
+// own types.
 type Checked struct {
 	File    *File
 	Structs map[string]*StructDef
@@ -42,8 +44,6 @@ type Checked struct {
 	Decls map[*DeclStmt]*Symbol
 	// Params maps each function to its parameter symbols.
 	Params map[*FuncDecl][]*Symbol
-	// Types records the type of every expression.
-	Types map[Expr]Type
 }
 
 type checker struct {
@@ -63,7 +63,6 @@ func Check(file *File) (*Checked, error) {
 		Uses:    make(map[Expr]*Symbol),
 		Decls:   make(map[*DeclStmt]*Symbol),
 		Params:  make(map[*FuncDecl][]*Symbol),
-		Types:   make(map[Expr]Type),
 	}
 	ck := &checker{c: c, globals: make(map[string]*Symbol)}
 
@@ -351,7 +350,6 @@ func (ck *checker) checkLvalue(e Expr) (Type, error) {
 			return Type{}, fmt.Errorf("%v: cannot assign to whole %v %s", e.Pos, sym.Type, e.Name)
 		}
 		ck.c.Uses[e] = sym
-		ck.c.Types[e] = sym.Type
 		return sym.Type, nil
 	case *IndexExpr, *FieldExpr:
 		return ck.checkExpr(e)
@@ -366,22 +364,12 @@ func (ck *checker) checkLvalue(e Expr) (Type, error) {
 		if ty.Kind != TypePtr {
 			return Type{}, fmt.Errorf("%v: cannot dereference %v", e.Pos, ty)
 		}
-		ck.c.Types[e] = Type{Kind: TypeInt}
 		return Type{Kind: TypeInt}, nil
 	}
 	return Type{}, fmt.Errorf("expression is not an lvalue")
 }
 
 func (ck *checker) checkExpr(e Expr) (Type, error) {
-	ty, err := ck.exprType(e)
-	if err != nil {
-		return Type{}, err
-	}
-	ck.c.Types[e] = ty
-	return ty, nil
-}
-
-func (ck *checker) exprType(e Expr) (Type, error) {
 	switch e := e.(type) {
 	case *NumExpr:
 		return Type{Kind: TypeInt}, nil
@@ -534,7 +522,6 @@ func (ck *checker) checkAddrOf(e *UnaryExpr) (Type, error) {
 			return Type{}, fmt.Errorf("%v: taking the address of parameter %s is not supported", e.Pos, x.Name)
 		}
 		ck.c.Uses[x] = sym
-		ck.c.Types[x] = sym.Type
 		ck.markAddrTaken(sym)
 		return Type{Kind: TypePtr}, nil
 	case *FieldExpr:
