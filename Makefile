@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
+.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-formatted, listing the files.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The second line repeats the two router tests that depend on ring
 # balance, so a hashing regression fails CI instead of flaking once in
@@ -74,10 +78,11 @@ bench:
 # smoke test for CI (benchmark numbers from one iteration mean nothing;
 # the point is that the benchmarks keep working). The interp benchmarks
 # cover the bytecode engine and the reference interpreter; the core
-# benchmark covers whole-function promotion; the source and pipeline
-# benchmarks cover the frontend and whole promote-only pipeline runs.
+# benchmark covers whole-function promotion; the opt benchmark covers
+# the post-promotion cleanup; the source and pipeline benchmarks cover
+# the frontend and whole promote-only pipeline runs.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/ ./internal/source/ ./internal/pipeline/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/ ./internal/source/ ./internal/pipeline/ ./internal/opt/
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted
@@ -146,4 +151,4 @@ bench-cluster:
 bench-check:
 	cd bench && $(GO) test ./...
 
-ci: vet lint race test-par bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke bench-check
+ci: fmt-check vet lint race test-par bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke bench-check

@@ -34,6 +34,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/profile"
+	"repro/internal/ssa"
 )
 
 // Scope selects the promotion scope.
@@ -190,6 +191,17 @@ type promoter struct {
 	// to each block by promotions in this pass (only allocated under a
 	// pressure budget).
 	extra []int
+
+	// updater runs every web's SSA update, reusing its per-version
+	// state across the function.
+	updater ssa.Updater
+	// constructSSAWebs' union-find parents, web lookup and outside-use
+	// index, indexed by ResourceID and kept for the whole function;
+	// seeded lists the entries its last call set.
+	parent      []ir.ResourceID
+	webOf       []*web
+	usedOutside []bool
+	seeded      []ir.ResourceID
 }
 
 // freq returns the profile frequency of the block containing the given

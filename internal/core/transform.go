@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
-	"repro/internal/ssa"
 )
 
 // transformer applies a web's promotion plan: Figures 4, 5, and 6 of
@@ -198,7 +197,7 @@ func (t *transformer) updateSSAAndDeleteStores() error {
 	}
 	// The dominator tree is unchanged (no CFG edits), but the frontier
 	// cache may be reused as-is too.
-	if _, err := ssa.UpdateForClonedResources(t.p.f, t.p.dom, t.p.df, oldSet, t.cloned); err != nil {
+	if _, err := t.p.updater.Update(t.p.f, t.p.dom, t.p.df, oldSet, t.cloned); err != nil {
 		return err
 	}
 	for st := range before {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cfg"
 	"repro/internal/ir"
 )
@@ -50,13 +52,27 @@ type web struct {
 // referenced in the interval into webs: the union-find pass of the
 // paper's Figure 3, seeded with every referenced resource and unioned
 // across each memphi's target and operands. The union-find and the
-// web lookup are dense slices indexed by ResourceID.
+// web lookup are dense slices indexed by ResourceID that the promoter
+// keeps for the whole function: each call first clears the entries the
+// previous call seeded, then grows them over the versions promotion
+// appended since.
 func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
-	n := len(p.f.Resources)
-	parent := make([]ir.ResourceID, n)
-	for i := range parent {
-		parent[i] = ir.NoResource
+	for _, r := range p.seeded {
+		p.parent[r] = ir.NoResource
+		p.webOf[r] = nil
+		p.usedOutside[r] = false
 	}
+	p.seeded = p.seeded[:0]
+	n := len(p.f.Resources)
+	for len(p.parent) < n {
+		p.parent = append(p.parent, ir.NoResource)
+	}
+	if k := n - len(p.webOf); k > 0 {
+		p.webOf = append(p.webOf, make([]*web, k)...)
+		p.usedOutside = append(p.usedOutside, make([]bool, k)...)
+	}
+	parent, webOf, usedOutside := p.parent, p.webOf, p.usedOutside
+
 	find := func(r ir.ResourceID) ir.ResourceID {
 		root := r
 		for parent[root] != root {
@@ -80,20 +96,22 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 	}
 
 	promotable := func(r ir.ResourceID) bool { return p.f.BaseOf(r).Promotable() }
+	seed := func(r ir.ResourceID) {
+		if parent[r] == ir.NoResource && promotable(r) {
+			parent[r] = r
+			p.seeded = append(p.seeded, r)
+		}
+	}
 
 	// Seed with every promotable resource referenced in the interval,
 	// then union across phi connections.
 	for _, b := range iv.Blocks {
 		for _, in := range b.Instrs {
 			for _, d := range in.MemDefs {
-				if promotable(d.Res) {
-					parent[d.Res] = d.Res
-				}
+				seed(d.Res)
 			}
 			for _, u := range in.MemUses {
-				if promotable(u.Res) {
-					parent[u.Res] = u.Res
-				}
+				seed(u.Res)
 			}
 		}
 	}
@@ -111,7 +129,6 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 
 	// Mark the web versions used outside the interval, in one scan of
 	// the blocks outside it.
-	usedOutside := make([]bool, n)
 	for _, b := range p.f.Blocks {
 		if iv.Contains(b) {
 			continue
@@ -125,15 +142,12 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		}
 	}
 
-	// Group into webs by representative. Visiting resources in
-	// ascending order meets each class's root first, so the webs come
+	// Group into webs by representative. Visiting the seeded resources
+	// in ascending order meets each class's root first, so the webs come
 	// out ordered by smallest member and each member list is sorted.
-	webOf := make([]*web, n)
+	slices.Sort(p.seeded)
 	var webs []*web
-	for r := ir.ResourceID(0); int(r) < n; r++ {
-		if parent[r] == ir.NoResource {
-			continue
-		}
+	for _, r := range p.seeded {
 		root := find(r)
 		w := webOf[root]
 		if w == nil {

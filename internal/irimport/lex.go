@@ -27,12 +27,12 @@ func (e *ParseError) Error() string {
 type tokKind int
 
 const (
-	tEOF tokKind = iota
-	tWord        // bare identifier or keyword: define, add, i64, label, ...
-	tLocal       // %name
-	tGlobal      // @name
-	tInt         // integer literal, possibly negative
-	tPunct       // one of = , ( ) { } [ ] * :
+	tEOF    tokKind = iota
+	tWord           // bare identifier or keyword: define, add, i64, label, ...
+	tLocal          // %name
+	tGlobal         // @name
+	tInt            // integer literal, possibly negative
+	tPunct          // one of = , ( ) { } [ ] * :
 )
 
 func (k tokKind) String() string {

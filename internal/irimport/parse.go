@@ -61,9 +61,9 @@ func (p *parser) next() token {
 	return t
 }
 
-func (p *parser) unread() { p.i-- }
-func (p *parser) atEOF() bool  { return p.toks[p.i].kind == tEOF }
-func (p *parser) pos() Pos     { return p.toks[p.i].pos }
+func (p *parser) unread()     { p.i-- }
+func (p *parser) atEOF() bool { return p.toks[p.i].kind == tEOF }
+func (p *parser) pos() Pos    { return p.toks[p.i].pos }
 
 func (p *parser) errAt(pos Pos, format string, args ...any) error {
 	return &ParseError{File: p.file, Pos: pos, Msg: fmt.Sprintf(format, args...)}

@@ -66,7 +66,11 @@ func CopyPropagate(f *ir.Function) int {
 // register phis, and dead memory phis. Stores, calls, prints, and
 // terminators are roots. Liveness propagates through both the register
 // operand graph and the memory version graph (a live instruction's
-// memory uses keep the defining memphi alive). Returns the number of
+// memory uses keep the defining memphi alive). The function must be in
+// SSA form: liveness is kept on what an instruction defines (its
+// register, else its first memory definition), and SSA gives each of
+// those exactly one defining instruction. Each block is compacted in
+// place; removed instructions get a nil Parent. Returns the number of
 // instructions removed.
 func DCE(f *ir.Function) int {
 	regDef := make([]*ir.Instr, f.NumRegs)
@@ -82,13 +86,27 @@ func DCE(f *ir.Function) int {
 		}
 	}
 
-	live := make(map[*ir.Instr]bool)
-	var work []*ir.Instr
-	mark := func(in *ir.Instr) {
-		if in != nil && !live[in] {
-			live[in] = true
-			work = append(work, in)
+	liveReg := make([]bool, f.NumRegs)
+	liveRes := make([]bool, len(f.Resources))
+	live := func(in *ir.Instr) bool {
+		if in.HasDst() {
+			return liveReg[in.Dst]
 		}
+		return len(in.MemDefs) > 0 && liveRes[in.MemDefs[0].Res]
+	}
+	var work []*ir.Instr
+	// mark queues in the first time it is reached. An instruction that
+	// defines nothing is reached only as a side-effect root, once.
+	mark := func(in *ir.Instr) {
+		switch {
+		case in == nil || live(in):
+			return
+		case in.HasDst():
+			liveReg[in.Dst] = true
+		case len(in.MemDefs) > 0:
+			liveRes[in.MemDefs[0].Res] = true
+		}
+		work = append(work, in)
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -112,12 +130,17 @@ func DCE(f *ir.Function) int {
 
 	removed := 0
 	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			if !live[in] && !in.Op.HasSideEffects() {
-				b.Remove(in)
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if in.Op.HasSideEffects() || live(in) {
+				kept = append(kept, in)
+			} else {
+				in.Parent = nil
 				removed++
 			}
 		}
+		clear(b.Instrs[len(kept):])
+		b.Instrs = kept
 	}
 	return removed
 }

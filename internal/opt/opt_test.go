@@ -141,6 +141,128 @@ void main() {
 	}
 }
 
+// TestDCECompactsBlocks: DCE removes dead instructions from each block
+// in one pass. Every removed instruction has a nil Parent, the
+// survivors keep their order and their block, and the count returned
+// is the number removed.
+func TestDCECompactsBlocks(t *testing.T) {
+	prog := buildSSA(t, `
+int g; int h;
+void main() {
+	int a = g + 1;
+	int dead1 = g * 3;
+	print(a);
+	int dead2 = a - 5;
+	h = a + 2;
+	int dead3 = h + dead2;
+	print(h);
+}`)
+	main := prog.Func("main")
+	before := make(map[*ir.Block][]*ir.Instr)
+	for _, b := range main.Blocks {
+		before[b] = append([]*ir.Instr(nil), b.Instrs...)
+	}
+	n := DCE(main)
+	if n < 3 {
+		t.Fatalf("DCE removed %d instructions, want at least the 3 dead ones:\n%s", n, main)
+	}
+	removed := 0
+	for _, b := range main.Blocks {
+		var kept []*ir.Instr
+		for _, in := range before[b] {
+			if in.Parent == nil {
+				removed++
+				continue
+			}
+			if in.Parent != b {
+				t.Errorf("survivor %v moved from %v to %v", in, b, in.Parent)
+			}
+			kept = append(kept, in)
+		}
+		if len(kept) != len(b.Instrs) {
+			t.Fatalf("%v: %d survivors with a Parent, %d instructions left", b, len(kept), len(b.Instrs))
+		}
+		for i := range kept {
+			if kept[i] != b.Instrs[i] {
+				t.Fatalf("%v: survivors out of order at %d: %v, want %v", b, i, b.Instrs[i], kept[i])
+			}
+		}
+	}
+	if removed != n {
+		t.Errorf("DCE returned %d, but %d instructions lost their Parent", n, removed)
+	}
+	if err := main.Verify(ir.VerifySSA); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDCEKeepsCallWithUnusedResult: a call is a root whatever happens
+// to its result.
+func TestDCEKeepsCallWithUnusedResult(t *testing.T) {
+	prog := buildSSA(t, `
+int g;
+int bump() { g = g + 1; return g; }
+void main() {
+	int unused = bump();
+	print(g);
+}`)
+	main := prog.Func("main")
+	var call *ir.Instr
+	for _, b := range main.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				call = in
+			}
+		}
+	}
+	if call == nil || !call.HasDst() {
+		t.Fatalf("precondition: want a call with a result\n%s", main)
+	}
+	DCE(main)
+	if call.Parent == nil || countOp(main, ir.OpCall) != 1 {
+		t.Errorf("DCE removed a call whose result is unused:\n%s", main)
+	}
+}
+
+// TestDCERemovesDeadPhiCycle: a loop-carried variable nothing reads is
+// a phi and an add that only use each other. Neither is reached from a
+// root, so both go.
+func TestDCERemovesDeadPhiCycle(t *testing.T) {
+	prog := buildSSA(t, `
+void main() {
+	int i; int d = 0;
+	for (i = 0; i < 10; i++) { d = d + 3; }
+	print(i);
+}`)
+	main := prog.Func("main")
+	// addsOf3 counts d's increments, the only adds of the constant 3.
+	addsOf3 := func() int {
+		n := 0
+		for _, b := range main.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpAdd && in.Args[1].IsConst() && in.Args[1].Const() == 3 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if addsOf3() != 1 {
+		t.Fatalf("precondition: want d's add in the loop\n%s", main)
+	}
+	DCE(main)
+	if addsOf3() != 0 {
+		t.Errorf("dead cycle's add survived\n%s", main)
+	}
+	// Only i's phi is left: everything else merged d or was already dead.
+	if got := countOp(main, ir.OpPhi); got != 1 {
+		t.Errorf("%d phis left, want only i's\n%s", got, main)
+	}
+	if err := main.Verify(ir.VerifySSA); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCleanupReachesFixpoint(t *testing.T) {
 	// A copy feeding a dead add feeding nothing: needs copy-prop then
 	// DCE, possibly repeatedly.

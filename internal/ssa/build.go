@@ -31,7 +31,9 @@ func Build(f *ir.Function) (*cfg.DomTree, error) {
 
 // BuildWith converts f to SSA form using prebuilt analyses. dom and df
 // must describe f's current CFG (the pipeline supplies them from its
-// analysis cache); unreachable blocks must already be removed.
+// analysis cache); unreachable blocks must already be removed. f must
+// not be in SSA form already: a function that contains a phi or memphi
+// is rejected before anything is changed.
 func BuildWith(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers) error {
 	b := &builder{f: f, dom: dom, df: df}
 	if err := b.run(); err != nil {
@@ -48,13 +50,14 @@ type builder struct {
 
 	// regStacks[orig] is the renaming stack of the pre-SSA register
 	// orig; resStacks[base] is the version stack of base resource base.
-	regStacks map[ir.RegID][]ir.RegID
-	resStacks map[ir.ResourceID][]ir.ResourceID
+	regStacks [][]ir.RegID
+	resStacks [][]ir.ResourceID
 
-	// phiOrig records, for inserted phis, which original name they
-	// merge, so operand filling and renaming know what to push.
-	phiOrigReg map[*ir.Instr]ir.RegID
-	phiOrigRes map[*ir.Instr]ir.ResourceID
+	// numRegs is the register count before renaming: every register
+	// below it is a pre-SSA name, every one at or above it a renamed
+	// definition, whose pre-SSA name is origOf[r-numRegs].
+	numRegs int
+	origOf  []ir.RegID
 }
 
 func (b *builder) run() error {
@@ -67,6 +70,9 @@ func (b *builder) run() error {
 	resDefs := make([][]*ir.Block, len(f.Resources))
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Instrs {
+			if in.Op.IsPhi() {
+				return fmt.Errorf("ssa: %s: already in SSA form (%s in %v)", f.Name, in.Op, blk)
+			}
 			if in.HasDst() {
 				regDefs[in.Dst] = appendUnique(regDefs[in.Dst], blk)
 			}
@@ -76,10 +82,10 @@ func (b *builder) run() error {
 		}
 	}
 
-	// Place phis at iterated dominance frontiers. Spurious phis merging
-	// a single reaching definition are cleaned by PruneTrivialPhis.
-	b.phiOrigReg = make(map[*ir.Instr]ir.RegID)
-	b.phiOrigRes = make(map[*ir.Instr]ir.ResourceID)
+	// Place phis at iterated dominance frontiers. A register phi's Dst
+	// and a memphi's definition name what they merge until renaming
+	// gives them fresh names. Spurious phis merging a single reaching
+	// definition are cleaned by PruneTrivialPhis.
 	for r := 0; r < f.NumRegs; r++ {
 		reg := ir.RegID(r)
 		defs := regDefs[reg]
@@ -87,9 +93,7 @@ func (b *builder) run() error {
 			continue
 		}
 		for _, jb := range cfg.IteratedDF(b.df, defs) {
-			phi := ir.NewInstr(ir.OpPhi, reg, make([]ir.Value, len(jb.Preds))...)
-			jb.InsertPhi(phi)
-			b.phiOrigReg[phi] = reg
+			jb.InsertPhi(ir.NewInstr(ir.OpPhi, reg, make([]ir.Value, len(jb.Preds))...))
 		}
 	}
 	for id := 0; id < len(f.Resources); id++ {
@@ -106,13 +110,13 @@ func (b *builder) run() error {
 				phi.MemUses[i] = ir.MemRef{Res: ir.NoResource}
 			}
 			jb.InsertPhi(phi)
-			b.phiOrigRes[phi] = base
 		}
 	}
 
 	// Rename along the dominator tree.
-	b.regStacks = make(map[ir.RegID][]ir.RegID)
-	b.resStacks = make(map[ir.ResourceID][]ir.ResourceID)
+	b.numRegs = f.NumRegs
+	b.regStacks = make([][]ir.RegID, f.NumRegs)
+	b.resStacks = make([][]ir.ResourceID, len(f.Resources))
 	for _, p := range f.Params {
 		// Parameters are their own first SSA version.
 		b.regStacks[p] = []ir.RegID{p}
@@ -148,6 +152,21 @@ func (b *builder) topRes(base ir.ResourceID) ir.ResourceID {
 	return st[len(st)-1]
 }
 
+// phiOrig returns the pre-SSA register a register phi merges, whether
+// or not renaming has reached the phi yet.
+func (b *builder) phiOrig(phi *ir.Instr) ir.RegID {
+	if int(phi.Dst) < b.numRegs {
+		return phi.Dst
+	}
+	return b.origOf[int(phi.Dst)-b.numRegs]
+}
+
+// newReg allocates the SSA name of a definition of orig.
+func (b *builder) newReg(orig ir.RegID) ir.RegID {
+	b.origOf = append(b.origOf, orig)
+	return b.f.NewReg(b.f.RegName(orig))
+}
+
 func (b *builder) rename(blk *ir.Block) error {
 	f := b.f
 	var pushedRegs []ir.RegID
@@ -165,13 +184,12 @@ func (b *builder) rename(blk *ir.Block) error {
 	for _, in := range blk.Instrs {
 		switch in.Op {
 		case ir.OpPhi:
-			orig := b.phiOrigReg[in]
-			nr := f.NewReg(f.RegName(orig))
-			in.Dst = nr
-			pushReg(orig, nr)
+			orig := in.Dst
+			in.Dst = b.newReg(orig)
+			pushReg(orig, in.Dst)
 			continue
 		case ir.OpMemPhi:
-			base := b.phiOrigRes[in]
+			base := f.BaseOf(in.MemDefs[0].Res).ID
 			nv := f.NewVersion(base)
 			in.MemDefs[0].Res = nv.ID
 			pushRes(base, nv.ID)
@@ -196,9 +214,8 @@ func (b *builder) rename(blk *ir.Block) error {
 		// Rewrite register definition.
 		if in.HasDst() {
 			orig := in.Dst
-			nr := f.NewReg(f.RegName(orig))
-			in.Dst = nr
-			pushReg(orig, nr)
+			in.Dst = b.newReg(orig)
+			pushReg(orig, in.Dst)
 		}
 		// Rewrite memory definitions to fresh versions.
 		for i := range in.MemDefs {
@@ -215,11 +232,7 @@ func (b *builder) rename(blk *ir.Block) error {
 		for _, phi := range s.Phis() {
 			switch phi.Op {
 			case ir.OpPhi:
-				orig, ok := b.phiOrigReg[phi]
-				if !ok {
-					continue // pre-existing phi (none expected)
-				}
-				if cur, ok := b.topReg(orig); ok {
+				if cur, ok := b.topReg(b.phiOrig(phi)); ok {
 					phi.Args[pi] = ir.RegVal(cur)
 				} else {
 					// The merged variable is undefined along this path;
@@ -228,11 +241,7 @@ func (b *builder) rename(blk *ir.Block) error {
 					phi.Args[pi] = ir.ConstVal(0)
 				}
 			case ir.OpMemPhi:
-				base, ok := b.phiOrigRes[phi]
-				if !ok {
-					continue
-				}
-				phi.MemUses[pi] = ir.MemRef{Res: b.topRes(base)}
+				phi.MemUses[pi] = ir.MemRef{Res: b.topRes(f.BaseOf(phi.MemDefs[0].Res).ID)}
 			}
 		}
 	}

@@ -361,3 +361,41 @@ void main() {
 		})
 	}
 }
+
+// TestBuildRejectsSSAInput: Build on a function already in SSA form
+// must fail without touching it. Renaming cannot tell an existing phi's
+// pre-SSA name, so it used to rename every such phi as register 0 and
+// leave memphis whose operands name versions that were never defined.
+func TestBuildRejectsSSAInput(t *testing.T) {
+	prog := buildSSA(t, `
+int g;
+void main() {
+	int i; int s = 0;
+	for (i = 0; i < 10; i++) { g = g + i; s = s + g; }
+	print(s);
+}`)
+	f := prog.Func("main")
+	if countOp(f, ir.OpPhi) == 0 || countOp(f, ir.OpMemPhi) == 0 {
+		t.Fatalf("precondition: want a phi and a memphi\n%s", f)
+	}
+	before := f.String()
+	if _, err := Build(f); err == nil {
+		t.Fatalf("Build accepted a function already in SSA form:\n%s", f)
+	}
+	if after := f.String(); after != before {
+		t.Errorf("rejected Build changed the function:\n--- before\n%s\n--- after\n%s", before, after)
+	}
+
+	// A memphi alone is enough to reject.
+	for _, b := range f.Blocks {
+		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+			if in.Op == ir.OpPhi {
+				b.Remove(in)
+			}
+		}
+	}
+	dom := cfg.BuildDomTree(f)
+	if err := BuildWith(f, dom, cfg.BuildDomFrontiers(dom)); err == nil {
+		t.Fatal("BuildWith accepted a function with a memphi")
+	}
+}

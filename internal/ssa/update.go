@@ -41,8 +41,43 @@ import (
 // versions of the updated base.
 //
 // It returns the memphi instructions it inserted and left alive, in
-// the order phi placement visited their blocks.
+// the order phi placement visited their blocks. A caller that updates
+// one function many times should keep an Updater instead.
 func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
+	return new(Updater).Update(f, dom, df, oldRes, cloned)
+}
+
+// Updater runs UpdateForClonedResources and keeps the update's dense
+// per-version state, indexed by ResourceID, between calls on the same
+// function, so a caller that updates many bases of one function
+// allocates it once. Each call clears only the entries it set; handing
+// the Updater a different function drops the state. The zero Updater
+// is ready to use. An Updater is not safe for concurrent use.
+type Updater struct {
+	f    *ir.Function
+	dom  *cfg.DomTree
+	base ir.ResourceID
+
+	old      []bool      // versions whose uses are renamed
+	all      []bool      // old, cloned and live inserted versions
+	newPhi   []bool      // targets of the phis step 1 inserted
+	livePhi  []bool      // inserted phis a renamed use or a live phi reaches
+	defInstr []*ir.Instr // defining instruction of each tracked version
+	basePhi  []*ir.Instr // memphi defining each version of the base
+	liveRes  []bool      // versions of the base step 4 marks live
+
+	// touched lists every version whose entry a slice above was set
+	// for; the end of a call clears those entries.
+	touched []ir.ResourceID
+
+	defBlocks []*ir.Block
+	placed    []*ir.Instr // inserted phis in IDF order
+	work      []*ir.Instr
+	resWork   []ir.ResourceID
+}
+
+// Update is UpdateForClonedResources on u's reusable state.
+func (u *Updater) Update(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
 	if len(oldRes) == 0 {
 		return nil, fmt.Errorf("ssa: update with empty oldRes set")
 	}
@@ -55,20 +90,23 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			}
 		}
 	}
+	if u.f != f {
+		*u = Updater{f: f}
+	}
+	u.dom, u.base = dom, base
+	defer u.reset()
 
-	u := &updater{f: f, dom: dom, base: base}
 	u.grow()
 	for _, r := range oldRes {
+		u.track(r)
 		u.old[r] = true
-		u.all[r] = true
 	}
 	for _, r := range cloned {
-		u.all[r] = true
+		u.track(r)
 	}
 
 	// Step 1: batch phi placement at the IDF of every definition block.
 	// The same scan indexes each tracked version's defining instruction.
-	var defBlocks []*ir.Block
 	for _, b := range f.Blocks {
 		seen := false
 		for _, in := range b.Instrs {
@@ -77,16 +115,13 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 					u.defInstr[d.Res] = in
 					if !seen {
 						seen = true
-						defBlocks = append(defBlocks, b)
+						u.defBlocks = append(u.defBlocks, b)
 					}
 				}
 			}
 		}
 	}
-	// placed lists the inserted phis in IDF order, which fixes the
-	// order of the returned slice.
-	var placed []*ir.Instr
-	for _, jb := range cfg.IteratedDF(df, defBlocks) {
+	for _, jb := range cfg.IteratedDF(df, u.defBlocks) {
 		if dom.RPOIndex(jb) < 0 {
 			continue
 		}
@@ -98,68 +133,71 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 			phi.MemUses[i] = ir.MemRef{Res: base} // placeholder until filled
 		}
 		jb.InsertPhi(phi)
-		placed = append(placed, phi)
+		u.placed = append(u.placed, phi)
 		u.grow()
-		u.all[target.ID] = true
+		u.track(target.ID)
 		u.newPhi[target.ID] = true
 		u.defInstr[target.ID] = phi
 	}
 
-	// Step 2: rename uses of old resources to their reaching defs. A new
-	// phi becomes live (livePhi, indexed by its target) when a renamed
-	// use or a live phi's operand reaches it.
-	livePhi := make([]bool, len(u.all))
-	var work []*ir.Instr
-	enqueue := func(def ir.ResourceID) {
-		if u.newPhi[def] && !livePhi[def] {
-			livePhi[def] = true
-			work = append(work, u.defInstr[def])
-		}
-	}
+	// Step 2, in one scan with step 4's roots: rename uses of old
+	// resources to their reaching defs, and note every memphi of the
+	// base and every base version a non-phi instruction uses. A new phi
+	// becomes live when a renamed use or a live phi's operand reaches
+	// it. Step 3 changes only new phis' operands and the phi removal
+	// below only new phis, so the roots noted here are the ones a scan
+	// after them would find.
+	res := f.Resources
 	for _, b := range f.Blocks {
-		if dom.RPOIndex(b) < 0 {
-			continue
-		}
+		reachable := dom.RPOIndex(b) >= 0
 		for idx, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi && u.newPhi[in.MemDefs[0].Res] {
-				continue // operands are filled in step 3
+			if in.Op == ir.OpMemPhi {
+				r := in.MemDefs[0].Res
+				if res[r].Orig == base {
+					u.basePhi[r] = in
+					u.touched = append(u.touched, r)
+				}
+				if !reachable || u.newPhi[r] {
+					continue // new phis' operands are filled in step 3
+				}
+				for i := range in.MemUses {
+					if u.old[in.MemUses[i].Res] {
+						pred := b.Preds[i]
+						u.rename(&in.MemUses[i], u.reachingDef(pred, len(pred.Instrs)))
+					}
+				}
+				continue
 			}
 			for i := range in.MemUses {
-				if !u.old[in.MemUses[i].Res] {
-					continue
+				use := &in.MemUses[i]
+				if reachable && u.old[use.Res] {
+					u.rename(use, u.reachingDef(b, idx))
 				}
-				var rdef ir.ResourceID
-				if in.Op == ir.OpMemPhi {
-					pred := b.Preds[i]
-					rdef = u.reachingDef(pred, len(pred.Instrs))
-				} else {
-					rdef = u.reachingDef(b, idx)
+				if res[use.Res].Orig == base {
+					u.markRes(use.Res)
 				}
-				if rdef != in.MemUses[i].Res {
-					in.MemUses[i].Res = rdef
-				}
-				enqueue(rdef)
 			}
 		}
 	}
 
 	// Step 3: fill the operands of live new phis, propagating liveness.
-	for len(work) > 0 {
-		phi := work[len(work)-1]
-		work = work[:len(work)-1]
+	for len(u.work) > 0 {
+		phi := u.work[len(u.work)-1]
+		u.work = u.work[:len(u.work)-1]
 		b := phi.Parent
 		for pi, pred := range b.Preds {
 			rdef := u.reachingDefExcluding(pred, len(pred.Instrs), phi)
 			phi.MemUses[pi].Res = rdef
-			enqueue(rdef)
+			u.enqueue(rdef)
 		}
 	}
 
-	// Unreached new phis are dead; remove them before counting uses so
-	// their placeholder operands do not hold other defs alive.
-	for _, phi := range placed {
-		if r := phi.MemDefs[0].Res; !livePhi[r] {
+	// Unreached new phis are dead; remove them before the mark so their
+	// placeholder operands do not hold other defs alive.
+	for _, phi := range u.placed {
+		if r := phi.MemDefs[0].Res; !u.livePhi[r] {
 			u.all[r] = false
+			u.basePhi[r] = nil
 			phi.Parent.Remove(phi)
 		}
 	}
@@ -168,48 +206,23 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	// retire cycles of mutually-referencing dead phis (a loop header phi
 	// and a join phi feeding each other), so liveness is computed by
 	// mark and sweep: a version is live when a non-phi instruction uses
-	// it, or when a memphi whose own target is live uses it. The sweep
+	// it, or when a memphi whose own target is live uses it. The mark
 	// must see every memphi of the base — phis outside the updated
 	// family (for example an enclosing loop's header phi) legitimately
 	// keep cloned definitions alive — but only versions of the base:
 	// memphis never mix bases, so another base's versions can neither
 	// keep this base's definitions alive nor be swept here.
-	res := f.Resources
-	basePhi := make([]*ir.Instr, len(res))
-	liveRes := make([]bool, len(res))
-	var resWork []ir.ResourceID
-	markRes := func(r ir.ResourceID) {
-		if !liveRes[r] {
-			liveRes[r] = true
-			resWork = append(resWork, r)
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi {
-				if r := in.MemDefs[0].Res; res[r].Orig == base {
-					basePhi[r] = in
-				}
-				continue
-			}
-			for _, use := range in.MemUses {
-				if res[use.Res].Orig == base {
-					markRes(use.Res)
-				}
-			}
-		}
-	}
-	for len(resWork) > 0 {
-		r := resWork[len(resWork)-1]
-		resWork = resWork[:len(resWork)-1]
-		if phi := basePhi[r]; phi != nil {
+	for len(u.resWork) > 0 {
+		r := u.resWork[len(u.resWork)-1]
+		u.resWork = u.resWork[:len(u.resWork)-1]
+		if phi := u.basePhi[r]; phi != nil {
 			for _, use := range phi.MemUses {
-				markRes(use.Res)
+				u.markRes(use.Res)
 			}
 		}
 	}
-	for r, tracked := range u.all {
-		if !tracked || liveRes[r] {
+	for _, r := range u.touched {
+		if !u.all[r] || u.liveRes[r] {
 			continue
 		}
 		in := u.defInstr[r]
@@ -222,7 +235,7 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 		}
 	}
 	var alive []*ir.Instr
-	for _, phi := range placed {
+	for _, phi := range u.placed {
 		if phi.Parent != nil {
 			alive = append(alive, phi)
 		}
@@ -230,30 +243,71 @@ func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFronti
 	return alive, nil
 }
 
-// updater holds the update's dense per-version state, indexed by
-// ResourceID.
-type updater struct {
-	f    *ir.Function
-	dom  *cfg.DomTree
-	base ir.ResourceID
-
-	old      []bool // versions whose uses are renamed
-	all      []bool // old, cloned and live inserted versions
-	newPhi   []bool // targets of the phis step 1 inserted
-	defInstr []*ir.Instr
-}
-
 // grow extends the per-version slices to cover every resource of the
 // function; phi placement appends a version per inserted phi.
-func (u *updater) grow() {
-	n := len(u.f.Resources) - len(u.all)
-	if n <= 0 {
-		return
+func (u *Updater) grow() {
+	n := len(u.f.Resources)
+	u.old = growTo(u.old, n)
+	u.all = growTo(u.all, n)
+	u.newPhi = growTo(u.newPhi, n)
+	u.livePhi = growTo(u.livePhi, n)
+	u.defInstr = growTo(u.defInstr, n)
+	u.basePhi = growTo(u.basePhi, n)
+	u.liveRes = growTo(u.liveRes, n)
+}
+
+// growTo returns s extended with zero values to length n. Entries past
+// len(s) are zero: an Updater only grows its slices within a function
+// and clears every entry it sets.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
 	}
-	u.old = append(u.old, make([]bool, n)...)
-	u.all = append(u.all, make([]bool, n)...)
-	u.newPhi = append(u.newPhi, make([]bool, n)...)
-	u.defInstr = append(u.defInstr, make([]*ir.Instr, n)...)
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// track adds r to the versions the update follows.
+func (u *Updater) track(r ir.ResourceID) {
+	if !u.all[r] {
+		u.all[r] = true
+		u.touched = append(u.touched, r)
+	}
+}
+
+// rename points use at rdef and makes rdef's phi live if it is new.
+func (u *Updater) rename(use *ir.MemRef, rdef ir.ResourceID) {
+	use.Res = rdef
+	u.enqueue(rdef)
+}
+
+// enqueue makes the new phi defining def live, queueing it for step 3.
+func (u *Updater) enqueue(def ir.ResourceID) {
+	if u.newPhi[def] && !u.livePhi[def] {
+		u.livePhi[def] = true
+		u.work = append(u.work, u.defInstr[def])
+	}
+}
+
+// markRes marks the base version r live, queueing it for step 4.
+func (u *Updater) markRes(r ir.ResourceID) {
+	if !u.liveRes[r] {
+		u.liveRes[r] = true
+		u.touched = append(u.touched, r)
+		u.resWork = append(u.resWork, r)
+	}
+}
+
+// reset clears the entries the call set, leaving every slice all zero
+// for the next call; steps 3 and 4 leave the work lists empty.
+func (u *Updater) reset() {
+	for _, r := range u.touched {
+		u.old[r], u.all[r], u.newPhi[r], u.livePhi[r], u.liveRes[r] = false, false, false, false, false
+		u.defInstr[r], u.basePhi[r] = nil, nil
+	}
+	u.touched, u.defBlocks, u.placed = u.touched[:0], u.defBlocks[:0], u.placed[:0]
 }
 
 // reachingDef is the paper's computeReachingDef: the nearest definition
@@ -261,7 +315,7 @@ func (u *updater) grow() {
 // found by scanning backward in the block and then walking the dominator
 // tree toward the root. If no definition reaches, the base's live-in
 // version 0 is returned.
-func (u *updater) reachingDef(blk *ir.Block, idx int) ir.ResourceID {
+func (u *Updater) reachingDef(blk *ir.Block, idx int) ir.ResourceID {
 	return u.reachingDefExcluding(blk, idx, nil)
 }
 
@@ -269,7 +323,7 @@ func (u *updater) reachingDef(blk *ir.Block, idx int) ir.ResourceID {
 // skip. Filling a phi's operand from a predecessor must not see the
 // phi itself (possible when the predecessor is the phi's own block in a
 // self-loop).
-func (u *updater) reachingDefExcluding(blk *ir.Block, idx int, skip *ir.Instr) ir.ResourceID {
+func (u *Updater) reachingDefExcluding(blk *ir.Block, idx int, skip *ir.Instr) ir.ResourceID {
 	for b := blk; ; {
 		instrs := b.Instrs
 		limit := len(instrs)
