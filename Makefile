@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
+.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke golden bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
 
 build:
 	$(GO) build ./...
@@ -79,10 +79,18 @@ bench:
 # the point is that the benchmarks keep working). The interp benchmarks
 # cover the bytecode engine and the reference interpreter; the core
 # benchmark covers whole-function promotion; the opt benchmark covers
-# the post-promotion cleanup; the source and pipeline benchmarks cover
-# the frontend and whole promote-only pipeline runs.
+# the post-promotion cleanup; the source benchmark covers the frontend;
+# the pipeline benchmarks cover whole promote-only runs and whole
+# default runs with measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/cfg/ ./internal/ssa/ ./internal/core/ ./internal/interp/ ./internal/source/ ./internal/pipeline/ ./internal/opt/
+
+# Rewrite the output-identity golden file
+# (internal/pipeline/testdata/identity.golden) from the current
+# pipeline. Only a change meant to alter the report or the promoted IR
+# runs this; its change log names the pairs that moved.
+golden:
+	$(GO) test -count=1 -run '^TestOutputIdentity$$' ./internal/pipeline -update
 
 # Pressure benchmark: the Table-3-style register-pressure record —
 # baseline vs uncapped vs capped colors per routine, with the emitted

@@ -46,3 +46,19 @@ func BenchmarkRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunMeasured measures the default pipeline (training run,
+// measurement runs, one worker) over the suite and the imported suite;
+// one iteration compiles and measures every program once.
+func BenchmarkRunMeasured(b *testing.B) {
+	suite := append(workload.Suite(), workload.ImportedSuite()...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range suite {
+			if _, err := pipeline.Run(w.Src, pipeline.Options{Lang: w.Lang, Workers: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

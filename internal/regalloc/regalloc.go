@@ -18,16 +18,17 @@ type Result struct {
 	// Colors is the number of colors the greedy simplify/select
 	// coloring needed — the paper's register pressure measure.
 	Colors int
-	// Nodes counts registers that are live somewhere (isolated dead
-	// registers are excluded).
+	// Nodes counts the interference graph's nodes: every register the
+	// function defines or uses, plus its parameters. A register whose
+	// only appearance is a dead definition is a node too, with no edges.
 	Nodes int
 	// Edges counts interference edges.
 	Edges int
 	// MaxLive is the largest number of registers simultaneously live at
 	// any program point, a lower bound on Colors.
 	MaxLive int
-	// Assignment maps each register to its color, or -1 for registers
-	// that never interfere (and never live).
+	// Assignment maps each node to its color, and every other register
+	// (one the function neither defines nor uses) to -1.
 	Assignment []int
 }
 
@@ -59,14 +60,14 @@ func Allocate(f *ir.Function) *Result {
 		adj[a][b] = true
 		adj[b][a] = true
 	}
-	everLive := make([]bool, n)
+	isNode := make([]bool, n)
 	for _, b := range f.Blocks {
 		live := make(map[ir.RegID]bool)
 		info.LiveOut[b.ID].ForEach(func(r int) { live[ir.RegID(r)] = true })
 		for k := len(b.Instrs) - 1; k >= 0; k-- {
 			instr := b.Instrs[k]
 			if instr.HasDst() {
-				everLive[instr.Dst] = true
+				isNode[instr.Dst] = true
 				copySrc := ir.NoReg
 				if instr.Op == ir.OpCopy && !instr.Args[0].IsConst() {
 					copySrc = instr.Args[0].Reg()
@@ -82,7 +83,7 @@ func Allocate(f *ir.Function) *Result {
 				for _, a := range instr.Args {
 					if !a.IsConst() {
 						live[a.Reg()] = true
-						everLive[a.Reg()] = true
+						isNode[a.Reg()] = true
 					}
 				}
 			}
@@ -93,7 +94,7 @@ func Allocate(f *ir.Function) *Result {
 	// no definition above adds their edges: they interfere pairwise.
 	var entryLive []ir.RegID
 	info.LiveIn[f.Entry().ID].ForEach(func(r int) {
-		everLive[r] = true
+		isNode[r] = true
 		entryLive = append(entryLive, ir.RegID(r))
 	})
 	for i, a := range entryLive {
@@ -102,15 +103,15 @@ func Allocate(f *ir.Function) *Result {
 		}
 	}
 	for _, p := range f.Params {
-		everLive[p] = true
+		isNode[p] = true
 	}
 
-	return color(n, adj, everLive, info.MaxLive)
+	return color(n, adj, isNode, info.MaxLive)
 }
 
 // color runs smallest-last simplify ordering and greedy select,
 // returning the coloring statistics.
-func color(n int, adj []map[ir.RegID]bool, everLive []bool, maxLive int) *Result {
+func color(n int, adj []map[ir.RegID]bool, isNode []bool, maxLive int) *Result {
 	res := &Result{MaxLive: maxLive, Assignment: make([]int, n)}
 	for i := range res.Assignment {
 		res.Assignment[i] = -1
@@ -119,7 +120,7 @@ func color(n int, adj []map[ir.RegID]bool, everLive []bool, maxLive int) *Result
 	degree := make([]int, n)
 	var nodes []ir.RegID
 	for r := 0; r < n; r++ {
-		if everLive[r] {
+		if isNode[r] {
 			nodes = append(nodes, ir.RegID(r))
 			degree[r] = len(adj[r])
 			res.Edges += len(adj[r])

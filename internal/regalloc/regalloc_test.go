@@ -185,3 +185,30 @@ void main() { zebra(); apple(); }`, pipeline.Options{SkipMeasurement: true})
 		}
 	}
 }
+
+// TestDeadDefinitionIsANode pins what Nodes counts: every register the
+// function defines or uses, live or not. Medium corpus entry 38 of seed
+// 1 compiles helper2 unpromoted to a single dead `r0 = copy #26`: the
+// register is never live (MaxLive 0) but is still a node, and it takes
+// one color.
+func TestDeadDefinitionIsANode(t *testing.T) {
+	w := workload.CorpusEntry(1, 38)
+	out, err := pipeline.Run(w.Src, pipeline.Options{Algorithm: pipeline.AlgNone, SkipMeasurement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := out.Prog.Func("helper2")
+	if f == nil {
+		t.Fatalf("%s has no helper2", w.Name)
+	}
+	res := regalloc.Allocate(f)
+	if res.Nodes != 1 || res.Colors != 1 || res.MaxLive != 0 || res.Edges != 0 {
+		t.Fatalf("%s/helper2: nodes %d colors %d maxlive %d edges %d, want 1 1 0 0\n%s",
+			w.Name, res.Nodes, res.Colors, res.MaxLive, res.Edges, f)
+	}
+	for r, c := range res.Assignment {
+		if c != 0 {
+			t.Errorf("register r%d has color %d, want 0", r, c)
+		}
+	}
+}
