@@ -96,8 +96,9 @@ func TestPipelineBytecodeDifferential(t *testing.T) {
 // TestCompileOncePerFunctionVersion pins the compile sharing the
 // single engine relies on: with the run's analysis cache threaded
 // through as the code cache, every called baseline function compiles
-// exactly once across the training and measure-before runs, and every
-// called promoted function exactly once for measure-after.
+// exactly once for the training run, which is also the baseline
+// measurement, and every called promoted function exactly once for
+// measure-after.
 func TestCompileOncePerFunctionVersion(t *testing.T) {
 	for _, w := range workload.Suite() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -120,7 +121,7 @@ func TestCompileOncePerFunctionVersion(t *testing.T) {
 				}
 			}
 			// Every other cached function with compiled code belongs to the
-			// baseline program, which training and measure-before share.
+			// baseline program, which only the training run executes.
 			baseline := make(map[string]int)
 			for _, f := range cache.Functions() {
 				if n := len(cache.Builds(f)[analysis.KindCode]); !promoted[f] && n > 0 {
@@ -133,7 +134,7 @@ func TestCompileOncePerFunctionVersion(t *testing.T) {
 					want = 1
 				}
 				if baseline[f.Name] != want {
-					t.Errorf("baseline %s: %d code builds across train and measure-before, want %d",
+					t.Errorf("baseline %s: %d code builds for the training run, want %d",
 						f.Name, baseline[f.Name], want)
 				}
 			}

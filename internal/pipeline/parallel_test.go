@@ -114,17 +114,20 @@ func TestParallelFaultIsolation(t *testing.T) {
 // TestParallelFaultSweepEveryStage drives a fault through every stage
 // under the pool: Run must never panic and every fault must either
 // surface as a StageError or leave a degradation trace — the serial
-// sweep's contract, now with Workers=4.
+// sweep's contract, now with Workers=4. As there, measure-before runs
+// with the static profile, since the default training run doubles as
+// the baseline measurement.
 func TestParallelFaultSweepEveryStage(t *testing.T) {
 	for _, stage := range pipeline.Stages() {
 		for _, mode := range []faults.Mode{faults.ModeError, faults.ModePanic} {
 			t.Run(stage+"/"+mode.String(), func(t *testing.T) {
 				inj := faults.New(faults.Plan{Stage: stage, Mode: mode})
 				out, err := runNoPanic(t, multiFunc, pipeline.Options{
-					Workers:    4,
-					PreMemOpts: true,
-					Check:      pipeline.CheckParanoid,
-					Faults:     inj,
+					Workers:       4,
+					PreMemOpts:    true,
+					Check:         pipeline.CheckParanoid,
+					Faults:        inj,
+					StaticProfile: stage == pipeline.StageMeasureBefore,
 				})
 				if inj.Fired() == 0 {
 					t.Fatalf("stage %s was never reached: sites %v", stage, inj.Sites())

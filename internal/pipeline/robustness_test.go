@@ -51,9 +51,13 @@ func TestFaultInjectionEveryStage(t *testing.T) {
 					// Reach every stage: memopts needs PreMemOpts, the
 					// differential stage needs paranoid checking, and
 					// the measure stages need measurement enabled.
-					PreMemOpts: true,
-					Check:      pipeline.CheckParanoid,
-					Faults:     inj,
+					// measure-before also needs a profile that is not a
+					// training run of the same program, which would
+					// double as the baseline measurement.
+					PreMemOpts:    true,
+					Check:         pipeline.CheckParanoid,
+					Faults:        inj,
+					StaticProfile: stage == pipeline.StageMeasureBefore,
 				}
 				out, err := runNoPanic(t, multiFunc, opts)
 				if inj.Fired() == 0 {
