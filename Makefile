@@ -87,8 +87,10 @@ bench-smoke:
 
 # Rewrite the output-identity golden file
 # (internal/pipeline/testdata/identity.golden) from the current
-# pipeline. Only a change meant to alter the report or the promoted IR
-# runs this; its change log names the pairs that moved.
+# pipeline: per pair, the exact digest and the digest with registers
+# renumbered per function by first appearance. Only a change meant to
+# alter the report or the promoted IR runs this; its change log names
+# the pairs that moved.
 golden:
 	$(GO) test -count=1 -run '^TestOutputIdentity$$' ./internal/pipeline -update
 
