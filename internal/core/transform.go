@@ -74,7 +74,7 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 		return reg, nil
 	}
 	f := t.p.f
-	memPhi := t.plan.definedByPhi[memRes]
+	memPhi := t.p.definedByPhi(memRes)
 	if memPhi == nil {
 		return ir.NoReg, fmt.Errorf("core: materialize %s: not in vrMap and not phi-defined", f.Res(memRes))
 	}
@@ -110,7 +110,7 @@ func (t *transformer) materializeStoreValue(memRes ir.ResourceID) (ir.RegID, err
 func (t *transformer) replaceLoadsByCopies() {
 	for _, ld := range t.w.loads {
 		x := ld.MemUses[0].Res
-		if !t.plan.definedByStore[x] && t.plan.definedByPhi[x] == nil {
+		if !t.p.definedByStore(x) && t.p.definedByPhi(x) == nil {
 			continue // live-in or aliased-def value: must stay a load
 		}
 		reg, err := t.materializeStoreValue(x)

@@ -35,9 +35,10 @@ type web struct {
 	aliasedDefs  []memRefSite // aliased defs: calls, pointer stores
 	memPhis      []*ir.Instr  // memphi instructions of the web
 
-	// defsInInterval lists web resources defined inside the interval
-	// (by any kind of definition).
-	defsInInterval map[ir.ResourceID]*ir.Instr
+	// numDefs counts the web versions defined inside the interval (by
+	// any kind of definition); the promoter's defIn index holds their
+	// defining instructions.
+	numDefs int
 
 	// usedOutside, indexed by ResourceID and shared by every web of the
 	// interval, marks the versions with a use outside the interval. One
@@ -51,26 +52,26 @@ type web struct {
 // constructSSAWebs partitions the promotable resource versions
 // referenced in the interval into webs: the union-find pass of the
 // paper's Figure 3, seeded with every referenced resource and unioned
-// across each memphi's target and operands. The union-find and the
-// web lookup are dense slices indexed by ResourceID that the promoter
-// keeps for the whole function: each call first clears the entries the
-// previous call seeded, then grows them over the versions promotion
-// appended since.
+// across each memphi's target and operands. The union-find, the web
+// lookup and the definition index are dense slices indexed by
+// ResourceID that the promoter keeps for the whole function: each call
+// first clears the entries the previous call seeded, then grows them
+// over the versions promotion appended since.
 func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 	for _, r := range p.seeded {
 		p.parent[r] = ir.NoResource
 		p.webOf[r] = nil
 		p.usedOutside[r] = false
+		p.defIn[r] = nil
 	}
 	p.seeded = p.seeded[:0]
 	n := len(p.f.Resources)
 	for len(p.parent) < n {
 		p.parent = append(p.parent, ir.NoResource)
 	}
-	if k := n - len(p.webOf); k > 0 {
-		p.webOf = append(p.webOf, make([]*web, k)...)
-		p.usedOutside = append(p.usedOutside, make([]bool, k)...)
-	}
+	p.webOf = growTo(p.webOf, n)
+	p.usedOutside = growTo(p.usedOutside, n)
+	p.defIn = growTo(p.defIn, n)
 	parent, webOf, usedOutside := p.parent, p.webOf, p.usedOutside
 
 	find := func(r ir.ResourceID) ir.ResourceID {
@@ -152,9 +153,8 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		w := webOf[root]
 		if w == nil {
 			w = &web{
-				base:           p.f.BaseOf(r).ID,
-				defsInInterval: make(map[ir.ResourceID]*ir.Instr),
-				usedOutside:    usedOutside,
+				base:        p.f.BaseOf(r).ID,
+				usedOutside: usedOutside,
 			}
 			webOf[root] = w
 			webs = append(webs, w)
@@ -173,7 +173,8 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 					continue
 				}
 				w := webOf[r]
-				w.defsInInterval[r] = in
+				p.defIn[r] = in
+				w.numDefs++
 				switch {
 				case in.Op == ir.OpMemPhi:
 					w.memPhis = append(w.memPhis, in)
@@ -209,11 +210,6 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 type webPlan struct {
 	liveIn ir.ResourceID // version valid on interval entry (NoResource if none)
 
-	// definedByStore and definedByPhi index the web's versions defined
-	// by its stores and by its memphis; the transformer reuses them.
-	definedByStore map[ir.ResourceID]bool
-	definedByPhi   map[ir.ResourceID]*ir.Instr
-
 	// loadsAdded maps each insertion point to the resource to load
 	// before it (the paper's loads-added pairs (x, i)).
 	loadsAdded []plannedRef
@@ -246,85 +242,89 @@ func (pl *webPlan) profit() float64 {
 	return pl.loadProfit
 }
 
-// planWeb computes the analysis of section 4.3 for one web.
+// definedByStore reports whether the version r is defined inside the
+// current interval by a singleton store of its web.
+func (p *promoter) definedByStore(r ir.ResourceID) bool {
+	in := p.def(r)
+	return in != nil && in.Op == ir.OpStore
+}
+
+// definedByPhi returns the memphi defining the version r inside the
+// current interval, or nil.
+func (p *promoter) definedByPhi(r ir.ResourceID) *ir.Instr {
+	if in := p.def(r); in != nil && in.Op == ir.OpMemPhi {
+		return in
+	}
+	return nil
+}
+
+// def returns the instruction defining the web version r inside the
+// current interval, or nil. Versions appended after the interval's
+// webs were built are defined by promotion, never by a web.
+func (p *promoter) def(r ir.ResourceID) *ir.Instr {
+	if int(r) < len(p.defIn) {
+		return p.defIn[r]
+	}
+	return nil
+}
+
+// planWeb computes the analysis of section 4.3 for one web. Its
+// per-version marks are dense slices in the promoter, cleared through
+// planTouched before it returns.
 func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
-	definedByStore := make(map[ir.ResourceID]bool, len(w.stores))
-	for _, st := range w.stores {
-		definedByStore[st.MemDefs[0].Res] = true
-	}
-	definedByPhi := make(map[ir.ResourceID]*ir.Instr, len(w.memPhis))
-	for _, phi := range w.memPhis {
-		definedByPhi[phi.MemDefs[0].Res] = phi
-	}
-	pl := &webPlan{
-		liveIn:         findLiveIn(w),
-		definedByStore: definedByStore,
-		definedByPhi:   definedByPhi,
-	}
+	n := len(p.f.Resources)
+	p.depends = growTo(p.depends, n)
+	p.loadSeen = growTo(p.loadSeen, n)
+	p.storeSeen = growTo(p.storeSeen, n)
+	defer p.clearPlanScratch()
+	pl := &webPlan{liveIn: p.findLiveIn(w)}
 
 	// loads-added: for each phi operand x:L that is a leaf (not defined
 	// by a web phi) and not defined by a web store, a load of x at the
 	// end of block L.
-	seenLoad := make(map[plannedRef]bool)
 	for _, phi := range w.memPhis {
 		blk := phi.Parent
 		for i, u := range phi.MemUses {
 			x := u.Res
-			if definedByPhi[x] != nil || definedByStore[x] {
+			if p.definedByPhi(x) != nil || p.definedByStore(x) {
 				continue
 			}
-			at := blk.Preds[i].Term()
-			ref := plannedRef{res: x, at: at}
-			if !seenLoad[ref] {
-				seenLoad[ref] = true
-				pl.loadsAdded = append(pl.loadsAdded, ref)
-			}
+			pl.loadsAdded = p.addPlanned(pl.loadsAdded, p.loadSeen, plannedRef{res: x, at: blk.Preds[i].Term()})
 		}
 	}
 
 	// stores-added. First find every web resource an aliased load
 	// depends on, transitively through phis.
-	depends := make(map[ir.ResourceID]bool)
-	var mark func(r ir.ResourceID)
-	mark = func(r ir.ResourceID) {
-		if depends[r] {
-			return
-		}
-		depends[r] = true
-		if phi := definedByPhi[r]; phi != nil {
-			for _, u := range phi.MemUses {
-				mark(u.Res)
-			}
-		}
-	}
 	for _, al := range w.aliasedLoads {
-		mark(al.res())
+		p.markDepends(al.res())
 	}
-	seenStore := make(map[plannedRef]bool)
-	addStore := func(ref plannedRef) {
-		if !seenStore[ref] {
-			seenStore[ref] = true
-			pl.storesAdded = append(pl.storesAdded, ref)
+	for len(p.markWork) > 0 {
+		r := p.markWork[len(p.markWork)-1]
+		p.markWork = p.markWork[:len(p.markWork)-1]
+		if phi := p.definedByPhi(r); phi != nil {
+			for _, u := range phi.MemUses {
+				p.markDepends(u.Res)
+			}
 		}
 	}
 	// Case 1: store-defined phi operands x:L on paths feeding an
 	// aliased load get a store at the end of L.
 	for _, phi := range w.memPhis {
-		if !depends[phi.MemDefs[0].Res] {
+		if !p.depends[phi.MemDefs[0].Res] {
 			continue
 		}
 		blk := phi.Parent
 		for i, u := range phi.MemUses {
-			if definedByStore[u.Res] {
-				addStore(plannedRef{res: u.Res, at: blk.Preds[i].Term()})
+			if p.definedByStore(u.Res) {
+				pl.storesAdded = p.addPlanned(pl.storesAdded, p.storeSeen, plannedRef{res: u.Res, at: blk.Preds[i].Term()})
 			}
 		}
 	}
 	// Case 2: an aliased load directly using a store-defined resource
 	// gets a store immediately before it.
 	for _, al := range w.aliasedLoads {
-		if definedByStore[al.res()] {
-			addStore(plannedRef{res: al.res(), at: al.in})
+		if p.definedByStore(al.res()) {
+			pl.storesAdded = p.addPlanned(pl.storesAdded, p.storeSeen, plannedRef{res: al.res(), at: al.in})
 		}
 	}
 	pl.storesAdded = p.pruneDominatedStores(pl.storesAdded)
@@ -334,7 +334,7 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	// uses outside the interval.
 	for _, e := range iv.ExitEdges {
 		r := p.reachingWebDefAt(w, e.From)
-		if r == ir.NoResource || !pl.liveOut(w, r) {
+		if r == ir.NoResource || !p.liveOut(w, r) {
 			continue
 		}
 		pl.tailStores = append(pl.tailStores, tailStore{res: r, tail: e.Tail})
@@ -344,11 +344,11 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	// is defined by a web phi or store.
 	for _, ld := range w.loads {
 		x := ld.MemUses[0].Res
-		if definedByPhi[x] != nil || definedByStore[x] {
+		if p.definedByPhi(x) != nil || p.definedByStore(x) {
 			pl.loadProfit += p.freq(ld.Parent)
 		}
 	}
-	if len(w.defsInInterval) == 0 {
+	if w.numDefs == 0 {
 		// Whole-web load promotion: all loads become copies at the cost
 		// of one preheader load.
 		pl.loadProfit = 0
@@ -375,6 +375,39 @@ func (p *promoter) planWeb(iv *cfg.Interval, w *web) *webPlan {
 	}
 	pl.removeStores = len(w.stores) > 0 && pl.storeProfit >= 0
 	return pl
+}
+
+// addPlanned appends ref to refs unless refs already holds it. seen,
+// indexed by ResourceID, marks the versions refs holds any pair for, so
+// only a repeated version pays for the scan.
+func (p *promoter) addPlanned(refs []plannedRef, seen []bool, ref plannedRef) []plannedRef {
+	if seen[ref.res] {
+		if slices.Contains(refs, ref) {
+			return refs
+		}
+	} else {
+		seen[ref.res] = true
+		p.planTouched = append(p.planTouched, ref.res)
+	}
+	return append(refs, ref)
+}
+
+// markDepends marks r as a version an aliased load depends on, queueing
+// it so the phi defining it marks its operands too.
+func (p *promoter) markDepends(r ir.ResourceID) {
+	if !p.depends[r] {
+		p.depends[r] = true
+		p.planTouched = append(p.planTouched, r)
+		p.markWork = append(p.markWork, r)
+	}
+}
+
+// clearPlanScratch clears the marks planWeb set.
+func (p *promoter) clearPlanScratch() {
+	for _, r := range p.planTouched {
+		p.depends[r], p.loadSeen[r], p.storeSeen[r] = false, false, false
+	}
+	p.planTouched = p.planTouched[:0]
 }
 
 // pruneDominatedStores drops (x, j) when (x, i) exists and i dominates
@@ -419,9 +452,9 @@ func (p *promoter) pruneDominatedStores(refs []plannedRef) []plannedRef {
 // findLiveIn returns the web's unique live-in resource: the version used
 // inside the interval but defined outside it (or never defined, i.e.
 // version 0). NoResource if the web has none.
-func findLiveIn(w *web) ir.ResourceID {
+func (p *promoter) findLiveIn(w *web) ir.ResourceID {
 	for _, r := range w.resources {
-		if _, definedInside := w.defsInInterval[r]; !definedInside {
+		if p.def(r) == nil {
 			return r
 		}
 	}
@@ -431,8 +464,8 @@ func findLiveIn(w *web) ir.ResourceID {
 // liveOut reports whether the web version r is live out of the
 // interval: defined inside it by one of the web's stores or phis, and
 // used outside it.
-func (pl *webPlan) liveOut(w *web, r ir.ResourceID) bool {
-	return w.usedOutside[r] && (pl.definedByStore[r] || pl.definedByPhi[r] != nil)
+func (p *promoter) liveOut(w *web, r ir.ResourceID) bool {
+	return w.usedOutside[r] && (p.definedByStore(r) || p.definedByPhi(r) != nil)
 }
 
 // reachingWebDefAt finds the web version of the base live at the end of
@@ -445,7 +478,7 @@ func (p *promoter) reachingWebDefAt(w *web, blk *ir.Block) ir.ResourceID {
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			for _, d := range b.Instrs[i].MemDefs {
 				if p.f.BaseOf(d.Res).ID == w.base {
-					if w.defsInInterval[d.Res] != nil {
+					if p.def(d.Res) != nil && p.webOf[d.Res] == w {
 						return d.Res
 					}
 					return ir.NoResource

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/alias"
@@ -222,7 +223,7 @@ void main() {
 	res := p.f.Res(plan.liveIn)
 	// The live-in is the version the pre-loop store defined — defined
 	// outside the loop, used inside via the header phi.
-	if def := webs[0].defsInInterval[plan.liveIn]; def != nil {
+	if def := p.def(plan.liveIn); def != nil {
 		t.Errorf("live-in %s is defined inside the interval", res)
 	}
 }
@@ -390,7 +391,7 @@ func TestUsedOutsideIndexMatchesRescan(t *testing.T) {
 					want := rescanLiveOut(f, iv, w)
 					liveOuts += len(want)
 					for _, r := range w.resources {
-						if got := plans[i].liveOut(w, r); got != want[r] {
+						if got := p.liveOut(w, r); got != want[r] {
 							t.Errorf("%s/%s: %s live-out: index %v, rescan %v", name, f.Name, f.Res(r), got, want[r])
 						}
 					}
@@ -413,4 +414,129 @@ func TestUsedOutsideIndexMatchesRescan(t *testing.T) {
 		t.Fatalf("vacuous: %d webs checked, %d live-out versions", checked, liveOuts)
 	}
 	t.Logf("%d webs checked, %d live-out versions", checked, liveOuts)
+}
+
+// TestPromoterReuseMatchesFresh promotes every interval of a function
+// with one promoter, whose dense web and plan indexes carry over from
+// interval to interval, and checks each interval against a fresh
+// promoter on an identical compile: the webs, the plans and the
+// promoted code must match, and planWeb must leave its marks cleared.
+func TestPromoterReuseMatchesFresh(t *testing.T) {
+	srcs := map[string]string{}
+	for _, w := range workload.Suite() {
+		srcs[w.Name] = w.Src
+	}
+	for i, w := range workload.Corpus(1, 8) {
+		srcs[fmt.Sprintf("gen-%d", i)] = w.Src
+	}
+	build := func(name, src string) []*ir.Function {
+		prog, err := source.Compile(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := alias.Analyze(prog); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return prog.Funcs
+	}
+	prepare := func(f *ir.Function) (*promoter, []*cfg.Interval) {
+		forest, err := cfg.Normalize(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		prof := profile.Estimate(f, forest)
+		if _, err := ssa.Build(f); err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		p := &promoter{f: f, forest: forest, config: Config{Profile: prof, CountTailStores: true}, stats: &Stats{}}
+		p.dom = cfg.BuildDomTree(f)
+		p.df = cfg.BuildDomFrontiers(p.dom)
+		var ivs []*cfg.Interval
+		forest.Root.Walk(func(iv *cfg.Interval) {
+			if !iv.Root {
+				ivs = append(ivs, iv)
+			}
+		})
+		return p, ivs
+	}
+	intervals, webs := 0, 0
+	for name, src := range srcs {
+		reused, fresh := build(name, src), build(name, src)
+		for fi, fa := range reused {
+			fb := fresh[fi]
+			pa, ivsA := prepare(fa)
+			_, ivsB := prepare(fb)
+			for k, ivA := range ivsA {
+				ivB := ivsB[k]
+				// Profiles are indexed by block ID, which the compiles share.
+				pb := &promoter{f: fb, config: pa.config, stats: &Stats{}}
+				pb.dom = cfg.BuildDomTree(fb)
+				pb.df = cfg.BuildDomFrontiers(pb.dom)
+				websA, websB := pa.constructSSAWebs(ivA), pb.constructSSAWebs(ivB)
+				where := fmt.Sprintf("%s/%s interval %d", name, fa.Name, k)
+				if len(websA) != len(websB) {
+					t.Fatalf("%s: %d webs with a reused promoter, %d fresh", where, len(websA), len(websB))
+				}
+				for r := range fa.Resources {
+					da, db := pa.def(ir.ResourceID(r)), pb.def(ir.ResourceID(r))
+					if (da == nil) != (db == nil) || (da != nil && da.String() != db.String()) ||
+						(pa.webOf[r] == nil) != (pb.webOf[r] == nil) || pa.usedOutside[r] != pb.usedOutside[r] || pa.parent[r] != pb.parent[r] {
+						t.Fatalf("%s: the reused promoter's index of %s differs from a fresh one's", where, fa.Res(ir.ResourceID(r)))
+					}
+				}
+				plansA := make([]*webPlan, len(websA))
+				for i := range websA {
+					plansA[i] = pa.planWeb(ivA, websA[i])
+					planB := pb.planWeb(ivB, websB[i])
+					if a, b := describeWeb(pa, websA[i], plansA[i]), describeWeb(pb, websB[i], planB); a != b {
+						t.Fatalf("%s web %d:\nreused: %s\nfresh:  %s", where, i, a, b)
+					}
+					for r := range pa.depends {
+						if pa.depends[r] || pa.loadSeen[r] || pa.storeSeen[r] {
+							t.Fatalf("%s web %d: planWeb left a mark on %s", where, i, fa.Res(ir.ResourceID(r)))
+						}
+					}
+				}
+				for i := range websA {
+					if err := pa.promoteInWeb(ivA, websA[i], plansA[i]); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if err := pb.promoteInWeb(ivB, websB[i], pb.planWeb(ivB, websB[i])); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+				}
+				if fa.String() != fb.String() {
+					t.Fatalf("%s: promoted code differs between the reused and the fresh promoter", where)
+				}
+				intervals++
+				webs += len(websA)
+			}
+		}
+	}
+	if intervals < 50 || webs < 100 {
+		t.Fatalf("vacuous: %d intervals, %d webs", intervals, webs)
+	}
+	t.Logf("%d intervals, %d webs matched", intervals, webs)
+}
+
+// describeWeb renders a web and its plan by resource IDs and printed
+// instructions, which identical compiles share.
+func describeWeb(p *promoter, w *web, pl *webPlan) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "base %d versions %v defs %d loads %d stores %d aliased %d/%d phis %d liveIn %d",
+		w.base, w.resources, w.numDefs, len(w.loads), len(w.stores), len(w.aliasedLoads), len(w.aliasedDefs), len(w.memPhis), pl.liveIn)
+	for _, r := range w.resources {
+		fmt.Fprintf(&sb, " [%d def=%v store=%v phi=%v out=%v]", r, p.def(r), p.definedByStore(r), p.definedByPhi(r) != nil, p.liveOut(w, r))
+	}
+	for _, ref := range pl.loadsAdded {
+		fmt.Fprintf(&sb, " load %d@b%d:%s", ref.res, ref.at.Parent.ID, ref.at)
+	}
+	for _, ref := range pl.storesAdded {
+		fmt.Fprintf(&sb, " store %d@b%d:%s", ref.res, ref.at.Parent.ID, ref.at)
+	}
+	for _, ts := range pl.tailStores {
+		fmt.Fprintf(&sb, " tail %d@b%d", ts.res, ts.tail.ID)
+	}
+	fmt.Fprintf(&sb, " profit %v/%v remove %v", pl.loadProfit, pl.storeProfit, pl.removeStores)
+	return sb.String()
 }
