@@ -57,39 +57,55 @@ func BuildDomFrontiers(t *DomTree) DomFrontiers {
 }
 
 // IteratedDF returns the iterated dominance frontier of the given set of
-// definition blocks: the fixed point DF+(S) used for phi placement. The
-// worklist formulation processes every definition site in one pass, which
-// is the batch usage the paper's incremental SSA update calls for (one
-// IDF computation for all cloned definitions, standing in for the
-// Sreedhar–Gao linear-time placement it cites).
+// definition blocks: the fixed point DF+(S) used for phi placement. It
+// is IDF.Of on fresh scratch; a caller that places phis for many sets
+// keeps an IDF instead.
 func IteratedDF(df DomFrontiers, defs []*ir.Block) []*ir.Block {
+	return new(IDF).Of(df, defs)
+}
+
+// IDF computes iterated dominance frontiers on scratch it reuses from
+// call to call: two sparse block sets, the worklist and the result. The
+// zero IDF is ready to use. An IDF is not safe for concurrent use.
+type IDF struct {
+	inResult, queued *bitset.Sparse
+	work, result     []*ir.Block
+}
+
+// Of returns the iterated dominance frontier of defs under df. The
+// worklist formulation processes every definition site in one pass,
+// which is the batch usage the paper's incremental SSA update calls for
+// (one IDF computation for all cloned definitions, standing in for the
+// Sreedhar–Gao linear-time placement it cites). Blocks come out in the
+// order the worklist first reaches them, which sets the order phis are
+// inserted in. The result aliases the scratch: it is valid until the
+// next call.
+func (s *IDF) Of(df DomFrontiers, defs []*ir.Block) []*ir.Block {
 	if len(defs) == 0 {
 		return nil
 	}
-	bound := len(df.of)
-	inResult := bitset.NewDense(bound)
-	queued := bitset.NewDense(bound)
-	var result []*ir.Block
-	work := make([]*ir.Block, 0, len(defs))
+	if bound := len(df.of); s.queued == nil || s.queued.Cap() < bound {
+		s.inResult, s.queued = bitset.NewSparse(bound), bitset.NewSparse(bound)
+	}
+	s.inResult.Reset()
+	s.queued.Reset()
+	s.work, s.result = s.work[:0], s.result[:0]
 	for _, d := range defs {
-		if !queued.Has(int(d.ID)) {
-			queued.Set(int(d.ID))
-			work = append(work, d)
+		if s.queued.Add(int(d.ID)) {
+			s.work = append(s.work, d)
 		}
 	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
+	for len(s.work) > 0 {
+		b := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
 		for _, fb := range df.Of(b) {
-			if !inResult.Has(int(fb.ID)) {
-				inResult.Set(int(fb.ID))
-				result = append(result, fb)
-				if !queued.Has(int(fb.ID)) {
-					queued.Set(int(fb.ID))
-					work = append(work, fb)
+			if s.inResult.Add(int(fb.ID)) {
+				s.result = append(s.result, fb)
+				if s.queued.Add(int(fb.ID)) {
+					s.work = append(s.work, fb)
 				}
 			}
 		}
 	}
-	return result
+	return s.result
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/liveness"
+	"repro/internal/opt"
 	"repro/internal/source"
 	"repro/internal/ssa"
 	"repro/internal/workload"
@@ -87,23 +88,42 @@ func TestFigure1Golden(t *testing.T) {
 
 	main := fn(t, prog, "main")
 	info := liveness.Compute(main)
-	if info.MaxLive != 5 {
-		t.Errorf("main MaxLive = %d, want 5", info.MaxLive)
+	if info.MaxLive != 2 {
+		t.Errorf("main MaxLive = %d, want 2", info.MaxLive)
 	}
-	// Per-block pressure of the two loops: the hot x++ loop peaks at 5
-	// (i, x, both increments, and the loop-carried phi inputs), the
-	// call loop at 3 (the call kills everything but i's web).
-	wantBlock := map[ir.BlockID]int{0: 1, 1: 2, 2: 4, 3: 5, 4: 1, 5: 2, 6: 2, 7: 3, 8: 1}
+	// Per-block pressure of the two loops: x lives in memory, so each
+	// loop carries only its counter i, and a block peaks at 2 where a
+	// temporary (the loaded x, or the loop test) is live beside i.
+	wantBlock := map[ir.BlockID]int{0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 2, 6: 1, 7: 1, 8: 1}
 	for id, want := range wantBlock {
 		if got := info.BlockMaxLive[id]; got != want {
 			t.Errorf("main BlockMaxLive[%d] = %d, want %d", id, got, want)
 		}
 	}
+	requireNoDeadPressure(t, prog)
 }
 
-// TestFigure7Golden pins the liveness facts of the cold-call example:
-// the conditional call keeps both globals' webs live around the
-// branch diamond, so every diamond block carries the same 6 live webs.
+// requireNoDeadPressure checks that SSA construction leaves no dead
+// value live: every function's liveness equals its liveness after
+// opt.DCE. Phis for registers never live across a block boundary would
+// fail it, since their inputs count as live until the phi.
+func requireNoDeadPressure(t *testing.T, prog *ir.Program) {
+	t.Helper()
+	for _, f := range prog.Funcs {
+		got := liveness.Compute(f)
+		c := f.Clone()
+		opt.DCE(c)
+		want := liveness.Compute(c)
+		if got.MaxLive != want.MaxLive || !reflect.DeepEqual(got.BlockMaxLive, want.BlockMaxLive) {
+			t.Errorf("%s: liveness %d %v, after DCE %d %v", f.Name, got.MaxLive, got.BlockMaxLive, want.MaxLive, want.BlockMaxLive)
+		}
+	}
+}
+
+// TestFigure7Golden pins the liveness facts of the cold-call example.
+// Before promotion both globals live in memory, so the loop carries
+// only its counter i: the branch diamond around the cold call holds 1
+// live value, and the loop body peaks at 2 (i beside the loaded x).
 func TestFigure7Golden(t *testing.T) {
 	prog := buildSSA(t, figure7Src)
 
@@ -114,15 +134,16 @@ func TestFigure7Golden(t *testing.T) {
 
 	main := fn(t, prog, "main")
 	info := liveness.Compute(main)
-	if info.MaxLive != 7 {
-		t.Errorf("main MaxLive = %d, want 7", info.MaxLive)
+	if info.MaxLive != 2 {
+		t.Errorf("main MaxLive = %d, want 2", info.MaxLive)
 	}
-	wantBlock := map[ir.BlockID]int{0: 1, 1: 2, 2: 6, 3: 7, 4: 1, 5: 6, 6: 6, 7: 6}
+	wantBlock := map[ir.BlockID]int{0: 1, 1: 2, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}
 	for id, want := range wantBlock {
 		if got := info.BlockMaxLive[id]; got != want {
 			t.Errorf("main BlockMaxLive[%d] = %d, want %d", id, got, want)
 		}
 	}
+	requireNoDeadPressure(t, prog)
 }
 
 // referenceLiveness is a deliberately naive map-based fixpoint with the

@@ -12,6 +12,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -47,11 +48,16 @@ type builder struct {
 	f   *ir.Function
 	dom *cfg.DomTree
 	df  cfg.DomFrontiers
+	idf cfg.IDF
 
-	// regStacks[orig] is the renaming stack of the pre-SSA register
-	// orig; resStacks[base] is the version stack of base resource base.
-	regStacks [][]ir.RegID
-	resStacks [][]ir.ResourceID
+	// curReg[orig] is the current SSA name of the pre-SSA register orig
+	// (NoReg before its first definition on the dominator-tree path);
+	// curRes[base] is the current version of base resource base. undo
+	// logs every overwritten entry, so leaving a dominator subtree
+	// restores both slices to the subtree root's mark.
+	curReg []ir.RegID
+	curRes []ir.ResourceID
+	undo   []undoEntry
 
 	// numRegs is the register count before renaming: every register
 	// below it is a pre-SSA name, every one at or above it a renamed
@@ -60,49 +66,75 @@ type builder struct {
 	origOf  []ir.RegID
 }
 
+// undoEntry records the value a renaming step overwrote: curRes[idx]
+// when res is set, curReg[idx] otherwise.
+type undoEntry struct {
+	res  bool
+	idx  int32
+	prev int32
+}
+
+// defSite is one block defining a name, in the order the scan meets
+// them: the first definition of the name in the block.
+type defSite struct {
+	name int32
+	blk  *ir.Block
+}
+
 func (b *builder) run() error {
 	f := b.f
 
-	// Collect definition sites, densely indexed by register and resource
-	// number so the phi-placement loops below iterate in ID order with no
-	// map traffic (and no map iteration order anywhere near the output).
-	regDefs := make([][]*ir.Block, f.NumRegs)
-	resDefs := make([][]*ir.Block, len(f.Resources))
-	for _, blk := range f.Blocks {
+	// One scan collects the definition sites and finds the global
+	// registers: those some block uses before defining them. Only a
+	// global register can be live on entry to a block, so only global
+	// registers get phis (semi-pruned SSA, Briggs et al.); a register
+	// used only after its definition in the same block never needs one.
+	// regIn[r] and resIn[r] hold 1 + the index of the last block that
+	// defined r, so a block's first definition of a name is one compare.
+	regIn := make([]int32, f.NumRegs)
+	resIn := make([]int32, len(f.Resources))
+	global := make([]bool, f.NumRegs)
+	var regSites, resSites []defSite
+	for i, blk := range f.Blocks {
+		stamp := int32(i + 1)
 		for _, in := range blk.Instrs {
 			if in.Op.IsPhi() {
 				return fmt.Errorf("ssa: %s: already in SSA form (%s in %v)", f.Name, in.Op, blk)
 			}
-			if in.HasDst() {
-				regDefs[in.Dst] = appendUnique(regDefs[in.Dst], blk)
+			for _, a := range in.Args {
+				if !a.IsConst() && regIn[a.Reg()] != stamp {
+					global[a.Reg()] = true
+				}
+			}
+			if in.HasDst() && regIn[in.Dst] != stamp {
+				regIn[in.Dst] = stamp
+				regSites = append(regSites, defSite{int32(in.Dst), blk})
 			}
 			for _, d := range in.MemDefs {
-				resDefs[d.Res] = appendUnique(resDefs[d.Res], blk)
+				if resIn[d.Res] != stamp {
+					resIn[d.Res] = stamp
+					resSites = append(resSites, defSite{int32(d.Res), blk})
+				}
 			}
 		}
 	}
 
-	// Place phis at iterated dominance frontiers. A register phi's Dst
-	// and a memphi's definition name what they merge until renaming
-	// gives them fresh names. Spurious phis merging a single reaching
-	// definition are cleaned by PruneTrivialPhis.
-	for r := 0; r < f.NumRegs; r++ {
+	// Place phis at iterated dominance frontiers, visiting names in ID
+	// order. A register phi's Dst and a memphi's definition name what
+	// they merge until renaming gives them fresh names. Spurious phis
+	// merging a single reaching definition are cleaned by
+	// PruneTrivialPhis.
+	regDefs := groupSites(regSites, f.NumRegs, global)
+	for r, defs := range regDefs {
 		reg := ir.RegID(r)
-		defs := regDefs[reg]
-		if len(defs) == 0 {
-			continue
-		}
-		for _, jb := range cfg.IteratedDF(b.df, defs) {
+		for _, jb := range b.idf.Of(b.df, defs) {
 			jb.InsertPhi(ir.NewInstr(ir.OpPhi, reg, make([]ir.Value, len(jb.Preds))...))
 		}
 	}
-	for id := 0; id < len(f.Resources); id++ {
+	resDefs := groupSites(resSites, len(f.Resources), nil)
+	for id, defs := range resDefs {
 		base := ir.ResourceID(id)
-		defs := resDefs[base]
-		if len(defs) == 0 {
-			continue
-		}
-		for _, jb := range cfg.IteratedDF(b.df, defs) {
+		for _, jb := range b.idf.Of(b.df, defs) {
 			phi := ir.NewInstr(ir.OpMemPhi, ir.NoReg)
 			phi.MemDefs = []ir.MemRef{{Res: base}}
 			phi.MemUses = make([]ir.MemRef, len(jb.Preds))
@@ -113,43 +145,50 @@ func (b *builder) run() error {
 		}
 	}
 
-	// Rename along the dominator tree.
+	// Rename along the dominator tree. A base resource's version 0 is
+	// the base itself: the live-in value.
 	b.numRegs = f.NumRegs
-	b.regStacks = make([][]ir.RegID, f.NumRegs)
-	b.resStacks = make([][]ir.ResourceID, len(f.Resources))
+	b.curReg = make([]ir.RegID, f.NumRegs)
+	for r := range b.curReg {
+		b.curReg[r] = ir.NoReg
+	}
 	for _, p := range f.Params {
 		// Parameters are their own first SSA version.
-		b.regStacks[p] = []ir.RegID{p}
+		b.curReg[p] = p
 	}
-	if err := b.rename(f.Entry()); err != nil {
-		return err
+	b.curRes = make([]ir.ResourceID, len(f.Resources))
+	for r := range b.curRes {
+		b.curRes[r] = ir.ResourceID(r)
 	}
-	return nil
+	return b.rename(f.Entry())
 }
 
-func appendUnique(bs []*ir.Block, b *ir.Block) []*ir.Block {
-	for _, x := range bs {
-		if x == b {
-			return bs
+// groupSites buckets the definition sites by name, keeping each name's
+// blocks in scan order, for the names keep admits (every name when
+// keep is nil). All buckets share one backing array.
+func groupSites(sites []defSite, n int, keep []bool) [][]*ir.Block {
+	start := make([]int32, n+1)
+	for _, s := range sites {
+		if keep == nil || keep[s.name] {
+			start[s.name+1]++
 		}
 	}
-	return append(bs, b)
-}
-
-func (b *builder) topReg(orig ir.RegID) (ir.RegID, bool) {
-	st := b.regStacks[orig]
-	if len(st) == 0 {
-		return ir.NoReg, false
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
 	}
-	return st[len(st)-1], true
-}
-
-func (b *builder) topRes(base ir.ResourceID) ir.ResourceID {
-	st := b.resStacks[base]
-	if len(st) == 0 {
-		return base // version 0: live-in value
+	blocks := make([]*ir.Block, start[n])
+	next := slices.Clone(start[:n])
+	for _, s := range sites {
+		if keep == nil || keep[s.name] {
+			blocks[next[s.name]] = s.blk
+			next[s.name]++
+		}
 	}
-	return st[len(st)-1]
+	groups := make([][]*ir.Block, n)
+	for i := range groups {
+		groups[i] = blocks[start[i]:start[i+1]:start[i+1]]
+	}
+	return groups
 }
 
 // phiOrig returns the pre-SSA register a register phi merges, whether
@@ -161,38 +200,36 @@ func (b *builder) phiOrig(phi *ir.Instr) ir.RegID {
 	return b.origOf[int(phi.Dst)-b.numRegs]
 }
 
-// newReg allocates the SSA name of a definition of orig.
-func (b *builder) newReg(orig ir.RegID) ir.RegID {
+// defReg gives a definition of orig a fresh SSA name and makes it
+// current.
+func (b *builder) defReg(orig ir.RegID) ir.RegID {
 	b.origOf = append(b.origOf, orig)
-	return b.f.NewReg(b.f.RegName(orig))
+	name := b.f.NewReg(b.f.RegName(orig))
+	b.undo = append(b.undo, undoEntry{idx: int32(orig), prev: int32(b.curReg[orig])})
+	b.curReg[orig] = name
+	return name
+}
+
+// defRes makes the new version ver of base current.
+func (b *builder) defRes(base, ver ir.ResourceID) {
+	b.undo = append(b.undo, undoEntry{res: true, idx: int32(base), prev: int32(b.curRes[base])})
+	b.curRes[base] = ver
 }
 
 func (b *builder) rename(blk *ir.Block) error {
 	f := b.f
-	var pushedRegs []ir.RegID
-	var pushedRes []ir.ResourceID
-
-	pushReg := func(orig ir.RegID, name ir.RegID) {
-		b.regStacks[orig] = append(b.regStacks[orig], name)
-		pushedRegs = append(pushedRegs, orig)
-	}
-	pushRes := func(base ir.ResourceID, ver ir.ResourceID) {
-		b.resStacks[base] = append(b.resStacks[base], ver)
-		pushedRes = append(pushedRes, base)
-	}
+	mark := len(b.undo)
 
 	for _, in := range blk.Instrs {
 		switch in.Op {
 		case ir.OpPhi:
-			orig := in.Dst
-			in.Dst = b.newReg(orig)
-			pushReg(orig, in.Dst)
+			in.Dst = b.defReg(in.Dst)
 			continue
 		case ir.OpMemPhi:
 			base := f.BaseOf(in.MemDefs[0].Res).ID
 			nv := f.NewVersion(base)
 			in.MemDefs[0].Res = nv.ID
-			pushRes(base, nv.ID)
+			b.defRes(base, nv.ID)
 			continue
 		}
 		// Ordinary instruction: rewrite register uses.
@@ -200,8 +237,8 @@ func (b *builder) rename(blk *ir.Block) error {
 			if a.IsConst() {
 				continue
 			}
-			cur, ok := b.topReg(a.Reg())
-			if !ok {
+			cur := b.curReg[a.Reg()]
+			if cur == ir.NoReg {
 				return fmt.Errorf("ssa: %s: register r%d used before definition in %v",
 					f.Name, a.Reg(), blk)
 			}
@@ -209,20 +246,17 @@ func (b *builder) rename(blk *ir.Block) error {
 		}
 		// Rewrite memory uses to current versions.
 		for i := range in.MemUses {
-			in.MemUses[i].Res = b.topRes(in.MemUses[i].Res)
+			in.MemUses[i].Res = b.curRes[in.MemUses[i].Res]
 		}
 		// Rewrite register definition.
 		if in.HasDst() {
-			orig := in.Dst
-			in.Dst = b.newReg(orig)
-			pushReg(orig, in.Dst)
+			in.Dst = b.defReg(in.Dst)
 		}
 		// Rewrite memory definitions to fresh versions.
 		for i := range in.MemDefs {
-			base := in.MemDefs[i].Res
-			nv := f.NewVersion(base)
+			nv := f.NewVersion(in.MemDefs[i].Res)
 			in.MemDefs[i].Res = nv.ID
-			pushRes(f.BaseOf(nv.ID).ID, nv.ID)
+			b.defRes(f.BaseOf(nv.ID).ID, nv.ID)
 		}
 	}
 
@@ -232,7 +266,7 @@ func (b *builder) rename(blk *ir.Block) error {
 		for _, phi := range s.Phis() {
 			switch phi.Op {
 			case ir.OpPhi:
-				if cur, ok := b.topReg(b.phiOrig(phi)); ok {
+				if cur := b.curReg[b.phiOrig(phi)]; cur != ir.NoReg {
 					phi.Args[pi] = ir.RegVal(cur)
 				} else {
 					// The merged variable is undefined along this path;
@@ -241,7 +275,7 @@ func (b *builder) rename(blk *ir.Block) error {
 					phi.Args[pi] = ir.ConstVal(0)
 				}
 			case ir.OpMemPhi:
-				phi.MemUses[pi] = ir.MemRef{Res: b.topRes(f.BaseOf(phi.MemDefs[0].Res).ID)}
+				phi.MemUses[pi] = ir.MemRef{Res: b.curRes[f.BaseOf(phi.MemDefs[0].Res).ID]}
 			}
 		}
 	}
@@ -252,13 +286,15 @@ func (b *builder) rename(blk *ir.Block) error {
 		}
 	}
 
-	for _, orig := range pushedRegs {
-		st := b.regStacks[orig]
-		b.regStacks[orig] = st[:len(st)-1]
-	}
-	for _, base := range pushedRes {
-		st := b.resStacks[base]
-		b.resStacks[base] = st[:len(st)-1]
+	// Leave the subtree: restore every name its blocks made current.
+	for len(b.undo) > mark {
+		u := b.undo[len(b.undo)-1]
+		b.undo = b.undo[:len(b.undo)-1]
+		if u.res {
+			b.curRes[u.idx] = ir.ResourceID(u.prev)
+		} else {
+			b.curReg[u.idx] = ir.RegID(u.prev)
+		}
 	}
 	return nil
 }

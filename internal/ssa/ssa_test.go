@@ -76,6 +76,25 @@ void main() {
 	}
 }
 
+// TestBuildSemiPruned checks that only registers live across a block
+// boundary get phis: the loop's temporaries (the loaded x, the product,
+// the sum, the loop test) are each used only after their definition in
+// the same block, so the loop header merges the counter i alone.
+func TestBuildSemiPruned(t *testing.T) {
+	prog := buildSSA(t, `
+int x;
+void main() {
+	int i;
+	for (i = 0; i < 100; i++) x = x * 2 + i;
+	print(x);
+}
+`)
+	main := prog.Func("main")
+	if n := countOp(main, ir.OpPhi); n != 1 {
+		t.Errorf("loop has %d reg phis, want 1 (the counter)\n%s", n, main)
+	}
+}
+
 func TestBuildLoopMemPhi(t *testing.T) {
 	// The first loop of the paper's Figure 1: x is loaded and stored in
 	// every iteration, so the loop header needs a memphi for x merging

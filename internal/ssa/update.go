@@ -70,6 +70,7 @@ type Updater struct {
 	// for; the end of a call clears those entries.
 	touched []ir.ResourceID
 
+	idf       cfg.IDF
 	defBlocks []*ir.Block
 	placed    []*ir.Instr // inserted phis in IDF order
 	work      []*ir.Instr
@@ -121,7 +122,7 @@ func (u *Updater) Update(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, 
 			}
 		}
 	}
-	for _, jb := range cfg.IteratedDF(df, u.defBlocks) {
+	for _, jb := range u.idf.Of(df, u.defBlocks) {
 		if dom.RPOIndex(jb) < 0 {
 			continue
 		}
