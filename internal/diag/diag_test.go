@@ -2,6 +2,7 @@ package diag_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
+	"repro/internal/report"
 	"repro/internal/source"
 	"repro/internal/workload"
 )
@@ -223,4 +225,37 @@ void main() { dead = 3; dead = 4; print(7); }
 	if !reflect.DeepEqual(out.Diagnostics, direct) {
 		t.Fatalf("pipeline diagnostics differ from direct analysis:\n%v\nvs\n%v", out.Diagnostics, direct)
 	}
+}
+
+// TestPressureRuleMatchesTable3 checks that "pressure before promotion"
+// has one definition: on every Table 3 routine, the pressure-hotspot
+// rule's largest reported pressure at threshold 1 (every block fires)
+// equals Table 3's colors before promotion.
+func TestPressureRuleMatchesTable3(t *testing.T) {
+	rows, err := report.Table3(report.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := map[string]int{} // "benchmark/routine" -> largest pressure
+	for _, w := range workload.Suite() {
+		findings := analyze(t, w.Src, diag.Options{Rules: []string{"pressure-hotspot"}, PressureThreshold: 1})
+		for _, f := range findings {
+			var block, live int
+			if _, err := fmt.Sscanf(f.Detail, "b%d keeps %d values live", &block, &live); err != nil {
+				t.Fatalf("%s/%s: unparsed finding %q: %v", w.Name, f.Func, f.Detail, err)
+			}
+			key := w.Name + "/" + f.Func
+			peak[key] = max(peak[key], live)
+		}
+	}
+	if len(rows) < 10 {
+		t.Fatalf("vacuous: %d Table 3 rows", len(rows))
+	}
+	for _, r := range rows {
+		key := r.Benchmark + "/" + r.Routine
+		if got := peak[key]; got != r.ColorsBefore {
+			t.Errorf("%s: pressure-hotspot peak %d, Table 3 colors before %d", key, got, r.ColorsBefore)
+		}
+	}
+	t.Logf("%d Table 3 routines matched", len(rows))
 }

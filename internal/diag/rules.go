@@ -37,7 +37,6 @@ type context struct {
 	orig      *ir.Function
 	f         *ir.Function // normalized SSA clone; nil when prep failed
 	dom       *cfg.DomTree
-	live      *liveness.Info
 	threshold int
 }
 
@@ -67,7 +66,6 @@ func analyzeFunc(f *ir.Function, selected []rule, opts Options) []Finding {
 		} else {
 			ctx.f = clone
 			ctx.dom = dom
-			ctx.live = liveness.Compute(clone)
 		}
 	}
 
@@ -206,11 +204,18 @@ func runUnpromotable(ctx *context) []Finding {
 }
 
 // runPressure reports blocks whose static register pressure meets the
-// threshold.
+// threshold. Pressure is measured on a copy of the SSA clone after
+// opt.DCE, the cleaned form promotion's pressure cap and Table 3's
+// "colors before" also measure, so a dead definition (or a phi only a
+// dead value feeds) never counts as a live value. The copy keeps the
+// clone's block IDs.
 func runPressure(ctx *context) []Finding {
+	cleaned := ctx.f.Clone()
+	opt.DCE(cleaned)
+	live := liveness.Compute(cleaned)
 	var out []Finding
 	for _, b := range ctx.f.Blocks {
-		ml := ctx.live.BlockMaxLive[b.ID]
+		ml := live.BlockMaxLive[b.ID]
 		if ml >= ctx.threshold {
 			out = append(out, Finding{Rule: "pressure-hotspot", Severity: SevInfo, Func: ctx.f.Name,
 				Block:  int(b.ID),
