@@ -71,8 +71,9 @@ func main() {
 		fatal(err, *verbose)
 	}
 	var injector *faults.Injector
+	var plan faults.Plan
 	if *fault != "" {
-		plan, err := faults.ParsePlan(*fault)
+		plan, err = faults.ParsePlan(*fault)
 		if err != nil {
 			fatal(err, *verbose)
 		}
@@ -124,6 +125,15 @@ func main() {
 	})
 	if err != nil {
 		fatal(err, *verbose)
+	}
+	if injector != nil && injector.Fired() == 0 {
+		// A fault that never fires would make this run look like a
+		// passing fault test.
+		hint := ""
+		if plan.Stage == "measure-before" {
+			hint = " (measure-before runs only with -static-profile)"
+		}
+		fatal(fmt.Errorf("fault %s never fired: the run never reached that site%s", plan, hint), *verbose)
 	}
 
 	fmt.Printf("program: %s (algorithm: %s, check: %s)\n\n", name, algorithm, checkLevel)
