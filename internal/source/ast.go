@@ -74,6 +74,8 @@ type GlobalDecl struct {
 	// AddrTaken is set by the checker when &name occurs anywhere in the
 	// program.
 	AddrTaken bool
+	// Sym is the global's symbol, set by the checker.
+	Sym *Symbol
 }
 
 // FuncDecl declares a function.
@@ -90,6 +92,7 @@ type Param struct {
 	Name string
 	Type Type
 	Pos  Pos
+	Sym  *Symbol // set by the checker
 }
 
 // Stmt is a statement node.
@@ -112,6 +115,8 @@ type DeclStmt struct {
 	// AddrTaken is set by the checker when &name occurs anywhere in the
 	// function, forcing the local into a stack slot.
 	AddrTaken bool
+	// Sym is the local's symbol, set by the checker.
+	Sym *Symbol
 }
 
 // AssignStmt is `lhs op= rhs`, where Op is one of "=", "+=", "-=", "*=",
@@ -203,6 +208,7 @@ type NumExpr struct {
 type VarExpr struct {
 	Name string
 	Pos  Pos
+	Sym  *Symbol // the variable it resolves to, set by the checker
 }
 
 // IndexExpr is `Arr[Idx]`.
@@ -210,6 +216,7 @@ type IndexExpr struct {
 	Arr string // array variable name
 	Idx Expr
 	Pos Pos
+	Sym *Symbol // the array it resolves to, set by the checker
 }
 
 // FieldExpr is `Rec.Field`.
@@ -217,6 +224,7 @@ type FieldExpr struct {
 	Rec   string // struct variable name
 	Field string
 	Pos   Pos
+	Sym   *Symbol // the struct variable it resolves to, set by the checker
 }
 
 // UnaryExpr is `Op X` with Op in "-", "!", "~", "*", "&".
@@ -240,6 +248,7 @@ type CallExpr struct {
 	Fn   string
 	Args []Expr
 	Pos  Pos
+	Decl *FuncDecl // the callee, set by the checker (nil for print)
 }
 
 func (*NumExpr) exprNode()   {}

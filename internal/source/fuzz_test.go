@@ -8,8 +8,10 @@ import (
 )
 
 // FuzzParser feeds arbitrary text to the mini-C frontend. The contract
-// is: never panic, and any program the frontend accepts must produce
-// structurally valid IR. The seed corpus (testdata/fuzz/FuzzParser)
+// is: never panic, any program the frontend accepts must produce
+// structurally valid IR, and compiling the same source twice must
+// print the same IR (pipeline.Run compiles every program twice and
+// rolls a failed function back from the first compile). The seed corpus (testdata/fuzz/FuzzParser)
 // carries the language's tricky shapes: address-taken locals, nested
 // improper-ish loop exits via break/continue, call-heavy loops,
 // structs, and pointer writes.
@@ -41,6 +43,13 @@ func FuzzParser(f *testing.F) {
 			if verr := fn.Verify(ir.VerifyCFG); verr != nil {
 				t.Fatalf("accepted program has invalid IR: %v\nsource:\n%s", verr, src)
 			}
+		}
+		again, err := source.Compile(src)
+		if err != nil {
+			t.Fatalf("second compile rejected an accepted program: %v\nsource:\n%s", err, src)
+		}
+		if a, b := prog.String(), again.String(); a != b {
+			t.Fatalf("two compiles of one source differ:\n%s\nvs\n%s\nsource:\n%s", a, b, src)
 		}
 	})
 }

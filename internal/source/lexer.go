@@ -97,10 +97,7 @@ func (lx *Lexer) Next() (Token, error) {
 			lx.advance()
 		}
 		text := lx.src[start:lx.pos]
-		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: pos}, nil
-		}
-		return Token{Kind: TokIdent, Text: text, Pos: pos}, nil
+		return Token{Kind: keyword(text), Text: text, Pos: pos}, nil
 
 	case isDigit(c):
 		start := lx.pos

@@ -15,7 +15,7 @@ import (
 // names register promotion later tries to lift into registers.
 func Lower(checked *Checked) (*ir.Program, error) {
 	prog := ir.NewProgram()
-	lw := &lowerer{checked: checked, prog: prog}
+	lw := &lowerer{prog: prog}
 
 	for _, g := range checked.File.Globals {
 		size := 1
@@ -32,7 +32,7 @@ func Lower(checked *Checked) (*ir.Program, error) {
 		og := prog.AddGlobal(g.Name, size, isArray, fields)
 		og.Init = g.Init
 		og.AddrTaken = g.AddrTaken
-		lw.globalObjs = append(lw.globalObjs, og)
+		g.Sym.reg, g.Sym.slot, g.Sym.global = ir.NoReg, nil, og
 	}
 
 	for _, fn := range checked.File.Funcs {
@@ -43,21 +43,15 @@ func Lower(checked *Checked) (*ir.Program, error) {
 	return prog, nil
 }
 
+// lowerer holds the state of one Lower call. Where each variable lives
+// is lowering state on its Symbol.
 type lowerer struct {
-	checked    *Checked
-	prog       *ir.Program
-	globalObjs []*ir.Global
+	prog *ir.Program
 
 	f      *ir.Function
 	cur    *ir.Block
-	regs   map[*Symbol]ir.RegID // register-resident locals and params
-	slots  map[*Symbol]*ir.Slot // memory-resident locals
 	breaks []*ir.Block
 	conts  []*ir.Block
-}
-
-func (lw *lowerer) globalObj(g *GlobalDecl) *ir.Global {
-	return lw.prog.FindGlobal(g.Name)
 }
 
 func (lw *lowerer) emit(in *ir.Instr) *ir.Instr {
@@ -88,15 +82,13 @@ func (lw *lowerer) branchTo(cond ir.Value, then, els *ir.Block) {
 func (lw *lowerer) lowerFunc(fn *FuncDecl) error {
 	f := ir.NewFunction(lw.prog, fn.Name)
 	lw.f = f
-	lw.regs = make(map[*Symbol]ir.RegID)
-	lw.slots = make(map[*Symbol]*ir.Slot)
 	lw.breaks = nil
 	lw.conts = nil
 
-	for _, psym := range lw.checked.Params[fn] {
-		r := f.NewReg(psym.Name)
+	for _, p := range fn.Params {
+		r := f.NewReg(p.Name)
 		f.Params = append(f.Params, r)
-		lw.regs[psym] = r
+		p.Sym.reg, p.Sym.slot = r, nil
 	}
 
 	entry := f.NewBlock()
@@ -127,16 +119,17 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 		return nil
 
 	case *DeclStmt:
-		sym := lw.checked.Decls[s]
+		sym := s.Sym
+		sym.reg = ir.NoReg
 		switch {
 		case sym.Type.Kind == TypeArray:
-			lw.slots[sym] = lw.f.NewSlot(sym.Name, sym.ArrayN, true, nil)
+			sym.slot = lw.f.NewSlot(sym.Name, sym.ArrayN, true, nil)
 		case sym.Type.Kind == TypeStruct:
-			lw.slots[sym] = lw.f.NewSlot(sym.Name, len(sym.Type.Struct.Fields), false, sym.Type.Struct.Fields)
+			sym.slot = lw.f.NewSlot(sym.Name, len(sym.Type.Struct.Fields), false, sym.Type.Struct.Fields)
 		case sym.AddrTaken:
 			slot := lw.f.NewSlot(sym.Name, 1, false, nil)
 			slot.AddrTaken = true
-			lw.slots[sym] = slot
+			sym.slot = slot
 			init := ir.ConstVal(0)
 			if s.Init != nil {
 				v, err := lw.lowerExpr(s.Init)
@@ -150,7 +143,7 @@ func (lw *lowerer) lowerStmt(s Stmt) error {
 			lw.emit(st)
 		default:
 			r := lw.f.NewReg(sym.Name)
-			lw.regs[sym] = r
+			sym.reg, sym.slot = r, nil
 			init := ir.ConstVal(0)
 			if s.Init != nil {
 				v, err := lw.lowerExpr(s.Init)
@@ -331,9 +324,9 @@ type lvalue struct {
 func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 	switch e := e.(type) {
 	case *VarExpr:
-		sym := lw.checked.Uses[e]
-		if r, ok := lw.regs[sym]; ok {
-			return lvalue{reg: r}, nil
+		sym := e.Sym
+		if sym.reg != ir.NoReg {
+			return lvalue{reg: sym.reg}, nil
 		}
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
@@ -341,7 +334,7 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 		}
 		return lvalue{reg: ir.NoReg, direct: true, loc: loc}, nil
 	case *FieldExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		idx := sym.Type.Struct.FieldIndex(e.Field)
 		loc, err := lw.symbolLoc(sym, idx)
 		if err != nil {
@@ -349,7 +342,7 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 		}
 		return lvalue{reg: ir.NoReg, direct: true, loc: loc}, nil
 	case *IndexExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
 			return lvalue{}, err
@@ -375,17 +368,12 @@ func (lw *lowerer) lowerLvalue(e Expr) (lvalue, error) {
 func (lw *lowerer) symbolLoc(sym *Symbol, offset int) (ir.MemLoc, error) {
 	switch sym.Kind {
 	case VarGlobal:
-		g := lw.globalObj(sym.Global)
-		if g == nil {
-			return ir.MemLoc{}, fmt.Errorf("missing global object %s", sym.Name)
-		}
-		return ir.GlobalLoc(g, offset), nil
+		return ir.GlobalLoc(sym.global, offset), nil
 	case VarLocal:
-		slot, ok := lw.slots[sym]
-		if !ok {
+		if sym.slot == nil {
 			return ir.MemLoc{}, fmt.Errorf("local %s has no slot", sym.Name)
 		}
-		return ir.SlotLoc(slot, offset), nil
+		return ir.SlotLoc(sym.slot, offset), nil
 	}
 	return ir.MemLoc{}, fmt.Errorf("symbol %s is not addressable", sym.Name)
 }
@@ -432,9 +420,21 @@ func (lw *lowerer) storeLvalue(v lvalue, val ir.Value) {
 	}
 }
 
-var compoundOps = map[string]ir.Op{
-	"+=": ir.OpAdd, "-=": ir.OpSub, "*=": ir.OpMul, "/=": ir.OpDiv, "%=": ir.OpRem,
-	"++": ir.OpAdd, "--": ir.OpSub,
+// compoundOp is the arithmetic a compound assignment or ++/-- performs.
+func compoundOp(op string) (ir.Op, bool) {
+	switch op {
+	case "+=", "++":
+		return ir.OpAdd, true
+	case "-=", "--":
+		return ir.OpSub, true
+	case "*=":
+		return ir.OpMul, true
+	case "/=":
+		return ir.OpDiv, true
+	case "%=":
+		return ir.OpRem, true
+	}
+	return 0, false
 }
 
 func (lw *lowerer) lowerAssign(s *AssignStmt) error {
@@ -459,7 +459,7 @@ func (lw *lowerer) lowerAssign(s *AssignStmt) error {
 			return err
 		}
 	}
-	op, ok := compoundOps[s.Op]
+	op, ok := compoundOp(s.Op)
 	if !ok {
 		return fmt.Errorf("unsupported assignment operator %s", s.Op)
 	}
@@ -478,10 +478,43 @@ func (lw *lowerer) lowerExprOrVoid(e Expr) (ir.Value, error) {
 	return lw.lowerExpr(e)
 }
 
-var binOps = map[string]ir.Op{
-	"+": ir.OpAdd, "-": ir.OpSub, "*": ir.OpMul, "/": ir.OpDiv, "%": ir.OpRem,
-	"&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor, "<<": ir.OpShl, ">>": ir.OpShr,
-	"==": ir.OpEq, "!=": ir.OpNe, "<": ir.OpLt, "<=": ir.OpLe, ">": ir.OpGt, ">=": ir.OpGe,
+// binOp is the IR opcode of a non-short-circuit binary operator.
+func binOp(op string) (ir.Op, bool) {
+	switch op {
+	case "+":
+		return ir.OpAdd, true
+	case "-":
+		return ir.OpSub, true
+	case "*":
+		return ir.OpMul, true
+	case "/":
+		return ir.OpDiv, true
+	case "%":
+		return ir.OpRem, true
+	case "&":
+		return ir.OpAnd, true
+	case "|":
+		return ir.OpOr, true
+	case "^":
+		return ir.OpXor, true
+	case "<<":
+		return ir.OpShl, true
+	case ">>":
+		return ir.OpShr, true
+	case "==":
+		return ir.OpEq, true
+	case "!=":
+		return ir.OpNe, true
+	case "<":
+		return ir.OpLt, true
+	case "<=":
+		return ir.OpLe, true
+	case ">":
+		return ir.OpGt, true
+	case ">=":
+		return ir.OpGe, true
+	}
+	return 0, false
 }
 
 func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
@@ -490,9 +523,9 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.ConstVal(e.Val), nil
 
 	case *VarExpr:
-		sym := lw.checked.Uses[e]
-		if r, ok := lw.regs[sym]; ok {
-			return ir.RegVal(r), nil
+		sym := e.Sym
+		if sym.reg != ir.NoReg {
+			return ir.RegVal(sym.reg), nil
 		}
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
@@ -505,7 +538,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.RegVal(r), nil
 
 	case *FieldExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		idx := sym.Type.Struct.FieldIndex(e.Field)
 		loc, err := lw.symbolLoc(sym, idx)
 		if err != nil {
@@ -518,7 +551,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		return ir.RegVal(r), nil
 
 	case *IndexExpr:
-		sym := lw.checked.Uses[e]
+		sym := e.Sym
 		loc, err := lw.symbolLoc(sym, 0)
 		if err != nil {
 			return ir.Value{}, err
@@ -595,7 +628,7 @@ func (lw *lowerer) lowerExpr(e Expr) (ir.Value, error) {
 		if err != nil {
 			return ir.Value{}, err
 		}
-		op, ok := binOps[e.Op]
+		op, ok := binOp(e.Op)
 		if !ok {
 			return ir.Value{}, fmt.Errorf("unhandled binary %s", e.Op)
 		}
@@ -659,7 +692,7 @@ func (lw *lowerer) lowerCall(e *CallExpr, stmt bool) (ir.Value, error) {
 		lw.emit(ir.NewInstr(ir.OpPrint, ir.NoReg, args...))
 		return ir.ConstVal(0), nil
 	}
-	fn := lw.checked.Funcs[e.Fn]
+	fn := e.Decl
 	dst := ir.NoReg
 	if fn.Ret.Kind != TypeVoid && !stmt {
 		dst = lw.f.NewReg("")

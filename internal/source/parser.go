@@ -482,10 +482,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	}
 	switch p.tok.Kind {
 	case TokAssign, TokPlusEq, TokMinusEq, TokStarEq, TokSlashEq, TokPctEq:
-		op := map[TokKind]string{
-			TokAssign: "=", TokPlusEq: "+=", TokMinusEq: "-=",
-			TokStarEq: "*=", TokSlashEq: "/=", TokPctEq: "%=",
-		}[p.tok.Kind]
+		op := assignName(p.tok.Kind)
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -570,20 +567,55 @@ func (p *Parser) parseFor() (Stmt, error) {
 //	+ -
 //	* / %
 //	unary - ! ~ * &
-var binPrec = map[TokKind]int{
+//
+// binPrec is 0 for a token that is not a binary operator.
+var binPrec = [...]int{
 	TokOrOr: 1, TokAndAnd: 2, TokPipe: 3, TokCaret: 4, TokAmp: 5,
 	TokEq: 6, TokNe: 6,
 	TokLt: 7, TokLe: 7, TokGt: 7, TokGe: 7,
 	TokShl: 8, TokShr: 8,
 	TokPlus: 9, TokMinus: 9,
 	TokStar: 10, TokSlash: 10, TokPercent: 10,
+	TokDec: 0, // size the table to every token kind
 }
 
-var binName = map[TokKind]string{
+var binName = [len(binPrec)]string{
 	TokOrOr: "||", TokAndAnd: "&&", TokPipe: "|", TokCaret: "^",
 	TokAmp: "&", TokEq: "==", TokNe: "!=", TokLt: "<", TokLe: "<=",
 	TokGt: ">", TokGe: ">=", TokShl: "<<", TokShr: ">>", TokPlus: "+",
 	TokMinus: "-", TokStar: "*", TokSlash: "/", TokPercent: "%",
+}
+
+// assignName spells an assignment operator token.
+func assignName(k TokKind) string {
+	switch k {
+	case TokPlusEq:
+		return "+="
+	case TokMinusEq:
+		return "-="
+	case TokStarEq:
+		return "*="
+	case TokSlashEq:
+		return "/="
+	case TokPctEq:
+		return "%="
+	}
+	return "="
+}
+
+// unaryName spells a prefix operator token.
+func unaryName(k TokKind) string {
+	switch k {
+	case TokBang:
+		return "!"
+	case TokTilde:
+		return "~"
+	case TokStar:
+		return "*"
+	case TokAmp:
+		return "&"
+	}
+	return "-"
 }
 
 func (p *Parser) parseExpr() (Expr, error) { return p.parseBin(1) }
@@ -594,8 +626,8 @@ func (p *Parser) parseBin(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		prec, ok := binPrec[p.tok.Kind]
-		if !ok || prec < minPrec {
+		prec := binPrec[p.tok.Kind]
+		if prec < minPrec { // minPrec >= 1, so this also stops at non-operators
 			return lhs, nil
 		}
 		op := binName[p.tok.Kind]
@@ -615,9 +647,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case TokMinus, TokBang, TokTilde, TokStar, TokAmp:
-		op := map[TokKind]string{
-			TokMinus: "-", TokBang: "!", TokTilde: "~", TokStar: "*", TokAmp: "&",
-		}[p.tok.Kind]
+		op := unaryName(p.tok.Kind)
 		if err := p.next(); err != nil {
 			return nil, err
 		}

@@ -102,16 +102,15 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Check(file)
-	if err != nil {
+	if _, err := Check(file); err != nil {
 		t.Fatal(err)
 	}
-	decls := map[*DeclStmt]bool{}
-	for d := range checked.Decls {
-		decls[d] = true
+	syms := map[*Symbol]bool{}
+	for _, d := range DeclStmts(file) {
+		syms[d.Sym] = true
 	}
-	if len(decls) != 2 {
-		t.Fatalf("decl symbols = %d, want 2", len(decls))
+	if len(syms) != 2 {
+		t.Fatalf("decl symbols = %d, want 2", len(syms))
 	}
 }
 

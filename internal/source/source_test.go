@@ -205,8 +205,7 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := Check(file)
-	if err != nil {
+	if _, err := Check(file); err != nil {
 		t.Fatal(err)
 	}
 	if !file.Globals[0].AddrTaken {
@@ -216,7 +215,7 @@ void main() {
 		t.Error("h should not be address-taken")
 	}
 	var aDecl, bDecl *DeclStmt
-	for d := range checked.Decls {
+	for _, d := range DeclStmts(file) {
 		switch d.Name {
 		case "a":
 			aDecl = d

@@ -73,7 +73,7 @@ const (
 	TokDec      // --
 )
 
-var kindNames = map[TokKind]string{
+var kindNames = [...]string{
 	TokEOF: "EOF", TokIdent: "identifier", TokNum: "number",
 	TokInt: "int", TokVoid: "void", TokStruct: "struct", TokIf: "if",
 	TokElse: "else", TokWhile: "while", TokFor: "for", TokDo: "do",
@@ -92,8 +92,8 @@ var kindNames = map[TokKind]string{
 
 // String returns a human-readable token kind name.
 func (k TokKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("tok(%d)", uint8(k))
 }
@@ -114,8 +114,31 @@ type Token struct {
 	Pos  Pos
 }
 
-var keywords = map[string]TokKind{
-	"int": TokInt, "void": TokVoid, "struct": TokStruct, "if": TokIf,
-	"else": TokElse, "while": TokWhile, "for": TokFor, "do": TokDo,
-	"return": TokReturn, "break": TokBreak, "continue": TokContinue,
+// keyword returns the keyword token kind spelled text, or TokIdent.
+func keyword(text string) TokKind {
+	switch text {
+	case "int":
+		return TokInt
+	case "void":
+		return TokVoid
+	case "struct":
+		return TokStruct
+	case "if":
+		return TokIf
+	case "else":
+		return TokElse
+	case "while":
+		return TokWhile
+	case "for":
+		return TokFor
+	case "do":
+		return TokDo
+	case "return":
+		return TokReturn
+	case "break":
+		return TokBreak
+	case "continue":
+		return TokContinue
+	}
+	return TokIdent
 }
