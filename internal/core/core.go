@@ -168,11 +168,9 @@ func promote(f *ir.Function, forest *cfg.Forest, config Config, budget pressureB
 
 	// The paper's cleanup(): dummy aliased loads served their purpose;
 	// delete them, then sweep the copy/dead-code residue.
-	for _, b := range f.Blocks {
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			if in.Op == ir.OpDummyLoad {
-				b.Remove(in)
-			}
+	for _, in := range p.dummies {
+		if in.Parent != nil {
+			in.Parent.Remove(in)
 		}
 	}
 	opt.Cleanup(f)
@@ -195,6 +193,17 @@ type promoter struct {
 	// updater runs every web's SSA update, reusing its per-version
 	// state across the function.
 	updater ssa.Updater
+	// refs, indexed by base ResourceID, lists the instructions that
+	// define or use a version of each base. indexRefs builds it in one
+	// counting and one filling pass over f; every promotion step that
+	// inserts a memory reference appends the instruction where it
+	// inserts it (addRef); baseRefs drops removed and rewritten entries
+	// when it reads a list. baseSeen marks the bases a walk has taken.
+	refs     [][]*ir.Instr
+	baseSeen []bool
+	// dummies lists the dummy aliased loads promotion inserted, which
+	// cleanup deletes.
+	dummies []*ir.Instr
 	// constructSSAWebs' union-find parents, web lookup, outside-use
 	// index and in-interval defining instructions, indexed by
 	// ResourceID and kept for the whole function; seeded lists the
@@ -205,6 +214,13 @@ type promoter struct {
 	usedOutside []bool
 	defIn       []*ir.Instr
 	seeded      []ir.ResourceID
+	// The current interval's webs and their reference lists, carved
+	// from slices reused by every interval.
+	webStore   []web
+	webList    []*web
+	resStore   []ir.ResourceID
+	instrStore []*ir.Instr
+	siteStore  []memRefSite
 	// planWeb's per-version marks, indexed by ResourceID: versions an
 	// aliased load depends on, and versions with a planned load or
 	// store. planTouched lists the entries set; markWork is the
@@ -214,6 +230,14 @@ type promoter struct {
 	storeSeen   []bool
 	planTouched []ir.ResourceID
 	markWork    []ir.ResourceID
+	// The transformer's per-web scratch (see transformer), cleared
+	// through vrTouched and leafLoads when the web is done.
+	vrMap     []ir.RegID
+	vrTouched []ir.ResourceID
+	leafSeen  []bool
+	leafLoads []leafLoad
+	oldSet    []ir.ResourceID
+	cloned    []ir.ResourceID
 }
 
 // growTo returns s extended with zero values to length n.
@@ -222,6 +246,96 @@ func growTo[T any](s []T, n int) []T {
 		s = append(s, make([]T, k)...)
 	}
 	return s
+}
+
+// resize returns a slice of n zero values, reusing s's array when it
+// is large enough.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		s = s[:n]
+		clear(s)
+		return s
+	}
+	return make([]T, n)
+}
+
+// indexRefs builds the per-base reference index over f: one pass
+// counts each base's references, which sizes its list within one
+// backing array, and a second fills the lists in layout order. An
+// instruction appears once on each list of a base it references.
+func (p *promoter) indexRefs() {
+	res := p.f.Resources
+	// Size the index by the largest base ID: SSA versions, which
+	// outnumber the bases, never index it.
+	numBases := 0
+	for _, r := range res {
+		if r.IsBase() {
+			numBases = int(r.ID) + 1
+		}
+	}
+	count := make([]int, numBases)
+	total := 0
+	for _, b := range p.f.Blocks {
+		for _, in := range b.Instrs {
+			for _, d := range in.MemDefs {
+				count[res[d.Res].Orig]++
+			}
+			for _, u := range in.MemUses {
+				count[res[u.Res].Orig]++
+			}
+			total += len(in.MemDefs) + len(in.MemUses)
+		}
+	}
+	backing := make([]*ir.Instr, total)
+	p.refs = make([][]*ir.Instr, numBases)
+	p.baseSeen = make([]bool, numBases)
+	off := 0
+	for base, n := range count {
+		p.refs[base] = backing[off : off : off+n]
+		off += n
+	}
+	for _, b := range p.f.Blocks {
+		for _, in := range b.Instrs {
+			for _, d := range in.MemDefs {
+				p.indexRef(res[d.Res].Orig, in)
+			}
+			for _, u := range in.MemUses {
+				p.indexRef(res[u.Res].Orig, in)
+			}
+		}
+	}
+}
+
+// indexRef appends in to base's list unless in is already its last
+// entry (an instruction's references to one base are indexed together).
+func (p *promoter) indexRef(base ir.ResourceID, in *ir.Instr) {
+	l := p.refs[base]
+	if n := len(l); n > 0 && l[n-1] == in {
+		return
+	}
+	p.refs[base] = append(l, in)
+}
+
+// addRef records an instruction promotion inserted that references a
+// version of base.
+func (p *promoter) addRef(base ir.ResourceID, in *ir.Instr) {
+	p.refs[base] = append(p.refs[base], in)
+}
+
+// baseRefs returns base's reference list after dropping, in place, the
+// entries that no longer reference it: instructions removed from their
+// block (Parent == nil) and loads rewritten into copies.
+func (p *promoter) baseRefs(base ir.ResourceID) []*ir.Instr {
+	l := p.refs[base]
+	kept := l[:0]
+	for _, in := range l {
+		if in.Parent != nil && len(in.MemDefs)+len(in.MemUses) > 0 {
+			kept = append(kept, in)
+		}
+	}
+	clear(l[len(kept):])
+	p.refs[base] = kept
+	return kept
 }
 
 // freq returns the profile frequency of the block containing the given
@@ -388,7 +502,9 @@ func (p *promoter) promoteInWeb(iv *cfg.Interval, w *web, plan *webPlan) error {
 		return nil
 	}
 
-	t := &transformer{p: p, iv: iv, w: w, plan: plan, vrMap: make(map[ir.ResourceID]ir.RegID)}
+	t := &transformer{p: p, iv: iv, w: w, plan: plan}
+	t.begin()
+	defer t.end()
 	t.initVRMap()
 	t.insertLoadsAtPhiLeaves()
 	t.replaceLoadsByCopies()
@@ -428,6 +544,7 @@ func (p *promoter) promoteLoadOnlyWeb(iv *cfg.Interval, w *web, plan *webPlan) {
 		// dominates every block (and hence every load) inside.
 		pre.InsertBeforeTerm(ld)
 	}
+	p.addRef(w.base, ld)
 	p.stats.LoadsInserted++
 
 	for _, ref := range w.loads {
@@ -453,6 +570,8 @@ func (p *promoter) addDummyLoad(iv *cfg.Interval, w *web, plan *webPlan) {
 	dummy := ir.NewInstr(ir.OpDummyLoad, ir.NoReg)
 	dummy.MemUses = []ir.MemRef{{Res: plan.liveIn, Aliased: true}}
 	iv.Preheader.InsertBeforeTerm(dummy)
+	p.addRef(w.base, dummy)
+	p.dummies = append(p.dummies, dummy)
 	p.stats.DummyLoadsAdded++
 }
 

@@ -23,7 +23,9 @@ func (r memRefSite) res() ir.ResourceID {
 }
 
 // web is one memory SSA web inside an interval, with the reference sets
-// of section 4.2 of the paper.
+// of section 4.2 of the paper. Webs and their lists live in the
+// promoter's per-interval scratch: they are valid until the next
+// constructSSAWebs call.
 type web struct {
 	base      ir.ResourceID   // base resource all versions rename
 	resources []ir.ResourceID // member versions, ascending
@@ -42,11 +44,52 @@ type web struct {
 
 	// usedOutside, indexed by ResourceID and shared by every web of the
 	// interval, marks the versions with a use outside the interval. One
-	// scan per interval fills it, and promoting the interval's webs
-	// keeps it exact: promoting a web renames only uses of its own
-	// versions and inserts only its own or fresh versions, so no other
-	// web of the interval gains or loses an outside use.
+	// walk of the reference index per interval fills it, and promoting
+	// the interval's webs keeps it exact: promoting a web renames only
+	// uses of its own versions and inserts only its own or fresh
+	// versions, so no other web of the interval gains or loses an
+	// outside use.
 	usedOutside []bool
+
+	// members and count are the member and per-refKind reference
+	// counts constructSSAWebs sizes the lists by.
+	members int
+	count   [numRefKinds]int
+}
+
+// refKind classifies a web reference by the list that holds it.
+type refKind int
+
+const (
+	refLoad refKind = iota
+	refStore
+	refAliasedLoad
+	refAliasedDef
+	refMemPhi
+	numRefKinds
+)
+
+// defKind and useKind classify a definition and a use of a web version
+// by the instruction that makes it; phi operands are web structure,
+// not references (numRefKinds).
+func defKind(in *ir.Instr) refKind {
+	switch in.Op {
+	case ir.OpMemPhi:
+		return refMemPhi
+	case ir.OpStore:
+		return refStore
+	}
+	return refAliasedDef
+}
+
+func useKind(in *ir.Instr) refKind {
+	switch in.Op {
+	case ir.OpMemPhi:
+		return numRefKinds
+	case ir.OpLoad:
+		return refLoad
+	}
+	return refAliasedLoad
 }
 
 // constructSSAWebs partitions the promotable resource versions
@@ -56,8 +99,14 @@ type web struct {
 // lookup and the definition index are dense slices indexed by
 // ResourceID that the promoter keeps for the whole function: each call
 // first clears the entries the previous call seeded, then grows them
-// over the versions promotion appended since.
+// over the versions promotion appended since. The webs and their
+// reference lists are carved from the promoter's scratch, sized by a
+// counting pass, so building them allocates nothing once the scratch
+// has grown.
 func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
+	if p.refs == nil {
+		p.indexRefs()
+	}
 	for _, r := range p.seeded {
 		p.parent[r] = ir.NoResource
 		p.webOf[r] = nil
@@ -73,6 +122,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 	p.usedOutside = growTo(p.usedOutside, n)
 	p.defIn = growTo(p.defIn, n)
 	parent, webOf, usedOutside := p.parent, p.webOf, p.usedOutside
+	res := p.f.Resources
 
 	find := func(r ir.ResourceID) ir.ResourceID {
 		root := r
@@ -96,7 +146,7 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		}
 	}
 
-	promotable := func(r ir.ResourceID) bool { return p.f.BaseOf(r).Promotable() }
+	promotable := func(r ir.ResourceID) bool { return res[res[r].Orig].Promotable() }
 	seed := func(r ir.ResourceID) {
 		if parent[r] == ir.NoResource && promotable(r) {
 			parent[r] = r
@@ -128,13 +178,19 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 		}
 	}
 
-	// Mark the web versions used outside the interval, in one scan of
-	// the blocks outside it.
-	for _, b := range p.f.Blocks {
-		if iv.Contains(b) {
+	// Mark the web versions used outside the interval, walking the
+	// reference index of each base the interval's versions belong to:
+	// every instruction that uses a web version is on its base's list.
+	for _, r := range p.seeded {
+		base := res[r].Orig
+		if p.baseSeen[base] {
 			continue
 		}
-		for _, in := range b.Instrs {
+		p.baseSeen[base] = true
+		for _, in := range p.baseRefs(base) {
+			if iv.Contains(in.Parent) {
+				continue
+			}
 			for _, u := range in.MemUses {
 				if parent[u.Res] != ir.NoResource {
 					usedOutside[u.Res] = true
@@ -142,43 +198,99 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 			}
 		}
 	}
+	for _, r := range p.seeded {
+		p.baseSeen[res[r].Orig] = false
+	}
 
 	// Group into webs by representative. Visiting the seeded resources
 	// in ascending order meets each class's root first, so the webs come
 	// out ordered by smallest member and each member list is sorted.
 	slices.Sort(p.seeded)
-	var webs []*web
+	numWebs := 0
+	for _, r := range p.seeded {
+		if find(r) == r {
+			numWebs++
+		}
+	}
+	p.webStore = resize(p.webStore, numWebs)
+	p.webList = p.webList[:0]
 	for _, r := range p.seeded {
 		root := find(r)
 		w := webOf[root]
 		if w == nil {
-			w = &web{
-				base:        p.f.BaseOf(r).ID,
-				usedOutside: usedOutside,
-			}
+			w = &p.webStore[len(p.webList)]
+			w.base, w.usedOutside = res[r].Orig, usedOutside
 			webOf[root] = w
-			webs = append(webs, w)
+			p.webList = append(p.webList, w)
 		}
 		webOf[r] = w
-		w.resources = append(w.resources, r)
+		w.members++
 	}
 
-	// Collect reference sets in one scan (the paper's single pass over
-	// the interval's instructions).
+	// Count each web's references, carve its lists from the scratch,
+	// then fill them in a second pass over the interval (the paper's
+	// single pass over the interval's instructions, preceded by a
+	// counting one).
+	p.scanWebRefs(iv, false)
+	nInstr, nSite := 0, 0
+	for _, w := range p.webList {
+		nInstr += w.count[refLoad] + w.count[refStore] + w.count[refMemPhi]
+		nSite += w.count[refAliasedLoad] + w.count[refAliasedDef]
+	}
+	p.resStore = resize(p.resStore, len(p.seeded))
+	p.instrStore = resize(p.instrStore, nInstr)
+	p.siteStore = resize(p.siteStore, nSite)
+	ro, io, so := 0, 0, 0
+	carve := func(n int) []*ir.Instr {
+		io += n
+		return p.instrStore[io-n : io-n : io]
+	}
+	carveSites := func(n int) []memRefSite {
+		so += n
+		return p.siteStore[so-n : so-n : so]
+	}
+	for _, w := range p.webList {
+		ro += w.members
+		w.resources = p.resStore[ro-w.members : ro-w.members : ro]
+		w.loads = carve(w.count[refLoad])
+		w.stores = carve(w.count[refStore])
+		w.memPhis = carve(w.count[refMemPhi])
+		w.aliasedLoads = carveSites(w.count[refAliasedLoad])
+		w.aliasedDefs = carveSites(w.count[refAliasedDef])
+	}
+	for _, r := range p.seeded {
+		w := webOf[r]
+		w.resources = append(w.resources, r)
+	}
+	p.scanWebRefs(iv, true)
+	return p.webList
+}
+
+// scanWebRefs visits every reference to a web version in the interval.
+// Without fill it counts them per web and kind; with fill it appends
+// them to the web's carved lists and indexes each version's defining
+// instruction.
+func (p *promoter) scanWebRefs(iv *cfg.Interval, fill bool) {
+	webOf := p.webOf
 	for _, b := range iv.Blocks {
 		for _, in := range b.Instrs {
 			for i := range in.MemDefs {
 				r := in.MemDefs[i].Res
-				if !promotable(r) {
+				w := webOf[r]
+				if w == nil {
+					continue // not promotable
+				}
+				k := defKind(in)
+				if !fill {
+					w.count[k]++
 					continue
 				}
-				w := webOf[r]
 				p.defIn[r] = in
 				w.numDefs++
-				switch {
-				case in.Op == ir.OpMemPhi:
+				switch k {
+				case refMemPhi:
 					w.memPhis = append(w.memPhis, in)
-				case in.Op == ir.OpStore:
+				case refStore:
 					w.stores = append(w.stores, in)
 				default:
 					w.aliasedDefs = append(w.aliasedDefs, memRefSite{in, true, i})
@@ -186,22 +298,26 @@ func (p *promoter) constructSSAWebs(iv *cfg.Interval) []*web {
 			}
 			for i := range in.MemUses {
 				r := in.MemUses[i].Res
-				if !promotable(r) {
+				w := webOf[r]
+				if w == nil {
 					continue
 				}
-				w := webOf[r]
-				switch in.Op {
-				case ir.OpMemPhi:
-					// phi operands are web structure, not references
-				case ir.OpLoad:
+				k := useKind(in)
+				if k == numRefKinds {
+					continue // phi operands are web structure, not references
+				}
+				if !fill {
+					w.count[k]++
+					continue
+				}
+				if k == refLoad {
 					w.loads = append(w.loads, in)
-				default:
+				} else {
 					w.aliasedLoads = append(w.aliasedLoads, memRefSite{in, false, i})
 				}
 			}
 		}
 	}
-	return webs
 }
 
 // webPlan holds the placement and profitability analysis of section 4.3:

@@ -1,7 +1,9 @@
 package ssa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -42,7 +44,8 @@ import (
 //
 // It returns the memphi instructions it inserted and left alive, in
 // the order phi placement visited their blocks. A caller that updates
-// one function many times should keep an Updater instead.
+// one function many times should keep an Updater instead, and one that
+// keeps an index of the base's references should call its UpdateRefs.
 func UpdateForClonedResources(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
 	return new(Updater).Update(f, dom, df, oldRes, cloned)
 }
@@ -71,14 +74,60 @@ type Updater struct {
 	touched []ir.ResourceID
 
 	idf       cfg.IDF
+	refs      []*ir.Instr // Update's scan of the base's references
 	defBlocks []*ir.Block
 	placed    []*ir.Instr // inserted phis in IDF order
 	work      []*ir.Instr
 	resWork   []ir.ResourceID
 }
 
-// Update is UpdateForClonedResources on u's reusable state.
+// Update is UpdateForClonedResources on u's reusable state. One scan of
+// f lists the base's references; the update itself visits only those.
 func (u *Updater) Update(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID) ([]*ir.Instr, error) {
+	if len(oldRes) == 0 {
+		return nil, fmt.Errorf("ssa: update with empty oldRes set")
+	}
+	u.refs = appendBaseRefs(u.refs[:0], f, f.BaseOf(oldRes[0]).ID)
+	return u.UpdateRefs(f, dom, df, oldRes, cloned, u.refs)
+}
+
+// appendBaseRefs appends to refs, in layout order, every instruction
+// of f that defines or uses a version of base.
+func appendBaseRefs(refs []*ir.Instr, f *ir.Function, base ir.ResourceID) []*ir.Instr {
+	res := f.Resources
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if refsBase(res, in, base) {
+				refs = append(refs, in)
+			}
+		}
+	}
+	return refs
+}
+
+// refsBase reports whether in defines or uses a version of base.
+func refsBase(res []*ir.Resource, in *ir.Instr, base ir.ResourceID) bool {
+	for _, d := range in.MemDefs {
+		if res[d.Res].Orig == base {
+			return true
+		}
+	}
+	for _, u := range in.MemUses {
+		if res[u.Res].Orig == base {
+			return true
+		}
+	}
+	return false
+}
+
+// UpdateRefs is Update for a caller that keeps an index of the base's
+// references. refs must hold every instruction of f that defines or
+// uses a version of the base, once each and in any order; an entry no
+// longer in a block (Parent == nil) or no longer referencing the base
+// is skipped. Steps 1 and 2 visit only refs, never f.Blocks, so the
+// cost follows the base's references. The caller adds the returned
+// phis to its index.
+func (u *Updater) UpdateRefs(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, oldRes, cloned []ir.ResourceID, refs []*ir.Instr) ([]*ir.Instr, error) {
 	if len(oldRes) == 0 {
 		return nil, fmt.Errorf("ssa: update with empty oldRes set")
 	}
@@ -107,21 +156,25 @@ func (u *Updater) Update(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, 
 	}
 
 	// Step 1: batch phi placement at the IDF of every definition block.
-	// The same scan indexes each tracked version's defining instruction.
-	for _, b := range f.Blocks {
-		seen := false
-		for _, in := range b.Instrs {
-			for _, d := range in.MemDefs {
-				if u.all[d.Res] {
-					u.defInstr[d.Res] = in
-					if !seen {
-						seen = true
-						u.defBlocks = append(u.defBlocks, b)
-					}
-				}
+	// The same pass indexes each tracked version's defining instruction.
+	// The definition blocks are sorted into layout order (block IDs
+	// increase along f.Blocks: NewBlock appends the next ID, and block
+	// removal and Renumber keep the order), so the IDF worklist, the
+	// order phis are placed in, and the version numbers they take do
+	// not depend on the order of refs.
+	for _, in := range refs {
+		if in.Parent == nil {
+			continue
+		}
+		for _, d := range in.MemDefs {
+			if u.all[d.Res] {
+				u.defInstr[d.Res] = in
+				u.defBlocks = append(u.defBlocks, in.Parent)
 			}
 		}
 	}
+	slices.SortFunc(u.defBlocks, func(a, b *ir.Block) int { return cmp.Compare(a.ID, b.ID) })
+	u.defBlocks = slices.Compact(u.defBlocks)
 	for _, jb := range u.idf.Of(df, u.defBlocks) {
 		if dom.RPOIndex(jb) < 0 {
 			continue
@@ -139,44 +192,53 @@ func (u *Updater) Update(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers, 
 		u.track(target.ID)
 		u.newPhi[target.ID] = true
 		u.defInstr[target.ID] = phi
+		u.basePhi[target.ID] = phi
 	}
 
-	// Step 2, in one scan with step 4's roots: rename uses of old
-	// resources to their reaching defs, and note every memphi of the
-	// base and every base version a non-phi instruction uses. A new phi
-	// becomes live when a renamed use or a live phi's operand reaches
-	// it. Step 3 changes only new phis' operands and the phi removal
-	// below only new phis, so the roots noted here are the ones a scan
-	// after them would find.
+	// Step 2, in one pass over refs with step 4's roots: rename uses of
+	// old resources to their reaching defs, and note every memphi of
+	// the base and every base version a non-phi instruction uses (step
+	// 1 noted the new phis). A new phi becomes live when a renamed use
+	// or a live phi's operand reaches it. Step 3 changes only new phis'
+	// operands and the phi removal below only new phis, so the roots
+	// noted here are the ones a pass after them would find. Renaming
+	// and marking are order-free, so the order of refs does not matter.
 	res := f.Resources
-	for _, b := range f.Blocks {
+	for _, in := range refs {
+		b := in.Parent
+		if b == nil {
+			continue
+		}
 		reachable := dom.RPOIndex(b) >= 0
-		for idx, in := range b.Instrs {
-			if in.Op == ir.OpMemPhi {
-				r := in.MemDefs[0].Res
-				if res[r].Orig == base {
-					u.basePhi[r] = in
-					u.touched = append(u.touched, r)
-				}
-				if !reachable || u.newPhi[r] {
-					continue // new phis' operands are filled in step 3
-				}
-				for i := range in.MemUses {
-					if u.old[in.MemUses[i].Res] {
-						pred := b.Preds[i]
-						u.rename(&in.MemUses[i], u.reachingDef(pred, len(pred.Instrs)))
-					}
-				}
+		if in.Op == ir.OpMemPhi {
+			r := in.MemDefs[0].Res
+			if res[r].Orig != base || u.newPhi[r] {
+				continue // new phis' operands are filled in step 3
+			}
+			u.basePhi[r] = in
+			u.touched = append(u.touched, r)
+			if !reachable {
 				continue
 			}
 			for i := range in.MemUses {
-				use := &in.MemUses[i]
-				if reachable && u.old[use.Res] {
-					u.rename(use, u.reachingDef(b, idx))
+				if u.old[in.MemUses[i].Res] {
+					pred := b.Preds[i]
+					u.rename(&in.MemUses[i], u.reachingDef(pred, len(pred.Instrs)))
 				}
-				if res[use.Res].Orig == base {
-					u.markRes(use.Res)
+			}
+			continue
+		}
+		rdef := ir.NoResource // every use of in has the same reaching def
+		for i := range in.MemUses {
+			use := &in.MemUses[i]
+			if reachable && u.old[use.Res] {
+				if rdef == ir.NoResource {
+					rdef = u.reachingDefBefore(in)
 				}
+				u.rename(use, rdef)
+			}
+			if res[use.Res].Orig == base {
+				u.markRes(use.Res)
 			}
 		}
 	}
@@ -318,6 +380,28 @@ func (u *Updater) reset() {
 // version 0 is returned.
 func (u *Updater) reachingDef(blk *ir.Block, idx int) ir.ResourceID {
 	return u.reachingDefExcluding(blk, idx, nil)
+}
+
+// reachingDefBefore is reachingDef at in's position in its block: the
+// last tracked definition before in, found by scanning the block
+// forward up to in, else the definition reaching the block's entry.
+func (u *Updater) reachingDefBefore(in *ir.Instr) ir.ResourceID {
+	last := ir.NoResource
+	for _, x := range in.Parent.Instrs {
+		if x == in {
+			break
+		}
+		for _, d := range x.MemDefs {
+			if u.all[d.Res] {
+				last = d.Res
+				break
+			}
+		}
+	}
+	if last != ir.NoResource {
+		return last
+	}
+	return u.reachingDef(in.Parent, 0)
 }
 
 // reachingDefExcluding is reachingDef but skips the definition made by
