@@ -35,7 +35,8 @@ type metrics struct {
 	diskHits        atomic.Int64 // outcomes served from the on-disk cold tier
 	diskCorrupt     atomic.Int64 // disk entries that failed verification (quarantined)
 	diskReadErrors  atomic.Int64 // disk reads that failed for non-corruption reasons
-	diskWriteErrors atomic.Int64 // disk write-throughs that failed
+	diskWriteErrors atomic.Int64 // disk writes that failed
+	diskQueued      atomic.Int64 // outcomes queued for the disk writer or being written
 
 	queuedTotal   atomic.Int64 // requests that had to wait for a worker slot
 	queueWaitNS   atomic.Int64 // summed queue wait
@@ -133,7 +134,7 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) {
 	counter("rpserved_disk_hits_total", "promotion results served from the on-disk cache tier", m.diskHits.Load())
 	counter("rpserved_disk_corrupt_total", "disk cache entries that failed verification and were quarantined", m.diskCorrupt.Load())
 	counter("rpserved_disk_read_errors_total", "disk cache reads that failed (corruption excluded)", m.diskReadErrors.Load())
-	counter("rpserved_disk_write_errors_total", "disk cache write-throughs that failed", m.diskWriteErrors.Load())
+	counter("rpserved_disk_write_errors_total", "disk cache writes that failed", m.diskWriteErrors.Load())
 	counter("rpserved_queued_total", "requests that waited for a worker slot", m.queuedTotal.Load())
 	counter("rpserved_queue_wait_ms_total", "summed queue wait in milliseconds", m.queueWaitNS.Load()/int64(time.Millisecond))
 	counter("rpserved_pipeline_ms_total", "summed pipeline wall time in milliseconds (cache misses only)", m.pipelineNS.Load()/int64(time.Millisecond))
@@ -150,6 +151,7 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) {
 		gauge("rpserved_disk_quarantine_bytes", "bytes held by quarantined disk entries", st.QuarantineBytes)
 		gauge("rpserved_disk_quarantined", "disk entries quarantined since start", st.Quarantined)
 		gauge("rpserved_disk_gc_evicted", "disk entries evicted by GC since start", st.Evicted)
+		gauge("rpserved_disk_write_queue", "outcomes queued for the disk writer or being written", m.diskQueued.Load())
 	}
 	gauge("rpserved_rate_limit_clients", "clients with a live rate-limit bucket", int64(s.limiter.Len()))
 	draining := int64(0)

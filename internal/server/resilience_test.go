@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 	if rec.Code != http.StatusOK || first.Serving.Cache != "miss" {
 		t.Fatalf("first server: %d cache=%q, want 200 miss", rec.Code, first.Serving.Cache)
 	}
+	drain(t, s1) // a clean shutdown flushes the disk writer
 
 	// "Restart": a brand-new server (empty memory tier) on the same dir.
 	s2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
@@ -174,31 +176,99 @@ func TestDiskTierWarmRestart(t *testing.T) {
 	}
 }
 
+// TestMissDoesNotWaitForDisk checks a miss is answered before its disk
+// write: with every disk operation slowed by 500 ms, the miss pays for
+// its disk lookup but not for the write. Until Drain the entry is
+// absent from disk and counted on rpserved_disk_write_queue; after
+// Drain it is on disk, and a second server serves it from there byte
+// for byte.
+func TestMissDoesNotWaitForDisk(t *testing.T) {
+	dir := t.TempDir()
+	req := PromoteRequest{Source: smallSrc}
+	s1 := newTestServer(t, Config{Workers: 1, CacheDir: dir,
+		DiskChaos: faults.NewDisk(faults.DiskPlan{SlowIO: 500 * time.Millisecond})})
+	writeQueue := func(want string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s1.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if line := "\nrpserved_disk_write_queue " + want + "\n"; !strings.Contains(rec.Body.String(), line) {
+			t.Fatalf("/metrics lacks %q:\n%s", strings.TrimSpace(line), rec.Body.String())
+		}
+	}
+
+	start := time.Now()
+	rec, first, _ := postPromote(t, s1, req)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusOK || first.Serving.Cache != "miss" {
+		t.Fatalf("first request: %d cache=%q, want 200 miss", rec.Code, first.Serving.Cache)
+	}
+	if elapsed >= 900*time.Millisecond {
+		t.Fatalf("miss answered in %v, want under 900ms: the response waited for the disk write", elapsed)
+	}
+	if files := diskEntryFiles(t, dir); len(files) != 0 {
+		t.Fatalf("%d entries on disk before Drain, want 0 (the write is still queued)", len(files))
+	}
+	writeQueue("1")
+
+	drain(t, s1)
+	writeQueue("0")
+	if files := diskEntryFiles(t, dir); len(files) != 1 {
+		t.Fatalf("%d entries on disk after Drain, want 1", len(files))
+	}
+
+	s2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	rec, warm, _ := postPromote(t, s2, req)
+	if rec.Code != http.StatusOK || warm.Serving.Cache != "disk" {
+		t.Fatalf("second server: %d cache=%q, want 200 disk", rec.Code, warm.Serving.Cache)
+	}
+	if !bytes.Equal(first.Outcome, warm.Outcome) || first.Report != warm.Report {
+		t.Fatal("disk-served outcome differs from the computed one")
+	}
+}
+
 // TestDiskTierBackfillsMemoryEviction squeezes the memory tier to one
 // entry and checks entries evicted from memory are still served from
 // disk — the interaction that makes the cold tier an extension of the
 // hot one rather than a separate cache.
+//
+// Disk writes land behind the response, so a first server computes
+// both entries and drains (flushing its writer) before a second server
+// with the one-entry memory tier serves them.
 func TestDiskTierBackfillsMemoryEviction(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: t.TempDir()})
+	dir := t.TempDir()
 	reqA := PromoteRequest{Source: smallSrc}
 	reqB := PromoteRequest{Source: `void main() { print(7); }`}
 
-	if rec, a, _ := postPromote(t, s, reqA); rec.Code != 200 || a.Serving.Cache != "miss" {
+	s1 := newTestServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: dir})
+	if rec, a, _ := postPromote(t, s1, reqA); rec.Code != 200 || a.Serving.Cache != "miss" {
 		t.Fatalf("A first: %d %q", rec.Code, a.Serving.Cache)
 	}
 	// B evicts A from the one-entry memory tier.
-	if rec, b, _ := postPromote(t, s, reqB); rec.Code != 200 || b.Serving.Cache != "miss" {
+	if rec, b, _ := postPromote(t, s1, reqB); rec.Code != 200 || b.Serving.Cache != "miss" {
 		t.Fatalf("B first: %d %q", rec.Code, b.Serving.Cache)
+	}
+	drain(t, s1)
+
+	s := newTestServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: dir})
+	if rec, a, _ := postPromote(t, s, reqA); rec.Code != 200 || a.Serving.Cache != "disk" {
+		t.Fatalf("A on the second server: %d cache=%q, want disk", rec.Code, a.Serving.Cache)
+	}
+	// A's promotion into memory is evicted by B's.
+	if rec, b, _ := postPromote(t, s, reqB); rec.Code != 200 || b.Serving.Cache != "disk" {
+		t.Fatalf("B on the second server: %d cache=%q, want disk", rec.Code, b.Serving.Cache)
 	}
 	// A is gone from memory but alive on disk.
 	rec, a2, _ := postPromote(t, s, reqA)
 	if rec.Code != 200 || a2.Serving.Cache != "disk" {
 		t.Fatalf("A after eviction: %d cache=%q, want disk", rec.Code, a2.Serving.Cache)
 	}
-	// A's promotion evicted B in turn; B now comes from disk too.
+	// A's promotion evicted B in turn; B comes from disk again.
 	rec, b2, _ := postPromote(t, s, reqB)
 	if rec.Code != 200 || b2.Serving.Cache != "disk" {
 		t.Fatalf("B after A promoted: %d cache=%q, want disk", rec.Code, b2.Serving.Cache)
+	}
+	if s.m.cacheMisses.Load() != 0 {
+		t.Fatalf("cacheMisses = %d on the second server, want 0", s.m.cacheMisses.Load())
 	}
 }
 
@@ -246,6 +316,7 @@ func TestDiskCorruptionRecovery(t *testing.T) {
 
 			s1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 			_, first, _ := postPromote(t, s1, req)
+			drain(t, s1)
 
 			files := diskEntryFiles(t, dir)
 			if len(files) != 1 {
@@ -275,8 +346,9 @@ func TestDiskCorruptionRecovery(t *testing.T) {
 			if err != nil || len(bad) != 1 {
 				t.Fatalf("quarantine dir holds %d files (err %v), want 1", len(bad), err)
 			}
-			// And the entry was re-written: a third generation serves it
-			// from disk again.
+			// And the entry was re-written: after a drain flushes the
+			// writer, a third generation serves it from disk again.
+			drain(t, s2)
 			s3 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 			rec, again, _ := postPromote(t, s3, req)
 			if rec.Code != http.StatusOK || again.Serving.Cache != "disk" {
@@ -478,6 +550,12 @@ func TestChaosDiskFaultsNeverFailRequests(t *testing.T) {
 	}
 	if s.m.serverErrors.Load() != 0 {
 		t.Fatalf("serverErrors = %d under disk chaos, want 0", s.m.serverErrors.Load())
+	}
+	// The one computed outcome was handed to the disk writer, which
+	// either stored it or counted the failure by the end of the drain.
+	drain(t, s)
+	if stored, failed := s.disk.Stats().Entries, s.m.diskWriteErrors.Load(); int64(stored)+failed != 1 {
+		t.Fatalf("after drain: %d entries stored, %d writes failed; want one of the two", stored, failed)
 	}
 }
 

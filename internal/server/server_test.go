@@ -28,14 +28,27 @@ void main() {
 }
 `
 
-// newTestServer builds a server or fails the test.
+// newTestServer builds a server or fails the test. The server is
+// drained when the test ends, so its disk writer never outlives the
+// test's temporary cache directory.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { drain(t, s) })
 	return s
+}
+
+// drain drains s, flushing its disk writer, or fails the test.
+func drain(t *testing.T, s *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Errorf("Drain = %v", err)
+	}
 }
 
 func postPromote(t *testing.T, s *Server, req PromoteRequest) (*httptest.ResponseRecorder, PromoteResponse, ErrorResponse) {

@@ -8,7 +8,12 @@
 #   2. kill/warm  — server with a durable cache dir is populated, then
 #                   SIGKILLed mid-load. A restart over the same dir must
 #                   serve the mix with at least one disk hit per program
-#                   (warm start) and byte-identical outcomes.
+#                   (warm start) and byte-identical outcomes. Then a
+#                   server over a fresh dir, its disk slowed by 50ms
+#                   per operation, is populated and stopped with SIGTERM
+#                   right after the pass: disk writes land behind the
+#                   response, so only the drain's flush of the write
+#                   queue makes that restart warm.
 #   3. disk chaos — server over a fresh dir with injected disk read/
 #                   write/checksum faults and slow IO. Faults may cost
 #                   cache hits, never correctness: no 5xx, no divergence,
@@ -84,6 +89,20 @@ cmp "$work/pristine.json" "$work/warm.json" || {
     exit 1
 }
 say "phase 2 ok: warm restart, byte-identical outcomes"
+
+say "phase 2: populate a fresh slow-disk cache, SIGTERM right after the pass, warm restart"
+cache="$work/drain-cache"
+start_server -cache-dir "$cache" -chaos-disk "slow=50ms"
+bin/rploadgen -addr "$server_addr" $MIX >/dev/null
+stop_server
+start_server -cache-dir "$cache"
+bin/rploadgen -addr "$server_addr" $MIX -min-disk-hits 4 -outcomes "$work/drained.json"
+stop_server
+cmp "$work/pristine.json" "$work/drained.json" || {
+    say "FAIL: outcomes after a clean drain + restart differ from pristine"
+    exit 1
+}
+say "phase 2 ok: the drain flushed the disk write queue, byte-identical outcomes"
 
 # Phase 3: injected disk faults must never surface to clients. The
 # loadgen itself fails the phase on any 5xx, transport error, or
