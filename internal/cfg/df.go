@@ -1,6 +1,9 @@
 package cfg
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/ir"
 )
@@ -29,6 +32,27 @@ func (d DomFrontiers) Func() *ir.Function { return d.f }
 // value is not valid). Callers accepting an optional DomFrontiers use
 // this to distinguish "not supplied" from "supplied but empty".
 func (d DomFrontiers) Valid() bool { return d.f != nil }
+
+// SameDominance reports an error unless dom and df, built earlier for
+// f, equal a fresh build: the same reachable blocks, immediate
+// dominators and frontiers. A difference means the CFG changed without
+// MarkCFGChanged.
+func SameDominance(f *ir.Function, dom *DomTree, df DomFrontiers) error {
+	fresh := BuildDomTree(f)
+	if len(dom.RPO()) != len(fresh.RPO()) {
+		return fmt.Errorf("stale dominator tree for %s: %d reachable blocks, %d fresh (missing CFG version bump?)", f.Name, len(dom.RPO()), len(fresh.RPO()))
+	}
+	freshDF := BuildDomFrontiers(fresh)
+	for _, b := range fresh.RPO() {
+		if dom.Idom(b) != fresh.Idom(b) {
+			return fmt.Errorf("stale dominator tree for %s: idom(%v) %v, fresh %v (missing CFG version bump?)", f.Name, b, dom.Idom(b), fresh.Idom(b))
+		}
+		if !slices.Equal(df.Of(b), freshDF.Of(b)) {
+			return fmt.Errorf("stale dominance frontier for %s at %v (missing CFG version bump?)", f.Name, b)
+		}
+	}
+	return nil
+}
 
 // BuildDomFrontiers computes dominance frontiers with the Cytron et al.
 // two-pointer walk: for every join block b, each predecessor p and every

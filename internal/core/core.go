@@ -68,7 +68,7 @@ type Config struct {
 	// paper's formula exactly — the ablation benchmarks compare both.
 	CountTailStores bool
 	// Dom and DF optionally supply prebuilt analyses of f's current CFG
-	// (the pipeline passes them from its analysis cache). When Dom is
+	// (the pipeline passes its transform chain's). When Dom is
 	// nil or DF is invalid, PromoteFunction computes its own.
 	Dom *cfg.DomTree
 	DF  cfg.DomFrontiers

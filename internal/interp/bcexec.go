@@ -50,31 +50,15 @@ type mcodeEntry struct {
 	mc mcode
 }
 
-// codeFor returns f's machine code wrapper: this run's private table
-// first, then the external cache (validated against the current CFG
-// version and instruction fingerprint), compiling and publishing on
-// miss. The private table makes validation a once-per-function-per-run
-// cost.
+// codeFor returns f's machine code wrapper from this run's table,
+// compiling f on its first call in the run.
 func (m *machine) codeFor(f *ir.Function) *mcode {
 	for i := range m.codes {
 		if m.codes[i].f == f {
 			return &m.codes[i].mc
 		}
 	}
-	var c *bcCode
-	if m.opts.Code != nil {
-		if v, ok := m.opts.Code.CompiledCode(f); ok {
-			if cc, ok := v.(*bcCode); ok && cc.bcValid(f, m.globalBase) {
-				c = cc
-			}
-		}
-	}
-	if c == nil {
-		c = compileBytecode(f, m.globalBase)
-		if m.opts.Code != nil {
-			m.opts.Code.PutCompiledCode(f, c)
-		}
-	}
+	c := compileBytecode(f, m.globalBase)
 	mc := mcode{code: c, links: make([]bcLink, c.nCalls), blocks: make([]int64, len(c.blockOps))}
 	if m.result.Profile != nil {
 		mc.edges = edgeCounters(f)
@@ -83,8 +67,8 @@ func (m *machine) codeFor(f *ir.Function) *mcode {
 	return &m.codes[len(m.codes)-1].mc
 }
 
-// callBC is the engine's top-level call: depth check, compile (or cache
-// hit), execute. Nested calls bypass it via linked sites.
+// callBC is the engine's top-level call: depth check, compile (on the
+// run's first call of f), execute. Nested calls bypass it via linked sites.
 func (m *machine) callBC(f *ir.Function, args []int64, depth int) (int64, error) {
 	if depth > m.opts.MaxDepth {
 		return 0, fmt.Errorf("interp: call depth exceeds %d in %s", m.opts.MaxDepth, f.Name)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/source"
 )
@@ -61,10 +60,9 @@ func benchRun(b *testing.B, opts Options) {
 	}
 }
 
-// The engine benchmark shares one external code cache across
-// iterations, the deployment shape: compilation is paid once, every run
-// after that is pure dispatch.
-func BenchmarkInterpCallHeavy(b *testing.B) { benchRun(b, Options{Code: analysis.New()}) }
+// BenchmarkInterpCallHeavy runs the bytecode engine. Every run compiles
+// each function it calls once, as every pipeline run does.
+func BenchmarkInterpCallHeavy(b *testing.B) { benchRun(b, Options{}) }
 
 // BenchmarkInterpCallHeavyLegacy runs the reference interpreter.
 func BenchmarkInterpCallHeavyLegacy(b *testing.B) { benchRun(b, Options{Legacy: true}) }

@@ -10,12 +10,9 @@
 // FrameLayout, so the executor's load/store is pointer arithmetic plus a
 // bounds check.
 //
-// Compiled code is immutable and cacheable. Validity is two keys deep:
-// the CFG version counter catches shape mutations, and a fingerprint
-// hash over the instruction stream catches the rewrites that leave the
-// shape alone (SSA construction, promotion rewriting loads to copies) —
-// CFGVersion only promises an unchanged block graph, not unchanged
-// instructions, so the hash is what makes cross-stage caching sound.
+// Compiled code is immutable. Each run compiles every function it calls
+// once, on the first call, and keeps the code for the rest of the run
+// (bcexec.go, codeFor); no code outlives its run.
 package interp
 
 import (
@@ -161,8 +158,7 @@ type opCount struct {
 	n  int64
 }
 
-// bcCode is a compiled function. It is immutable after compilation and
-// shared freely across machines running the same program.
+// bcCode is a compiled function. It is immutable after compilation.
 type bcCode struct {
 	fname string
 	ins   []bcInstr
@@ -172,8 +168,7 @@ type bcCode struct {
 	numRegs  int32
 	frameLen int32 // numRegs + len(consts) + 1 scratch slot
 
-	slotCount int // len(f.Slots) at compile, for staleness checks
-	nCalls    int // call sites, numbering each bcCall's link slot
+	nCalls int // call sites, numbering each bcCall's link slot
 
 	// Cold side tables, indexed from bcInstr as documented there.
 	argPool   []int32     // call arguments as frame indexes
@@ -192,94 +187,6 @@ type bcCode struct {
 	// its terminator, so opcode counts are exactly the per-block entry
 	// counters times these static tallies, reconstructed once per run.
 	blockOps [][]opCount
-
-	version uint64 // f.CFGVersion() at compile
-	hash    uint64 // bcFingerprint(f, layout) at compile
-}
-
-// bcFingerprint hashes everything compiled code depends on beyond the
-// CFG shape: register and slot counts, instruction payloads, resolved
-// global addresses, and successor wiring. globalBase must be the
-// executing machine's layout — it is deterministic per program, so one
-// function's fingerprint is stable across machines. FNV-1a over folded
-// words.
-func bcFingerprint(f *ir.Function, globalBase map[*ir.Global]int64) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		h ^= x
-		h *= 1099511628211
-	}
-	mixStr := func(s string) {
-		mix(uint64(len(s)))
-		for i := 0; i < len(s); i++ {
-			mix(uint64(s[i]))
-		}
-	}
-	mixVal := func(v ir.Value) {
-		if v.IsConst() {
-			mix(1)
-			mix(uint64(v.Const()))
-		} else {
-			mix(2)
-			mix(uint64(v.Reg()))
-		}
-	}
-	mix(uint64(f.NumRegs))
-	mix(uint64(len(f.Params)))
-	for _, p := range f.Params {
-		mix(uint64(p))
-	}
-	mix(uint64(len(f.Slots)))
-	for _, s := range f.Slots {
-		mix(uint64(s.Size))
-	}
-	mix(uint64(len(f.Blocks)))
-	for _, b := range f.Blocks {
-		mix(uint64(b.ID))
-		mix(uint64(len(b.Preds)))
-		for _, p := range b.Preds {
-			mix(uint64(p.ID))
-		}
-		mix(uint64(len(b.Succs)))
-		for _, s := range b.Succs {
-			mix(uint64(s.ID))
-		}
-		mix(uint64(len(b.Instrs)))
-		for _, in := range b.Instrs {
-			mix(uint64(in.Op))
-			mix(uint64(in.Dst))
-			mix(uint64(len(in.Args)))
-			for _, a := range in.Args {
-				mixVal(a)
-			}
-			if in.Op == ir.OpCall {
-				mixStr(in.Callee)
-			}
-			switch in.Loc.Kind {
-			case ir.LocGlobal:
-				mix(3)
-				mix(uint64(globalBase[in.Loc.Global]))
-				mix(uint64(in.Loc.Offset))
-				mix(uint64(in.Loc.Size()))
-			case ir.LocSlot:
-				mix(4)
-				mix(uint64(in.Loc.Slot.Index))
-				mix(uint64(in.Loc.Offset))
-				mix(uint64(in.Loc.Size()))
-			}
-		}
-	}
-	return h
-}
-
-// bcValid reports whether compiled code is still current for f under
-// the machine's global layout.
-func (c *bcCode) bcValid(f *ir.Function, globalBase map[*ir.Global]int64) bool {
-	return c != nil &&
-		c.version == f.CFGVersion() &&
-		int(c.numRegs) == f.NumRegs &&
-		c.slotCount == len(f.Slots) &&
-		c.hash == bcFingerprint(f, globalBase)
 }
 
 // compiler carries one compilation's state.
@@ -326,10 +233,7 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			ins:       make([]bcInstr, 0, nInstrs),
 			edges:     make([]bcEdge, 0, nEdges),
 			numRegs:   int32(f.NumRegs),
-			slotCount: len(f.Slots),
 			frameSize: fsize,
-			version:   f.CFGVersion(),
-			hash:      bcFingerprint(f, globalBase),
 			blockOps:  make([][]opCount, f.BlockIDBound()),
 		},
 		constIdx: make(map[int64]int32),

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/alias"
-	"repro/internal/analysis"
 	"repro/internal/ir"
 	"repro/internal/source"
 	"repro/internal/workload"
@@ -68,32 +67,20 @@ func requireSameResult(t *testing.T, name, aPath, bPath string, a, b *Result) {
 	}
 }
 
-// threeWay runs src on the bytecode engine cold (compiling as it
-// goes), on the fast path (a second run of the same program served
-// from the code cache the first run filled), and on the reference
-// interpreter, and requires identical results. The reference gets a
-// fresh program instance.
-func threeWay(t *testing.T, name, src string) {
+// twoWay runs src on the bytecode engine and on the reference
+// interpreter, each on its own program instance, and requires identical
+// results.
+func twoWay(t *testing.T, name, src string) {
 	t.Helper()
-	prog := compileSource(t, src)
-	opts := Options{CollectProfile: true, Code: analysis.New()}
-	bc, err := Run(prog, opts)
-	if err != nil {
-		t.Fatalf("%s: cold run: %v", name, err)
-	}
-	fast, err := Run(prog, opts)
-	if err != nil {
-		t.Fatalf("%s: warm run: %v", name, err)
-	}
+	bc := runPath(t, src, Options{CollectProfile: true})
 	legacy := runPath(t, src, Options{CollectProfile: true, Legacy: true})
 	requireSameResult(t, name, "bytecode", "legacy", bc, legacy)
-	requireSameResult(t, name, "bytecode", "fast", bc, fast)
 }
 
-// TestBytecodeMatchesLegacyAndFast is the three-way differential over
-// the full workload suite plus generated programs, including configs
-// tuned toward the shapes that stress the compiler: helper-call fanout,
-// arrays, deep nesting, and pointer traffic.
+// TestBytecodeMatchesLegacyAndFast is the engine-vs-reference
+// differential over the full workload suite plus generated programs,
+// including configs tuned toward the shapes that stress the compiler:
+// helper-call fanout, arrays, deep nesting, and pointer traffic.
 func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 	type gen struct {
 		seed       int64
@@ -111,11 +98,11 @@ func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 	}
 
 	for _, w := range workload.Suite() {
-		threeWay(t, "suite/"+w.Name, w.Src)
+		twoWay(t, "suite/"+w.Name, w.Src)
 	}
 	for i := 0; i < 8; i++ {
 		src := workload.Generate(workload.DefaultGenConfig(workload.DeriveSeed(41, i)))
-		threeWay(t, "gen/"+strconv.Itoa(i), src)
+		twoWay(t, "gen/"+strconv.Itoa(i), src)
 	}
 	for _, g := range tuned {
 		cfg := workload.DefaultGenConfig(g.seed)
@@ -123,13 +110,13 @@ func TestBytecodeMatchesLegacyAndFast(t *testing.T) {
 		cfg.NumArrays = g.arrays
 		cfg.MaxDepth = g.depth
 		cfg.PtrChance = float64(g.ptrPercent) / 100
-		threeWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
+		twoWay(t, "tuned/"+strconv.FormatInt(g.seed, 10), workload.Generate(cfg))
 	}
 }
 
 // TestBytecodeParserCorpus sweeps the parser fuzz seed corpus through
-// the three-way differential, skipping entries the frontend rejects
-// (they seed error paths).
+// the engine-vs-reference differential, skipping entries the frontend
+// rejects (they seed error paths).
 func TestBytecodeParserCorpus(t *testing.T) {
 	dir := filepath.Join("..", "source", "testdata", "fuzz", "FuzzParser")
 	entries, err := os.ReadDir(dir)
@@ -161,7 +148,7 @@ func TestBytecodeParserCorpus(t *testing.T) {
 			if _, err := Run(prog, Options{Legacy: true}); err != nil {
 				continue // seeds runtime error paths; covered by TestBytecodeErrorParity
 			}
-			threeWay(t, "corpus/"+e.Name(), src)
+			twoWay(t, "corpus/"+e.Name(), src)
 			ran++
 		}
 	}
@@ -236,96 +223,5 @@ func TestBytecodeErrorParity(t *testing.T) {
 		if bres != nil || lres != nil {
 			t.Errorf("%s: failed run leaked a Result", tc.name)
 		}
-	}
-}
-
-// TestBytecodeCompileOncePerVersion wires the real analysis cache in as
-// the code cache and requires exactly one compilation per function
-// across repeated runs, plus exactly one recompilation after the CFG
-// version moves.
-func TestBytecodeCompileOncePerVersion(t *testing.T) {
-	src := `
-int g;
-int bump(int x) { g = g + x; return g; }
-void main() {
-	int i;
-	i = 0;
-	while (i < 50) { i = i + bump(1) % 3; }
-	print(g);
-}`
-	prog := compileSource(t, src)
-	cache := analysis.New()
-	opts := Options{Code: cache}
-
-	var first *Result
-	for run := 0; run < 3; run++ {
-		res, err := Run(prog, opts)
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if first == nil {
-			first = res
-		} else if !reflect.DeepEqual(res.Output, first.Output) || res.Steps != first.Steps {
-			t.Fatalf("run %d: result drifted", run)
-		}
-	}
-	for _, name := range []string{"main", "bump"} {
-		f := prog.Func(name)
-		got := len(cache.Builds(f)[analysis.KindCode])
-		if got != 1 {
-			t.Errorf("%s: %d code builds across 3 runs, want 1", name, got)
-		}
-	}
-
-	// A CFG shape change must force exactly one recompile.
-	main := prog.Func("main")
-	main.MarkCFGChanged()
-	if _, err := Run(prog, opts); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(cache.Builds(main)[analysis.KindCode]); got != 2 {
-		t.Errorf("main: %d code builds after CFG change, want 2", got)
-	}
-	if got := len(cache.Builds(prog.Func("bump"))[analysis.KindCode]); got != 1 {
-		t.Errorf("bump: %d code builds after unrelated CFG change, want 1", got)
-	}
-}
-
-// TestBytecodeStaleCacheRejected plants code compiled from a rewritten
-// twin of the program under the original function's cache slot and
-// requires the fingerprint check to reject it: CFGVersion alone cannot
-// see instruction rewrites that leave the block graph intact.
-func TestBytecodeStaleCacheRejected(t *testing.T) {
-	src := `int g; void main() { g = g + 41; print(g); }`
-	prog := compileSource(t, src)
-	main := prog.Func("main")
-
-	m := &machine{prog: prog}
-	m.layoutGlobals()
-	good := compileBytecode(main, m.globalBase)
-	if !good.bcValid(main, m.globalBase) {
-		t.Fatal("freshly compiled code reported stale")
-	}
-
-	// Rewrite an instruction operand without touching the CFG.
-	for _, b := range main.Blocks {
-		for _, in := range b.Instrs {
-			for j, a := range in.Args {
-				if a.IsConst() && a.Const() == 41 {
-					in.Args[j] = ir.ConstVal(99)
-				}
-			}
-		}
-	}
-	if good.bcValid(main, m.globalBase) {
-		t.Fatal("stale code accepted after instruction rewrite at unchanged CFG version")
-	}
-
-	res, err := Run(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 1 || res.Output[0] != 99 {
-		t.Fatalf("output %v, want [99]", res.Output)
 	}
 }

@@ -72,22 +72,6 @@ type Options struct {
 	// specification the bytecode engine is held to; results are
 	// identical. The default (false) runs the bytecode engine.
 	Legacy bool
-	// Code optionally supplies a cross-run cache for compiled bytecode
-	// (internal/analysis.Cache implements it). Entries are revalidated
-	// against the function's CFG version and an instruction-stream
-	// fingerprint on every run, so stale code is recompiled, never
-	// executed. Nil means each run compiles privately.
-	Code CodeCache
-}
-
-// CodeCache stores compiled bytecode across runs, keyed per function.
-// The stored value is opaque to implementors; interp validates it
-// before use and republishes after recompiling.
-type CodeCache interface {
-	// CompiledCode returns the cached unit for f, if any.
-	CompiledCode(f *ir.Function) (any, bool)
-	// PutCompiledCode stores the unit just compiled for f.
-	PutCompiledCode(f *ir.Function, code any)
 }
 
 // Result is the outcome of a run.

@@ -19,11 +19,12 @@ type Function struct {
 	maxVer    map[ResourceID]int // highest version per base resource
 
 	// cfgVersion counts CFG shape mutations: block additions and
-	// removals, edge splits, and any rewiring of Preds/Succs. Analyses
-	// cached per function (internal/analysis) key their entries on it, so
-	// every mutation point must bump it — the ir mutators below do, and
-	// code that edits Preds/Succs slices directly must call
-	// MarkCFGChanged itself (see DESIGN.md §8 for the contract).
+	// removals, edge splits, and any rewiring of Preds/Succs. The
+	// pipeline's boundary checks compare it with the version a transform
+	// chain's dominator tree was built at, so every mutation point must
+	// bump it — the ir mutators below do, and code that edits Preds/Succs
+	// slices directly must call MarkCFGChanged itself (see DESIGN.md §8
+	// for the contract).
 	cfgVersion uint64
 
 	// slotOffsets[i] is the frame offset of Slots[i]; frameSize is the

@@ -5,9 +5,7 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -88,55 +86,6 @@ func TestPipelineBytecodeDifferential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(base.DegradedFuncs(), bc.DegradedFuncs()) {
 				t.Errorf("degradations differ: legacy %v bytecode %v", base.DegradedFuncs(), bc.DegradedFuncs())
-			}
-		})
-	}
-}
-
-// TestCompileOncePerFunctionVersion pins the compile sharing the
-// single engine relies on: with the run's analysis cache threaded
-// through as the code cache, every called baseline function compiles
-// exactly once for the training run, which is also the baseline
-// measurement, and every called promoted function exactly once for
-// measure-after.
-func TestCompileOncePerFunctionVersion(t *testing.T) {
-	for _, w := range workload.Suite() {
-		t.Run(w.Name, func(t *testing.T) {
-			cache := analysis.New()
-			out, err := pipeline.Run(w.Src, pipeline.Options{AnalysisCache: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			called := func(f *ir.Function) bool {
-				fp := out.Profile.Funcs[f.Name]
-				return fp != nil && fp.Block[f.Entry().ID] > 0
-			}
-			promoted := make(map[*ir.Function]bool, len(out.Prog.Funcs))
-			for _, f := range out.Prog.Funcs {
-				promoted[f] = true
-				if got := len(cache.Builds(f)[analysis.KindCode]); called(f) && got != 1 {
-					t.Errorf("promoted %s: %d code builds for measure-after, want 1", f.Name, got)
-				} else if !called(f) && got != 0 {
-					t.Errorf("promoted %s: never called but compiled %d times", f.Name, got)
-				}
-			}
-			// Every other cached function with compiled code belongs to the
-			// baseline program, which only the training run executes.
-			baseline := make(map[string]int)
-			for _, f := range cache.Functions() {
-				if n := len(cache.Builds(f)[analysis.KindCode]); !promoted[f] && n > 0 {
-					baseline[f.Name] += n
-				}
-			}
-			for _, f := range out.Prog.Funcs {
-				want := 0
-				if called(f) {
-					want = 1
-				}
-				if baseline[f.Name] != want {
-					t.Errorf("baseline %s: %d code builds for the training run, want %d",
-						f.Name, baseline[f.Name], want)
-				}
 			}
 		})
 	}

@@ -54,12 +54,13 @@ func TestRunTwiceIdenticalLegacy(t *testing.T) {
 	}
 }
 
-// TestCachedMatchesUncachedReport asserts the analysis cache is
-// semantically invisible. At CheckParanoid every cache hit is checked
-// against a fresh rebuild and a mismatch panics, so that run consumes
-// exactly the uncached analyses; its report and IR must be
-// byte-identical to a CheckOff run's. It covers the suite and the
-// imported real-IR programs.
+// TestCachedMatchesUncachedReport asserts that sharing one dominator
+// tree across a transform chain is semantically invisible. At
+// CheckParanoid every in-SSA boundary check compares the chain's tree
+// and frontiers with a fresh rebuild and a mismatch degrades the
+// function, so that run consumes exactly the fresh analyses; its report
+// and IR must be byte-identical to a CheckOff run's. It covers the
+// suite and the imported real-IR programs.
 func TestCachedMatchesUncachedReport(t *testing.T) {
 	for _, w := range append(workload.Suite(), workload.ImportedSuite()...) {
 		opts := pipeline.Options{PreMemOpts: true, Lang: w.Lang}

@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"repro/internal/alias"
-	"repro/internal/analysis"
 	"repro/internal/baseline"
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -146,10 +145,6 @@ type Options struct {
 	// boundaries (see internal/faults); used to test the recovery
 	// paths and exposed through the tools' -fault flag.
 	Faults *faults.Injector
-	// AnalysisCache optionally supplies the analysis cache the run
-	// memoizes CFG analyses in (tests pass their own to inspect build
-	// counts). Nil means the run creates one.
-	AnalysisCache *analysis.Cache
 	// Workers bounds how many functions are transformed concurrently.
 	// Each worker runs the full per-function chain (SSA build →
 	// promote → destruct → verify) behind the usual isolation and
@@ -229,22 +224,6 @@ type runner struct {
 	// on it and when the differential check bisects for a culprit.
 	before   *ir.Program
 	degraded map[string]bool
-	// cache memoizes per-function CFG analyses across stages, keyed on
-	// the functions' CFG version counters. Never nil during a run.
-	cache *analysis.Cache
-}
-
-// interpOptions returns the run's interpreter options with the run's
-// analysis cache threaded in as the bytecode cache, so training,
-// measurement, the differential check and bisect share one compile per
-// function version (the cache revalidates per run, so stage-boundary
-// rewrites recompile safely).
-func (r *runner) interpOptions() interp.Options {
-	popts := r.opts.Interp
-	if popts.Code == nil {
-		popts.Code = r.cache
-	}
-	return popts
 }
 
 // Run executes the full pipeline on mini-C source text. Options are
@@ -262,14 +241,6 @@ func Run(src string, opts Options) (*Outcome, error) {
 	if opts.PressureCap > 0 {
 		r.out.Pressure = make(map[string]*core.PressureResult)
 	}
-	r.cache = opts.AnalysisCache
-	if r.cache == nil {
-		r.cache = analysis.New()
-	}
-	if opts.Check >= CheckParanoid {
-		r.cache.Paranoid = true
-	}
-
 	// Baseline program: compiled, analyzed, normalized — not promoted.
 	before, beforeForests, err := r.frontend(src)
 	if err != nil {
@@ -384,10 +355,6 @@ func (r *runner) frontend(src string) (*ir.Program, map[string]*cfg.Forest, erro
 				}
 			}
 			forests[f.Name] = forest
-			// Normalize just built this forest at the function's current
-			// CFG version; seed the cache so the estimate and promote
-			// paths never rebuild it.
-			r.cache.PutIntervals(f, forest)
 			return nil
 		})
 		if err != nil {
@@ -421,11 +388,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 	err := r.runStage(StageTrain, "", nil, func() error {
 		switch {
 		case r.opts.StaticProfile:
-			p, err := estimateAll(before, forests)
-			if err != nil {
-				return err
-			}
-			prof = p
+			prof = estimateAll(before, forests)
 		case r.opts.TrainSrc != "":
 			train, _, err := plainFrontend(r.opts.Lang, r.opts.TrainSrc)
 			if err != nil {
@@ -436,7 +399,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 					return fmt.Errorf("training source lacks function %s", f.Name)
 				}
 			}
-			popts := r.interpOptions()
+			popts := r.opts.Interp
 			popts.CollectProfile = true
 			res, err := interp.Run(train, popts)
 			if err != nil {
@@ -444,7 +407,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 			}
 			prof = res.Profile
 		default:
-			popts := r.interpOptions()
+			popts := r.opts.Interp
 			popts.CollectProfile = true
 			res, err := interp.Run(before, popts)
 			if err != nil {
@@ -462,7 +425,7 @@ func (r *runner) trainProfile(before *ir.Program, forests map[string]*cfg.Forest
 func (r *runner) measure(stage string, prog *ir.Program) (*interp.Result, error) {
 	var res *interp.Result
 	err := r.runStage(stage, "", nil, func() error {
-		rr, err := interp.Run(prog, r.interpOptions())
+		rr, err := interp.Run(prog, r.opts.Interp)
 		res = rr
 		return err
 	})
@@ -492,20 +455,31 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	fp := prof.ForFunc(f.Name)
 
 	var stats *core.Stats
+	// The SSA stages share one dominator tree and one set of frontiers,
+	// built after unreachable blocks are gone: nothing after that adds
+	// or removes a block, and boundaryCheck holds the chain to it.
+	var dt domTree
+	ssaBuild := transformStep{StageSSABuild, func() error {
+		cfg.RemoveUnreachable(f)
+		dt = buildDomTree(f)
+		return ssa.BuildWith(f, dt.dom, dt.df)
+	}, true}
+	memOpts := transformStep{StageMemOpts, func() error {
+		opt.ForwardStoresWith(f, dt.dom)
+		opt.DeadStoreElim(f)
+		opt.Cleanup(f)
+		return nil
+	}, true}
+	destruct := transformStep{StageDestruct, func() error {
+		ssa.Destruct(f)
+		return nil
+	}, false}
 	var chain []transformStep
 	switch r.opts.Algorithm {
 	case AlgSSA:
-		chain = append(chain, transformStep{StageSSABuild, func() error {
-			cfg.RemoveUnreachable(f)
-			return ssa.BuildWith(f, r.cache.Dom(f), r.cache.DF(f))
-		}, true})
+		chain = append(chain, ssaBuild)
 		if r.opts.PreMemOpts {
-			chain = append(chain, transformStep{StageMemOpts, func() error {
-				opt.ForwardStoresWith(f, r.cache.Dom(f))
-				opt.DeadStoreElim(f)
-				opt.Cleanup(f)
-				return nil
-			}, true})
+			chain = append(chain, memOpts)
 		}
 		chain = append(chain, transformStep{StagePromote, func() error {
 			scope := core.ScopeIntervals
@@ -516,8 +490,8 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 				Profile:         fp,
 				Scope:           scope,
 				CountTailStores: !r.opts.PaperProfitFormula,
-				Dom:             r.cache.Dom(f),
-				DF:              r.cache.DF(f),
+				Dom:             dt.dom,
+				DF:              dt.df,
 			}
 			if r.opts.PressureCap > 0 {
 				pres, err := core.PromoteUnderPressure(f, forest, ccfg, r.opts.PressureCap)
@@ -533,26 +507,9 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 			s, err := core.PromoteFunction(f, forest, ccfg)
 			stats = s
 			return err
-		}, true})
-		chain = append(chain, transformStep{StageDestruct, func() error {
-			ssa.Destruct(f)
-			return nil
-		}, false})
+		}, true}, destruct)
 	case AlgMemOpt:
-		chain = append(chain, transformStep{StageSSABuild, func() error {
-			cfg.RemoveUnreachable(f)
-			return ssa.BuildWith(f, r.cache.Dom(f), r.cache.DF(f))
-		}, true})
-		chain = append(chain, transformStep{StageMemOpts, func() error {
-			opt.ForwardStoresWith(f, r.cache.Dom(f))
-			opt.DeadStoreElim(f)
-			opt.Cleanup(f)
-			return nil
-		}, true})
-		chain = append(chain, transformStep{StageDestruct, func() error {
-			ssa.Destruct(f)
-			return nil
-		}, false})
+		chain = append(chain, ssaBuild, memOpts, destruct)
 	case AlgBaseline:
 		chain = append(chain, transformStep{StagePromote, func() error {
 			bs := baseline.PromoteFunction(f, forest)
@@ -577,7 +534,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 			if err := st.body(); err != nil {
 				return err
 			}
-			return r.boundaryCheck(f, st.inSSA)
+			return r.boundaryCheck(f, st.inSSA, &dt)
 		})
 		if err != nil {
 			return r.degrade(prog, f, st.name, err)
@@ -600,15 +557,40 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	return nil
 }
 
+// domTree is one function's dominator tree and dominance frontiers,
+// built once per transform chain, with the CFG version they were built
+// at.
+type domTree struct {
+	dom     *cfg.DomTree
+	df      cfg.DomFrontiers
+	version uint64
+}
+
+func buildDomTree(f *ir.Function) domTree {
+	dom := cfg.BuildDomTree(f)
+	return domTree{dom: dom, df: cfg.BuildDomFrontiers(dom), version: f.CFGVersion()}
+}
+
 // boundaryCheck re-verifies f after a stage when the check level asks
 // for it: full SSA dominance discipline while in SSA form, structural
-// CFG invariants otherwise.
-func (r *runner) boundaryCheck(f *ir.Function, inSSA bool) error {
+// CFG invariants otherwise. In SSA form it first holds the stage to the
+// chain's one dominator tree dt: the CFG version must not have moved
+// since dt was built, and at CheckParanoid dt must still equal a fresh
+// build, which catches an edge edit that skipped MarkCFGChanged.
+func (r *runner) boundaryCheck(f *ir.Function, inSSA bool, dt *domTree) error {
 	if r.opts.Check < CheckBoundaries {
 		return nil
 	}
 	if inSSA {
-		if err := ssa.VerifyDominanceWith(f, r.cache.Dom(f)); err != nil {
+		if v := f.CFGVersion(); v != dt.version {
+			return fmt.Errorf("boundary check: CFG version moved from %d to %d after the dominator tree was built", dt.version, v)
+		}
+		if r.opts.Check >= CheckParanoid {
+			if err := cfg.SameDominance(f, dt.dom, dt.df); err != nil {
+				return fmt.Errorf("boundary check: %w", err)
+			}
+		}
+		if err := ssa.VerifyDominanceWith(f, dt.dom); err != nil {
 			return fmt.Errorf("boundary verify (ssa): %w", err)
 		}
 		return nil
@@ -635,9 +617,6 @@ func (r *runner) degrade(prog *ir.Program, f *ir.Function, stage string, err err
 	delete(r.out.Stats, f.Name)
 	delete(r.out.Pressure, f.Name)
 	r.mu.Unlock()
-	// The function object just left the program; drop its analyses so a
-	// recycled pointer can never alias a stale entry.
-	r.cache.Invalidate(f)
 	r.recordDegradation(f.Name, stage, err)
 	return nil
 }
@@ -682,7 +661,7 @@ func (r *runner) differential(before, after *ir.Program) error {
 	return r.runStage(StageDifferential, "", func() string { return after.String() }, func() error {
 		resB := r.out.Before
 		if resB == nil {
-			rb, err := interp.Run(before, r.interpOptions())
+			rb, err := interp.Run(before, r.opts.Interp)
 			if err != nil {
 				return fmt.Errorf("baseline run: %w", err)
 			}
@@ -690,7 +669,7 @@ func (r *runner) differential(before, after *ir.Program) error {
 		}
 		resA := r.out.After
 		if resA == nil {
-			ra, err := interp.Run(after, r.interpOptions())
+			ra, err := interp.Run(after, r.opts.Interp)
 			if err != nil {
 				if r.bisect(after, resB) {
 					return nil
@@ -707,7 +686,7 @@ func (r *runner) differential(before, after *ir.Program) error {
 			// engine behind the reference) and holds it to the same
 			// baseline, so a miscompile that only one path exposes still
 			// fails the check.
-			popts := r.interpOptions()
+			popts := r.opts.Interp
 			popts.Legacy = !popts.Legacy
 			alt := "legacy"
 			if !popts.Legacy {
@@ -754,7 +733,7 @@ func (r *runner) bisect(after *ir.Program, want *interp.Result) bool {
 			continue // rolled back already
 		}
 		after.ReplaceFunction(r.before.Func(cur.Name).CloneInto(after))
-		res, err := interp.Run(after, r.interpOptions())
+		res, err := interp.Run(after, r.opts.Interp)
 		if err == nil && compareResults(want, res) == "" {
 			delete(r.out.Stats, cur.Name)
 			delete(r.out.Pressure, cur.Name)
@@ -849,7 +828,7 @@ func plainFrontend(lang, src string) (*ir.Program, map[string]*cfg.Forest, error
 	return prog, forests, nil
 }
 
-func estimateAll(prog *ir.Program, forests map[string]*cfg.Forest) (*profile.Profile, error) {
+func estimateAll(prog *ir.Program, forests map[string]*cfg.Forest) *profile.Profile {
 	p := profile.NewProfile()
 	for _, f := range prog.Funcs {
 		forest := forests[f.Name]
@@ -860,7 +839,7 @@ func estimateAll(prog *ir.Program, forests map[string]*cfg.Forest) (*profile.Pro
 		}
 		p.Funcs[f.Name] = profile.Estimate(f, forest)
 	}
-	return p, nil
+	return p
 }
 
 // countStatic counts singleton loads and stores in a program.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -9,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/frontdoor"
 )
 
@@ -61,29 +59,22 @@ func TestStripPortShapes(t *testing.T) {
 	}
 }
 
-// TestMetricsAnalysisBuilds checks /metrics exports per-kind analysis
-// build counts: a pipeline run makes the dom kind move, since the
-// server folds the per-request cache's totals into the gauge.
+// TestMetricsAnalysisBuilds checks that /metrics counts pipeline runs
+// and that a cache hit runs no pipeline: rpserved_pipeline_seconds_count
+// moves on the first request and stays put on the identical second one.
 func TestMetricsAnalysisBuilds(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 
-	postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{
-		SkipMeasurement: true,
-	}})
-
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics: %d", rec.Code)
-	}
-	body := rec.Body.String()
-
-	series := func(kind string) int {
+	runs := func() int {
 		t.Helper()
-		re := regexp.MustCompile(fmt.Sprintf(`rpserved_analysis_builds\{kind=%q\} (\d+)`, kind))
-		m := re.FindStringSubmatch(body)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics: %d", rec.Code)
+		}
+		m := regexp.MustCompile(`(?m)^rpserved_pipeline_seconds_count (\d+)$`).FindStringSubmatch(rec.Body.String())
 		if m == nil {
-			t.Fatalf("/metrics missing analysis series for kind %q:\n%s", kind, body)
+			t.Fatalf("/metrics missing rpserved_pipeline_seconds_count:\n%s", rec.Body.String())
 		}
 		n, err := strconv.Atoi(m[1])
 		if err != nil {
@@ -92,26 +83,14 @@ func TestMetricsAnalysisBuilds(t *testing.T) {
 		return n
 	}
 
-	if n := series("dom"); n == 0 {
-		t.Error("dom builds = 0 after a pipeline run")
+	req := PromoteRequest{Source: smallSrc, Options: RequestOptions{SkipMeasurement: true}}
+	postPromote(t, s, req)
+	if n := runs(); n != 1 {
+		t.Fatalf("pipeline runs = %d after one miss, want 1", n)
 	}
-	// Every registered kind renders a series, even at zero.
-	for _, kind := range analysis.Kinds() {
-		if !strings.Contains(body, fmt.Sprintf(`rpserved_analysis_builds{kind=%q}`, kind)) {
-			t.Errorf("/metrics missing the %s kind series:\n%s", kind, body)
-		}
-	}
-
-	// A cache hit (identical request) runs no pipeline: builds stay put.
-	before := series("dom")
-	postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{
-		SkipMeasurement: true,
-	}})
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body = rec.Body.String()
-	if after := series("dom"); after != before {
-		t.Errorf("dom builds moved on a cache hit: %d -> %d", before, after)
+	postPromote(t, s, req)
+	if n := runs(); n != 1 {
+		t.Errorf("pipeline runs moved on a cache hit: 1 -> %d", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/histo"
 	"repro/internal/pipeline"
 )
@@ -57,29 +56,17 @@ type metrics struct {
 	reqSeconds  *histo.Histogram
 	pipeSeconds *histo.Histogram
 
-	// analysisBuilds aggregates, per analysis.Kind, how many fresh
-	// analysis builds the pipelines behind cache-miss requests ran.
-	// Kinds are known up front; only the values mutate. A healthy cache
-	// builds each CFG-keyed kind about once per function per request —
-	// a superlinear ratio of builds to requests means version-keying
-	// broke somewhere, which is exactly what this surfaces.
-	analysisBuilds map[analysis.Kind]*atomic.Int64
-
 	mu sync.Mutex // serializes /metrics rendering only
 }
 
 func newMetrics() *metrics {
 	m := &metrics{
-		stageWallNS:    make(map[string]*atomic.Int64, len(pipeline.Stages())),
-		analysisBuilds: make(map[analysis.Kind]*atomic.Int64, len(analysis.Kinds())),
-		reqSeconds:     histo.New(nil),
-		pipeSeconds:    histo.New(nil),
+		stageWallNS: make(map[string]*atomic.Int64, len(pipeline.Stages())),
+		reqSeconds:  histo.New(nil),
+		pipeSeconds: histo.New(nil),
 	}
 	for _, s := range pipeline.Stages() {
 		m.stageWallNS[s] = new(atomic.Int64)
-	}
-	for _, k := range analysis.Kinds() {
-		m.analysisBuilds[k] = new(atomic.Int64)
 	}
 	return m
 }
@@ -89,19 +76,6 @@ func (m *metrics) recordStages(timings []pipeline.StageTiming) {
 	for _, t := range timings {
 		if c, ok := m.stageWallNS[t.Stage]; ok {
 			c.Add(int64(t.Wall))
-		}
-	}
-}
-
-// recordAnalysis folds one run's analysis-cache build counts into the
-// aggregate.
-func (m *metrics) recordAnalysis(cache *analysis.Cache) {
-	if cache == nil {
-		return
-	}
-	for k, n := range cache.TotalBuilds() {
-		if c, ok := m.analysisBuilds[k]; ok {
-			c.Add(int64(n))
 		}
 	}
 }
@@ -183,12 +157,4 @@ func (m *metrics) writePrometheus(w io.Writer, s *Server) {
 		"rpserved_request_seconds", "end-to-end /v1/promote latency in seconds", "")
 	m.pipeSeconds.Snapshot().WritePrometheus(w,
 		"rpserved_pipeline_seconds", "pipeline execution latency in seconds (cache misses only)", "")
-
-	// Analysis-cache coherence: fresh builds per analysis kind, one
-	// labeled series per kind in canonical kind order.
-	fmt.Fprintf(w, "# HELP rpserved_analysis_builds fresh analysis builds run by cache-miss pipelines, per analysis kind\n")
-	fmt.Fprintf(w, "# TYPE rpserved_analysis_builds gauge\n")
-	for _, k := range analysis.Kinds() {
-		fmt.Fprintf(w, "rpserved_analysis_builds{kind=%q} %d\n", k, m.analysisBuilds[k].Load())
-	}
 }

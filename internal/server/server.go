@@ -54,7 +54,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/diskcache"
 	"repro/internal/faults"
 	"repro/internal/frontdoor"
@@ -641,11 +640,6 @@ func (s *Server) compute(ctx context.Context, src string, popts pipeline.Options
 		}
 	}
 
-	// Attach a per-request analysis cache so the run's fresh-build
-	// counts can be folded into /metrics after it completes.
-	acache := analysis.New()
-	popts.AnalysisCache = acache
-
 	pipeStart := time.Now()
 	out, err := pipeline.Run(src, popts)
 	pipeWall := time.Since(pipeStart)
@@ -655,7 +649,6 @@ func (s *Server) compute(ctx context.Context, src string, popts pipeline.Options
 	s.m.pipelineNS.Add(int64(pipeWall))
 	s.m.pipeSeconds.Observe(pipeWall)
 	s.m.recordStages(out.Timings)
-	s.m.recordAnalysis(acache)
 	s.m.degradedFuncs.Add(int64(len(out.Degraded)))
 
 	outcomeJSON, err := json.Marshal(report.EncodeOutcome(out))

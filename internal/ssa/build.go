@@ -31,8 +31,8 @@ func Build(f *ir.Function) (*cfg.DomTree, error) {
 }
 
 // BuildWith converts f to SSA form using prebuilt analyses. dom and df
-// must describe f's current CFG (the pipeline supplies them from its
-// analysis cache); unreachable blocks must already be removed. f must
+// must describe f's current CFG (the pipeline builds them once per
+// transform chain); unreachable blocks must already be removed. f must
 // not be in SSA form already: a function that contains a phi or memphi
 // is rejected before anything is changed.
 func BuildWith(f *ir.Function, dom *cfg.DomTree, df cfg.DomFrontiers) error {
