@@ -68,7 +68,8 @@ func (m *machine) codeFor(f *ir.Function) *mcode {
 }
 
 // callBC is the engine's top-level call: depth check, compile (on the
-// run's first call of f), execute. Nested calls bypass it via linked sites.
+// run's first call of f), execute. Nested calls bypass it via linked
+// sites.
 func (m *machine) callBC(f *ir.Function, args []int64, depth int) (int64, error) {
 	if depth > m.opts.MaxDepth {
 		return 0, fmt.Errorf("interp: call depth exceeds %d in %s", m.opts.MaxDepth, f.Name)

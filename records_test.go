@@ -10,7 +10,8 @@ import (
 // TestBenchRecordsSchema checks the committed BENCH_*.json records. Every
 // one must be valid JSON. BENCH_e2e.json and BENCH_layers.json, which
 // `make bench` copies from the bench/ harness, must carry the schema
-// version and machine block, report every workload correct, and hold
+// version and a machine block taken on a clean tree (a dirty one does
+// not describe its commit), report every workload correct, and hold
 // every metric BENCHMARK.json names for every gated workload: the
 // end-to-end metrics untraced, the per-layer metrics traced. The values
 // are noisy and are not gated here.
@@ -62,6 +63,7 @@ func TestBenchRecordsSchema(t *testing.T) {
 			Machine       struct {
 				Commit string `json:"commit"`
 				NProc  int    `json:"nproc"`
+				Dirty  bool   `json:"dirty"`
 			} `json:"machine"`
 			Trace     bool `json:"trace"`
 			Workloads []struct {
@@ -76,6 +78,9 @@ func TestBenchRecordsSchema(t *testing.T) {
 		}
 		if rec.Machine.Commit == "" || rec.Machine.NProc < 1 {
 			t.Errorf("%s: machine block lacks commit or nproc: %+v", tc.path, rec.Machine)
+		}
+		if rec.Machine.Dirty {
+			t.Errorf("%s: recorded on a dirty tree (commit %s)", tc.path, rec.Machine.Commit)
 		}
 		if rec.Trace != tc.trace {
 			t.Errorf("%s: trace %v, want %v", tc.path, rec.Trace, tc.trace)
