@@ -3,8 +3,11 @@
 // the blocks' phi prefixes lowered to per-edge copy sequences, constants
 // materialized into a pool appended to the register frame (so operand
 // resolution is one indexed load, never a const/register branch), and
-// the two most common adjacent pairs fused into single superinstructions
-// (scalar load + arithmetic consumer, comparison + conditional branch).
+// the most common adjacent pairs fused into single superinstructions
+// (scalar load + arithmetic consumer, comparison + conditional branch,
+// arithmetic + store). A block's trailing copies fold into its jump,
+// running as the edge's leading moves, and division or remainder by a
+// nonzero constant runs without a hardware divide (divconst.go).
 // Memory addressing is resolved at compile time: global cells become
 // absolute arena addresses, slot cells become frame-relative offsets via
 // FrameLayout, so the executor's load/store is pointer arithmetic plus a
@@ -66,6 +69,7 @@ const (
 	bcNop   // dummyload / body memphi: counted, no effect
 
 	bcJmp     // take edges[aux]
+	bcCopyJmp // b trailing copies, then jmp: take edges[aux], whose moves lead with the copies
 	bcBr      // a != 0 ? edges[aux] : edges[aux2]
 	bcRet     // return a
 	bcRetVoid // return 0
@@ -109,6 +113,14 @@ const (
 	bcXorSt
 	bcShlSt
 	bcShrSt
+
+	// Division and remainder by a nonzero constant (divconst.go): no
+	// zero check and no idiv. dst = a / d or a % d, with d's shift,
+	// mask or reciprocal precomputed in size, aux and addr.
+	bcDivPow2
+	bcRemPow2
+	bcDivMagic
+	bcRemMagic
 )
 
 // bcInstr is one bytecode instruction, kept to hot fields only (48
@@ -120,13 +132,13 @@ const (
 // IR instructions behind indexed-op error messages — live in side
 // tables on bcCode, referenced by index.
 type bcInstr struct {
-	addr int64 // LocGlobal: absolute arena address; LocSlot: frame-relative
-	size int64 // object cell count for indexed bounds checks
+	addr int64 // LocGlobal: absolute arena address; LocSlot: frame-relative; divisor data (constant Div/Rem)
+	size int64 // object cell count for indexed bounds checks; mask or reciprocal (constant Div/Rem)
 	dst  int32
 	dst2 int32 // fused load destination; fused store value
 	a    int32 // operand; argPool offset (Call)
-	b    int32 // operand; argument count (Call)
-	aux  int32 // edge index (Jmp, Br taken, fused-cmp Br taken); link slot (Call); trap index (Trap); src index (LoadIdx, StoreIdx)
+	b    int32 // operand; argument count (Call); copy count (CopyJmp)
+	aux  int32 // edge index (Jmp, CopyJmp, Br taken, fused-cmp Br taken); link slot (Call); trap index (Trap); src index (LoadIdx, StoreIdx); shift (constant Div/Rem)
 	aux2 int32 // edge index (Br not taken)
 	op   bcOp
 	rel  bool // addr is frame-relative (slot cell)
@@ -139,16 +151,18 @@ type bcMove struct {
 	src int32
 }
 
-// bcEdge is one lowered CFG edge: where to resume, which counters to
-// bump, how many phi-prefix steps the target charges, and the move
-// sequence implementing the target's phi row for this predecessor.
+// bcEdge is one lowered CFG edge: where to resume, how many phi-prefix
+// steps the target charges, and its move sequence
+// bcCode.moves[movesLo:movesHi]: the source block's trailing copies
+// when a bcCopyJmp takes the edge, in block order, then the target's
+// phi row for this predecessor. Edges are numbered in f.Blocks order,
+// successor order within a block; the executor counts traversals by
+// that number.
 type bcEdge struct {
 	target   int32 // pc of the target block's first post-phi instruction
-	blockID  int32 // target block, for the execution counter
-	fromID   int32 // source block, for the edge profile counter
-	succIdx  int32
 	phiSteps int64
-	copies   []bcMove
+	movesLo  int32
+	movesHi  int32
 	trap     error // register phi entered from a non-predecessor
 }
 
@@ -163,6 +177,7 @@ type bcCode struct {
 	fname string
 	ins   []bcInstr
 	edges []bcEdge
+	moves []bcMove // every edge's move sequence, back to back
 
 	consts   []int64 // constant pool, copied into each frame's tail
 	numRegs  int32
@@ -196,6 +211,11 @@ type compiler struct {
 
 	constIdx map[int64]int32
 	pcOf     []int32 // post-phi pc per BlockID
+	// fold[id] is the index of the first trailing copy that block id's
+	// bcCopyJmp folds into its out-edge, or len(Instrs) when the block
+	// folds nothing (foldStart).
+	fold   []int32
+	phiRow []bcMove // phi-row scratch, reused across edges
 }
 
 // emitTrap emits a bcTrap carrying err via the trap side table.
@@ -237,8 +257,9 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			blockOps:  make([][]opCount, f.BlockIDBound()),
 		},
 		constIdx: make(map[int64]int32),
-		pcOf:     make([]int32, f.BlockIDBound()),
 	}
+	perBlock := make([]int32, 2*f.BlockIDBound())
+	c.pcOf, c.fold = perBlock[:f.BlockIDBound()], perBlock[f.BlockIDBound():]
 
 	// Pass 1: emit every block body (post-phi prefix) and record the
 	// blocks' entry pcs, phi step counts, and static opcode tallies.
@@ -252,9 +273,15 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	// tallies, whose capacity never needs to grow.
 	var ops [ir.NumOps]int64
 	tallies := make([]opCount, 0, nInstrs)
+	// nMoves sizes the move array: every folded copy, and one move per
+	// register phi per predecessor (cycles may add a few).
+	nMoves := 0
 	for _, b := range f.Blocks {
 		idx := 0
 		for idx < len(b.Instrs) && b.Instrs[idx].Op.IsPhi() {
+			if b.Instrs[idx].Op == ir.OpPhi {
+				nMoves += len(b.Preds)
+			}
 			ops[b.Instrs[idx].Op]++
 			phiSteps[b.ID]++
 			idx++
@@ -262,6 +289,10 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 		c.pcOf[b.ID] = int32(len(c.code.ins))
 		for i := idx; i < len(b.Instrs); i++ {
 			ops[b.Instrs[i].Op]++
+		}
+		c.fold[b.ID] = foldStart(b, idx)
+		if n := len(b.Instrs) - 1 - int(c.fold[b.ID]); n > 0 {
+			nMoves += n
 		}
 		c.emitBody(b, idx, edgeBase, globalBase)
 		if b.Term() == nil {
@@ -281,11 +312,14 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 		edgeBase += int32(len(b.Succs))
 	}
 
-	// Pass 2: lower every CFG edge's phi row to a copy sequence now that
+	// Pass 2: lower every CFG edge's moves to a copy sequence now that
 	// all targets have pcs.
+	if nMoves > 0 {
+		c.code.moves = make([]bcMove, 0, nMoves)
+	}
 	for _, b := range f.Blocks {
-		for si, s := range b.Succs {
-			c.code.edges = append(c.code.edges, c.lowerEdge(b, s, si, phiSteps))
+		for _, s := range b.Succs {
+			c.code.edges = append(c.code.edges, c.lowerEdge(b, s, phiSteps))
 		}
 	}
 
@@ -302,18 +336,16 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 
 	// The constant pool is final only now (edge lowering interns phi
 	// constants), so the scratch slot index is final only now: patch the
-	// sentinel in every copy sequence.
+	// sentinel in every move.
 	c.code.frameLen = c.code.numRegs + int32(len(c.code.consts)) + 1
 	scratch := c.code.frameLen - 1
-	for i := range c.code.edges {
-		cps := c.code.edges[i].copies
-		for j := range cps {
-			if cps[j].dst == scratchSentinel {
-				cps[j].dst = scratch
-			}
-			if cps[j].src == scratchSentinel {
-				cps[j].src = scratch
-			}
+	for i := range c.code.moves {
+		mv := &c.code.moves[i]
+		if mv.dst == scratchSentinel {
+			mv.dst = scratch
+		}
+		if mv.src == scratchSentinel {
+			mv.src = scratch
 		}
 	}
 	return c.code
@@ -500,14 +532,41 @@ func fusedCmpBr(op ir.Op) bcOp {
 	return bcInvalid
 }
 
+// foldStart returns the index of the first of b's trailing copies when
+// b's body (from start) ends in a run of copies and then a jmp to its
+// one successor, with no terminator before the run; otherwise
+// len(b.Instrs). SSA destruction leaves such runs in front of most
+// jumps, and folding them into the jump saves a dispatch per copy.
+func foldStart(b *ir.Block, start int) int32 {
+	n := len(b.Instrs)
+	if n == 0 || b.Instrs[n-1].Op != ir.OpJmp || len(b.Succs) != 1 {
+		return int32(n)
+	}
+	i := n - 1
+	for i > start && b.Instrs[i-1].Op == ir.OpCopy {
+		i--
+	}
+	if i == n-1 {
+		return int32(n)
+	}
+	for _, in := range b.Instrs[start:i] {
+		if in.Op.IsTerminator() {
+			return int32(n) // the reference never reaches the run
+		}
+	}
+	return int32(i)
+}
+
 // emitBody compiles the non-phi instructions of b, fusing adjacent
-// load+arith and cmp+branch pairs. edgeBase is the index of b's first
+// load+arith and cmp+branch pairs, and ends a folded copy run
+// (c.fold) with one bcCopyJmp. edgeBase is the index of b's first
 // outgoing edge in the final edge array.
 func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase map[*ir.Global]int64) {
 	f := c.f
 	offs, _ := f.FrameLayout()
 
-	for i := start; i < len(b.Instrs); i++ {
+	end := int(c.fold[b.ID])
+	for i := start; i < end; i++ {
 		in := b.Instrs[i]
 		switch in.Op {
 		case ir.OpCopy:
@@ -522,7 +581,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 			// cmp + br fusion: the branch condition is this comparison's
 			// destination and the branch immediately follows.
-			if in.Op.IsCompare() && i+1 < len(b.Instrs) {
+			if in.Op.IsCompare() && i+1 < end {
 				next := b.Instrs[i+1]
 				if next.Op == ir.OpBr && len(next.Args) == 1 && next.Args[0].IsReg(in.Dst) {
 					c.emit(bcInstr{
@@ -539,7 +598,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			}
 			// arith + store fusion: the next instruction stores to a
 			// statically resolved cell (often this result's only use).
-			if fop := fusedStoreOp(in.Op); fop != bcInvalid && i+1 < len(b.Instrs) {
+			if fop := fusedStoreOp(in.Op); fop != bcInvalid && i+1 < end {
 				next := b.Instrs[i+1]
 				if next.Op == ir.OpStore || next.Op == ir.OpStoreIdx {
 					if saddr, srel, sval, ok := c.staticStore(next, globalBase, offs); ok {
@@ -557,6 +616,10 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 					}
 				}
 			}
+			if d := in.Args[1]; (in.Op == ir.OpDiv || in.Op == ir.OpRem) && d.IsConst() && d.Const() != 0 {
+				c.emit(constDivInstr(in.Op == ir.OpRem, int32(in.Dst), c.valIdx(in.Args[0]), d.Const()))
+				continue
+			}
 			c.emit(bcInstr{
 				op:  binOpOf(in.Op),
 				dst: int32(in.Dst),
@@ -573,7 +636,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			// load + arith fusion: write the load destination, then run
 			// the consumer; operands resolve through the frame, so the
 			// loaded value is visible wherever the pair referenced it.
-			if i+1 < len(b.Instrs) {
+			if i+1 < end {
 				next := b.Instrs[i+1]
 				if fop := fusedLoadOp(next.Op); fop != bcInvalid && next.HasDst() && len(next.Args) == 2 {
 					c.emit(bcInstr{
@@ -620,7 +683,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			// never fire — the plain-load form is observationally exact.
 			if ix := in.Args[0]; ix.IsConst() && ix.Const() >= 0 && ix.Const() < int64(in.Loc.Size()) {
 				addr += ix.Const()
-				if i+1 < len(b.Instrs) {
+				if i+1 < end {
 					next := b.Instrs[i+1]
 					if fop := fusedLoadOp(next.Op); fop != bcInvalid && next.HasDst() && len(next.Args) == 2 {
 						c.emit(bcInstr{
@@ -694,53 +757,63 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			c.emitTrap(fmt.Errorf("interp: unhandled opcode %s", in.Op))
 		}
 	}
+	if end < len(b.Instrs) {
+		// The folded copies run as the edge's leading moves (lowerEdge);
+		// this one instruction charges their steps and the jump's.
+		c.emit(bcInstr{op: bcCopyJmp, aux: edgeBase, b: int32(len(b.Instrs) - 1 - end)})
+	}
 }
 
-// lowerEdge builds the edge descriptor for b -> s at successor index
-// si. The phi row follows the reference semantics exactly: the
-// predecessor index is the FIRST occurrence of b in s.Preds (duplicate
-// edges share one row), and all phi reads happen before any phi write
+// lowerEdge builds the edge descriptor for b -> s and appends its moves
+// to c.code.moves. The moves start with b's folded trailing copies, in
+// block order, as the reference runs them before the jump. The phi row
+// that follows keeps the reference semantics exactly: the predecessor
+// index is the FIRST occurrence of b in s.Preds (duplicate edges share
+// one row), and all phi reads happen before any phi write
 // (sequentialized with the scratch slot when the moves form a cycle).
-func (c *compiler) lowerEdge(b, s *ir.Block, si int, phiSteps []int64) bcEdge {
+func (c *compiler) lowerEdge(b, s *ir.Block, phiSteps []int64) bcEdge {
 	e := bcEdge{
 		target:   c.pcOf[s.ID],
-		blockID:  int32(s.ID),
-		fromID:   int32(b.ID),
-		succIdx:  int32(si),
 		phiSteps: phiSteps[s.ID],
 	}
 	pi := s.PredIndex(b)
-	if pi < 0 {
-		// Successor lists b but b is missing from Preds: broken CFG
-		// wiring. The reference fails at the first register phi; an edge into a
-		// phi-free block tolerates it, and so does this path (no copies
-		// to build).
-		for _, in := range s.Phis() {
-			if in.Op == ir.OpPhi {
-				e.trap = fmt.Errorf("interp: phi in %v entered from non-predecessor", s)
-				return e
-			}
-		}
-		return e
-	}
-	var moves []bcMove
+	row := c.phiRow[:0]
 	for _, in := range s.Phis() {
 		if in.Op != ir.OpPhi {
 			continue
 		}
-		moves = append(moves, bcMove{dst: int32(in.Dst), src: c.valIdx(in.Args[pi])})
+		if pi < 0 {
+			// Successor lists b but b is missing from Preds: broken CFG
+			// wiring. The reference fails at the first register phi. An
+			// edge into a block without one tolerates it, and then its
+			// moves are b's folded copies alone.
+			e.trap = fmt.Errorf("interp: phi in %v entered from non-predecessor", s)
+			return e
+		}
+		row = append(row, bcMove{dst: int32(in.Dst), src: c.valIdx(in.Args[pi])})
 	}
-	e.copies = sequentialize(moves)
+	c.phiRow = row
+	moves := c.code.moves
+	e.movesLo = int32(len(moves))
+	if end := int(c.fold[b.ID]); end < len(b.Instrs) {
+		for _, in := range b.Instrs[end : len(b.Instrs)-1] {
+			if mv := (bcMove{dst: int32(in.Dst), src: c.valIdx(in.Args[0])}); mv.dst != mv.src {
+				moves = append(moves, mv)
+			}
+		}
+	}
+	c.code.moves = sequentialize(moves, row)
+	e.movesHi = int32(len(c.code.moves))
 	return e
 }
 
-// sequentialize orders a parallel move set so plain sequential
-// execution preserves the all-reads-first semantics. Cycles are broken
-// through the frame's scratch slot (index frameLen-1, emitted as
-// scratchSentinel and patched by the executor's frame setup — one
-// scratch suffices because cycles are broken one at a time).
-func sequentialize(moves []bcMove) []bcMove {
-	out := make([]bcMove, 0, len(moves))
+// sequentialize appends to out an order of the parallel move set moves
+// (which it consumes) so that plain sequential execution preserves the
+// all-reads-first semantics. Cycles are broken through the frame's
+// scratch slot (index frameLen-1, emitted as scratchSentinel and
+// patched once the constant pool is final — one scratch suffices
+// because cycles are broken one at a time).
+func sequentialize(out, moves []bcMove) []bcMove {
 	// Self-moves are no-ops.
 	pending := moves[:0]
 	for _, mv := range moves {

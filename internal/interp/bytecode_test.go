@@ -204,6 +204,10 @@ func TestBytecodeErrorParity(t *testing.T) {
 			Options{MaxSteps: 10_000}},
 		{"division by zero", `int g; void main() { int x; x = 7 / g; print(x); }`, Options{}},
 		{"modulo by zero", `int g; void main() { int x; x = 7 % g; print(x); }`, Options{}},
+		// A literal zero divisor stays the checked division, fault and
+		// message included; only nonzero constants compile without one.
+		{"division by literal zero", `int g; void main() { int x; x = g; x = x / 0; print(x); }`, Options{}},
+		{"modulo by literal zero", `int g; void main() { int x; x = g; x = x % 0; print(x); }`, Options{}},
 		{"call depth", `int down(int n) { return down(n + 1); } void main() { print(down(0)); }`,
 			Options{MaxDepth: 100}},
 		{"index out of range", `int a[4]; void main() { int i; i = 9; a[i] = 1; }`, Options{}},
@@ -223,5 +227,88 @@ func TestBytecodeErrorParity(t *testing.T) {
 		if bres != nil || lres != nil {
 			t.Errorf("%s: failed run leaked a Result", tc.name)
 		}
+	}
+}
+
+// foldedLoopSrc swaps two variables through a temporary at the end of
+// a loop body, so the body block ends in four copies and a jmp, and the
+// entry block in seven copies and a jmp: both fold into bcCopyJmp.
+const foldedLoopSrc = `
+void main() {
+	int i; int a; int b; int t;
+	i = 0; a = 1; b = 2;
+	while (i < 5) { i = i + 1; t = a; a = b; b = t; }
+	print(a);
+	print(b);
+}`
+
+// TestBytecodeStepLimitInFoldedRun sweeps MaxSteps across the whole
+// run of foldedLoopSrc, so the limit lands on every folded copy and on
+// every jump that ends a folded run. For every limit the engine must
+// agree with the reference on failure versus success, on the error
+// text, and on the whole Result (Steps included) when the run succeeds.
+func TestBytecodeStepLimitInFoldedRun(t *testing.T) {
+	prog := compileSource(t, foldedLoopSrc)
+	m := &machine{prog: prog}
+	m.layoutGlobals()
+	folded := 0
+	for _, in := range compileBytecode(prog.Func("main"), m.globalBase).ins {
+		if in.op == bcCopyJmp {
+			folded += int(in.b)
+		}
+	}
+	if folded != 7+4 {
+		t.Fatalf("main folds %d copies into its jumps, want 11", folded)
+	}
+
+	legacyProg := compileSource(t, foldedLoopSrc)
+	full, err := Run(legacyProg, Options{Legacy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for max := int64(1); max <= full.Steps+2; max++ {
+		bres, berr := Run(prog, Options{MaxSteps: max, CollectProfile: true})
+		lres, lerr := Run(legacyProg, Options{MaxSteps: max, CollectProfile: true, Legacy: true})
+		if (berr == nil) != (lerr == nil) {
+			t.Fatalf("MaxSteps %d: bytecode error %v, legacy error %v", max, berr, lerr)
+		}
+		if wantErr := max < full.Steps; (berr != nil) != wantErr {
+			t.Fatalf("MaxSteps %d of %d: error %v", max, full.Steps, berr)
+		}
+		if berr != nil {
+			if berr.Error() != lerr.Error() || bres != nil || lres != nil {
+				t.Fatalf("MaxSteps %d: bytecode %q (result %v), legacy %q (result %v)", max, berr, bres != nil, lerr, lres != nil)
+			}
+			continue
+		}
+		requireSameResult(t, "MaxSteps "+strconv.FormatInt(max, 10), "bytecode", "legacy", bres, lres)
+	}
+}
+
+// TestBytecodeFoldIntoUnlistedPredecessor unlinks every jump's source
+// from its target's predecessor list: broken wiring that both paths
+// tolerate into a block without register phis. The folded copies ride
+// on those edges, and must still run.
+func TestBytecodeFoldIntoUnlistedPredecessor(t *testing.T) {
+	unlinked := func() *ir.Program {
+		prog := compileSource(t, foldedLoopSrc)
+		for _, b := range prog.Func("main").Blocks {
+			if term := b.Term(); term != nil && term.Op == ir.OpJmp {
+				b.Succs[0].RemovePred(b)
+			}
+		}
+		return prog
+	}
+	bc, err := Run(unlinked(), Options{CollectProfile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := Run(unlinked(), Options{CollectProfile: true, Legacy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "unlinked", "bytecode", "legacy", bc, legacy)
+	if want := []int64{2, 1}; !reflect.DeepEqual(bc.Output, want) {
+		t.Fatalf("output %v, want %v", bc.Output, want)
 	}
 }
