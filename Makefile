@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke golden bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-cluster bench-check ci
+.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke golden bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-check ci
 
 build:
 	$(GO) build ./...
@@ -114,50 +114,28 @@ pressure-smoke:
 	$(GO) run ./cmd/rpbench -pressure-bench -pressure-cap 8 -pressure-gen 0
 	$(GO) run ./cmd/rpbench -pressure-bench -pressure-cap 4 -pressure-gen 0
 
-# Serving smoke test: start rpserved on an ephemeral port, replay a
-# small deterministic mix through rploadgen (which exits non-zero on
-# zero throughput, any 5xx, or outcome divergence), then SIGTERM the
-# server in the middle of a second, rate-paced load phase and require
-# a clean drain (exit 0) with requests still in flight.
+# The serving drills (cmd/rpdrill builds rpserved and rprouter, runs
+# them on ephemeral ports and fails at the first broken assertion):
+#   serve   — a replay pass with no failure and one outcome per
+#             program, then SIGTERM under load must drain (exit 0) and
+#             answer the requests in flight;
+#   chaos   — kill -9 mid-load and a warm restart over the same cache
+#             directory, a restart after a SIGTERM that must have
+#             flushed the disk write queue, and injected disk faults
+#             that must never reach a client, all byte-identical to a
+#             memory-only run;
+#   cluster — rprouter + 2 replicas: Zipf hot-key herds must collapse,
+#             a replica kill -9 must cost no request, the router must
+#             drain under load, and a SIGTERM sent the moment either
+#             binary publishes its port file must end in exit 0.
 serve-smoke:
-	$(GO) build -o bin/rpserved ./cmd/rpserved
-	$(GO) build -o bin/rploadgen ./cmd/rploadgen
-	rm -f bin/rpserved.port; \
-	bin/rpserved -addr 127.0.0.1:0 -port-file bin/rpserved.port & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -f bin/rpserved.port ] && break; sleep 0.1; done; \
-	[ -f bin/rpserved.port ] || { echo "rpserved never published its port"; kill $$pid 2>/dev/null; exit 1; }; \
-	bin/rploadgen -addr "$$(cat bin/rpserved.port)" -n 64 -c 4 -unique 4 -size small || { kill $$pid 2>/dev/null; exit 1; }; \
-	bin/rploadgen -addr "$$(cat bin/rpserved.port)" -n 400 -c 4 -qps 400 -unique 4 -size small >/dev/null 2>&1 & \
-	lpid=$$!; \
-	sleep 0.3; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "rpserved did not drain cleanly under load"; kill $$lpid 2>/dev/null; exit 1; }; \
-	wait $$lpid 2>/dev/null; \
-	echo "serve-smoke: clean drain under load"
+	$(GO) run ./cmd/rpdrill serve
 
-# Chaos drill: kill -9 mid-load and restart against the same cache dir
-# (must come back warm with byte-identical outcomes), then serve through
-# injected disk read/write/checksum faults (must degrade to
-# recomputation — never a 5xx, never wrong bytes).
 chaos-smoke:
-	sh scripts/chaos_smoke.sh
+	$(GO) run ./cmd/rpdrill chaos
 
-# Cluster drill: rprouter + 2 replicas; a Zipf hot-key profile must
-# produce collapsed singleflight waits through the router, a replica
-# kill -9 mid-run must cost zero failed requests, a SIGTERM under load
-# must drain cleanly, and a SIGTERM sent the moment either binary
-# publishes its port file must still end in exit 0.
 cluster-smoke:
-	sh scripts/cluster_smoke.sh
-
-# Cluster experiment: single node vs 4-replica consistent-hash cluster
-# (steady and slot-bound capacity profiles), hedged vs unhedged tails
-# over a degraded replica, and a kill -9 rebalance drill. Asserts the
-# >=3x capacity scale-out, the p99 bound, and the hedging win; writes
-# BENCH_cluster.json.
-bench-cluster:
-	sh scripts/bench_cluster.sh
+	$(GO) run ./cmd/rpdrill cluster
 
 # Benchmark smoke test: the bench module's own tests (about 11 s). They
 # run every workload briefly, traced and untraced, check every output

@@ -49,7 +49,6 @@ func main() {
 		rateRPS      = flag.Float64("rate-rps", 0, "per-client admission rate in requests/sec (0 = no rate limiting)")
 		rateBurst    = flag.Int("rate-burst", 0, "per-client token-bucket burst (0 = max(4, 2x rate))")
 		chaosDisk    = flag.String("chaos-disk", "", "inject disk faults, e.g. read=0.3,write=0.3,checksum=0.1,slow=2ms,seed=7 (chaos drills only)")
-		chaosSlow    = flag.Duration("chaos-slow", 0, "emulated per-request backend service time holding a worker slot (capacity experiments only)")
 	)
 	flag.Parse()
 
@@ -77,7 +76,6 @@ func main() {
 		RateLimit:       *rateRPS,
 		RateBurst:       *rateBurst,
 		DiskChaos:       diskChaos,
-		ChaosSlow:       *chaosSlow,
 	})
 	if err != nil {
 		fatal(err)

@@ -372,16 +372,11 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			goto edge
 		case bcCopyJmp:
 			// The preamble charged the first folded copy; charge the
-			// other copies and the jump with one limit check (copies
-			// cannot fault, so the run's checks collapse, as the fused
-			// cmp+br's do). The edge runs the copies ahead of its phi
-			// moves.
+			// other copies and the jump unchecked (copies cannot fault,
+			// so a run past the limit is caught by the next dispatch's
+			// check, or by the edge's trap path, with the same error).
+			// The edge runs the copies ahead of its phi moves.
 			steps += int64(in.b)
-			if steps > maxSteps {
-				m.result.Steps = steps
-				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
-				goto done
-			}
 			ei = in.aux
 			goto edge
 		case bcBr:
@@ -404,9 +399,9 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			goto done
 
 		// Fused load + arithmetic. The preamble charged the load's step
-		// and ran its limit/deadline checks; the reference order is load
-		// executes (and may fault) before the consumer's own step-limit
-		// check, so that check runs between the two halves.
+		// and ran its limit/deadline checks; the load may fault, the
+		// arithmetic cannot, so its step is charged unchecked and a run
+		// past the limit fails at the next dispatch with the same error.
 		case bcLoadAdd, bcLoadSub, bcLoadMul, bcLoadAnd, bcLoadOr, bcLoadXor, bcLoadShl, bcLoadShr:
 			addr := in.addr
 			if in.rel {
@@ -419,11 +414,6 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			}
 			regs[in.dst2] = m.mem[addr]
 			steps++
-			if steps > maxSteps {
-				m.result.Steps = steps
-				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
-				goto done
-			}
 			switch in.op {
 			case bcLoadAdd:
 				regs[in.dst] = regs[in.a] + regs[in.b]
@@ -443,17 +433,13 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 				regs[in.dst] = regs[in.a] >> (uint64(regs[in.b]) & 63)
 			}
 
-		// Fused comparison + branch: both steps charged up front (the
-		// pair cannot fault, so collapsing the two limit checks is
-		// observationally identical), the comparison destination always
-		// written.
+		// Fused comparison + branch: the preamble charged and checked
+		// the comparison; the branch's step is charged unchecked (the
+		// pair cannot fault, so a branch past the limit fails at the
+		// next dispatch, or on the edge's trap path, with the same
+		// error). The comparison destination is always written.
 		case bcEqBr, bcNeBr, bcLtBr, bcLeBr, bcGtBr, bcGeBr:
 			steps++
-			if steps > maxSteps {
-				m.result.Steps = steps
-				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
-				goto done
-			}
 			var v int64
 			switch in.op {
 			case bcEqBr:
@@ -531,12 +517,20 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 		// loop), then the lowered moves (folded copies, then phi moves).
 		ecnt[ei]++
 		e = &edges[ei]
-		steps += e.phiSteps
 		if e.trap != nil {
-			m.result.Steps = steps
+			// A fused branch or a folded run charges its last steps
+			// unchecked; the reference stops at the limit before it
+			// reaches the edge.
+			if steps > maxSteps {
+				m.result.Steps = steps
+				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
+				goto done
+			}
+			m.result.Steps = steps + e.phiSteps
 			rerr = e.trap
 			goto done
 		}
+		steps += e.phiSteps
 		for _, mv := range moves[e.movesLo:e.movesHi] {
 			regs[mv.dst] = regs[mv.src]
 		}

@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/ir"
 	"repro/internal/source"
+	"repro/internal/ssa"
 	"repro/internal/workload"
 )
 
@@ -244,24 +247,72 @@ void main() {
 
 // TestBytecodeStepLimitInFoldedRun sweeps MaxSteps across the whole
 // run of foldedLoopSrc, so the limit lands on every folded copy and on
-// every jump that ends a folded run. For every limit the engine must
-// agree with the reference on failure versus success, on the error
-// text, and on the whole Result (Steps included) when the run succeeds.
+// every jump that ends a folded run.
 func TestBytecodeStepLimitInFoldedRun(t *testing.T) {
-	prog := compileSource(t, foldedLoopSrc)
-	m := &machine{prog: prog}
-	m.layoutGlobals()
-	folded := 0
-	for _, in := range compileBytecode(prog.Func("main"), m.globalBase).ins {
+	if got := mainOps(t, foldedLoopSrc, func(in bcInstr) int {
 		if in.op == bcCopyJmp {
-			folded += int(in.b)
+			return int(in.b)
+		}
+		return 0
+	}); got != 7+4 {
+		t.Fatalf("main folds %d copies into its jumps, want 11", got)
+	}
+	sweepMaxSteps(t, foldedLoopSrc)
+}
+
+// fusedLoopSrc adds a global accumulator to foldedLoopSrc's loop, so
+// main also runs a fused load+add (g + i) on every iteration besides
+// its fused cmp+br (i < 5).
+const fusedLoopSrc = `
+int g;
+void main() {
+	int i; int a; int b; int t;
+	i = 0; a = 1; b = 2;
+	while (i < 5) { i = i + 1; g = g + i; t = a; a = b; b = t; }
+	print(a);
+	print(g);
+}`
+
+// TestBytecodeStepLimitInFusedPairs sweeps MaxSteps across fusedLoopSrc,
+// so the limit also lands on the second half of a fused cmp+br and of a
+// fused load+arith, whose steps the engine charges without a check.
+func TestBytecodeStepLimitInFusedPairs(t *testing.T) {
+	for name, ops := range map[string][]bcOp{
+		"cmp+br":     {bcEqBr, bcNeBr, bcLtBr, bcLeBr, bcGtBr, bcGeBr},
+		"load+arith": {bcLoadAdd, bcLoadSub, bcLoadMul, bcLoadAnd, bcLoadOr, bcLoadXor, bcLoadShl, bcLoadShr},
+	} {
+		if mainOps(t, fusedLoopSrc, func(in bcInstr) int {
+			if slices.Contains(ops, in.op) {
+				return 1
+			}
+			return 0
+		}) == 0 {
+			t.Fatalf("main compiles to no fused %s", name)
 		}
 	}
-	if folded != 7+4 {
-		t.Fatalf("main folds %d copies into its jumps, want 11", folded)
-	}
+	sweepMaxSteps(t, fusedLoopSrc)
+}
 
-	legacyProg := compileSource(t, foldedLoopSrc)
+// mainOps sums count over the bytecode of src's main.
+func mainOps(t *testing.T, src string, count func(bcInstr) int) int {
+	prog := compileSource(t, src)
+	m := &machine{prog: prog}
+	m.layoutGlobals()
+	n := 0
+	for _, in := range compileBytecode(prog.Func("main"), m.globalBase).ins {
+		n += count(in)
+	}
+	return n
+}
+
+// sweepMaxSteps runs src under every MaxSteps from 1 to two past its
+// full step count. For every limit the engine must agree with the
+// reference on failure versus success, on the error text, and on the
+// whole Result (Steps included) when the run succeeds.
+func sweepMaxSteps(t *testing.T, src string) {
+	t.Helper()
+	prog := compileSource(t, src)
+	legacyProg := compileSource(t, src)
 	full, err := Run(legacyProg, Options{Legacy: true})
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +333,43 @@ func TestBytecodeStepLimitInFoldedRun(t *testing.T) {
 			continue
 		}
 		requireSameResult(t, "MaxSteps "+strconv.FormatInt(max, 10), "bytecode", "legacy", bres, lres)
+	}
+}
+
+// TestBytecodeStepLimitBeforeTrapEdge builds foldedLoopSrc's SSA form
+// and unlinks every jump into the loop header from the header's
+// predecessors, so the entry block's folded copy run ends on an edge
+// into register phis that traps. Where the limit lands inside that run
+// the reference stops with the step-limit error before the edge; the
+// engine, which charges the run unchecked, must too.
+func TestBytecodeStepLimitBeforeTrapEdge(t *testing.T) {
+	broken := func() *ir.Program {
+		prog := compileSource(t, foldedLoopSrc)
+		f := prog.Func("main")
+		if _, err := ssa.Build(f); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range f.Blocks {
+			if term := b.Term(); term != nil && term.Op == ir.OpJmp && len(b.Succs[0].Phis()) > 0 {
+				b.Succs[0].RemovePred(b)
+			}
+		}
+		return prog
+	}
+	prog, legacyProg := broken(), broken()
+	traps := 0
+	for max := int64(1); max <= 64; max++ {
+		_, berr := Run(prog, Options{MaxSteps: max})
+		_, lerr := Run(legacyProg, Options{MaxSteps: max, Legacy: true})
+		if berr == nil || lerr == nil || berr.Error() != lerr.Error() {
+			t.Fatalf("MaxSteps %d: bytecode error %v, legacy error %v", max, berr, lerr)
+		}
+		if !errors.Is(berr, ErrStepLimit) {
+			traps++
+		}
+	}
+	if traps == 0 {
+		t.Fatal("no limit let the run reach the trapping edge")
 	}
 }
 

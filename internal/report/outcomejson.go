@@ -9,10 +9,9 @@ import (
 
 // SchemaVersion is the version stamped into every machine-readable
 // record the promoter's tools emit: the serving layer's outcome payloads
-// (rpserved), the rpbench -oracle and -pressure-bench records, and the
-// load generator's -json record. Bump it whenever a field
-// changes meaning or shape, so downstream consumers can reject records
-// they do not understand instead of misreading them.
+// (rpserved) and the rpbench -oracle and -pressure-bench records. Bump
+// it whenever a field changes meaning or shape, so downstream consumers
+// can reject records they do not understand instead of misreading them.
 const SchemaVersion = 1
 
 // StatsJSON is the stable JSON shape of one function's (or the
@@ -68,7 +67,7 @@ type GlobalJSON struct {
 
 // OutcomeJSON is the stable, versioned JSON encoding of a
 // pipeline.Outcome, written by the promotion service and read by its
-// clients (rploadgen, the benchmark). Every slice is in canonical
+// clients (the serving drills, the benchmark). Every slice is in canonical
 // order (function declaration order comes pre-canonicalized from the
 // pipeline; stats and globals sort by name here), and wall-clock
 // timings are deliberately excluded, so two runs over the same

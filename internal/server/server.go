@@ -106,14 +106,6 @@ type Config struct {
 	// DiskChaos, when non-nil, injects deterministic disk faults into
 	// the cold tier (chaos drills only).
 	DiskChaos *faults.DiskInjector
-	// ChaosSlow, when positive, stretches every pipeline execution by
-	// this long while it holds its worker slot — emulating a backend
-	// whose capacity is bounded by service time (real IO, a remote
-	// compiler) rather than local CPU. Cache hits and collapsed waiters
-	// skip it, so capacity experiments pair it with a no-reuse request
-	// mix. Capacity experiments and chaos drills only; never enable on
-	// a real deployment.
-	ChaosSlow time.Duration
 }
 
 // withDefaults resolves the zero values.
@@ -626,18 +618,6 @@ func (s *Server) compute(ctx context.Context, src string, popts pipeline.Options
 
 	if s.testHook != nil {
 		s.testHook()
-	}
-
-	// Chaos service time: stretch this computation while it holds its
-	// worker slot, so per-replica capacity is bounded by
-	// slots/service-time the way an IO-bound backend's would be. Sitting
-	// inside the singleflight leader also widens the window in which
-	// concurrent identical misses collapse onto this run.
-	if s.cfg.ChaosSlow > 0 {
-		select {
-		case <-time.After(s.cfg.ChaosSlow):
-		case <-ctx.Done():
-		}
 	}
 
 	pipeStart := time.Now()

@@ -37,7 +37,7 @@ const LangIR = "ll"
 // ReplayCorpusMix is ReplayCorpus with every irEvery-th entry replaced
 // by an imported real-IR program (irEvery 0 disables mixing). The
 // replacement is positional and seed-derived, so the mix is identical
-// across processes — the property the load generator's cross-process
+// across processes — the property the benchmark's cross-process
 // determinism checks rely on. Replaced entries keep a position-unique
 // name so caches and logs distinguish repeat visits from distinct
 // entries.
@@ -56,20 +56,6 @@ func ReplayCorpusMix(seed int64, n int, size string, irEvery int) ([]Workload, e
 		entries[i] = w
 	}
 	return entries, nil
-}
-
-// MixComposition counts corpus entries by language, for bench-record
-// JSON ("what was this run actually made of").
-func MixComposition(ws []Workload) map[string]int {
-	mix := make(map[string]int)
-	for _, w := range ws {
-		lang := w.Lang
-		if lang == "" {
-			lang = "mc"
-		}
-		mix[lang]++
-	}
-	return mix
 }
 
 func itoa(n int) string {

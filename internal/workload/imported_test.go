@@ -42,8 +42,7 @@ func TestImportedSuiteRuns(t *testing.T) {
 }
 
 // TestReplayCorpusMix pins the mixing contract: deterministic across
-// calls, imported entries exactly at the irEvery-th positions, and
-// composition counts that add up.
+// calls and imported entries exactly at the irEvery-th positions.
 func TestReplayCorpusMix(t *testing.T) {
 	a, err := workload.ReplayCorpusMix(11, 20, "small", 5)
 	if err != nil {
@@ -61,10 +60,6 @@ func TestReplayCorpusMix(t *testing.T) {
 		if gotIR := w.Lang == irimport.LangIR; gotIR != wantIR {
 			t.Errorf("entry %d: lang %q (imported=%v), want imported=%v", i, w.Lang, gotIR, wantIR)
 		}
-	}
-	mix := workload.MixComposition(a)
-	if mix["ll"] != 4 || mix["mc"] != 16 {
-		t.Errorf("mix composition %v, want 4 ll + 16 mc", mix)
 	}
 
 	// irEvery 0 must be plain ReplayCorpus.

@@ -1,152 +1,22 @@
 package workload
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"sort"
 )
 
-// Profile is a declarative cluster traffic profile: how many requests
-// to send, over how many distinct programs, skewed how, paced by which
-// rate shape, and what service levels the run must meet. Profiles are
-// pure data — the request mix and the rate curve both derive entirely
-// from (Seed-at-replay, profile fields), so two runs of the same
-// profile against equivalent clusters issue byte-identical traffic.
+// Profile shapes a deterministic request mix: which of Unique distinct
+// programs each request position visits. The mix derives entirely from
+// (seed, profile fields), so two replays of one profile against
+// equivalent servers issue identical traffic.
 type Profile struct {
-	// Name identifies the profile in records and on the command line.
-	Name string `json:"name"`
-	// Requests is the total request count. With DurationS > 0 it is
-	// advisory: the effective count becomes DurationS x the shape's
-	// average rate (soak mode).
-	Requests int `json:"requests"`
 	// Unique is the number of distinct programs in the replay corpus.
-	Unique int `json:"unique"`
-	// Size is the generated program size: small, medium, or large.
-	Size string `json:"size"`
-	// Shape names the rate curve: steady, ramp, spike, or diurnal.
-	Shape string `json:"shape"`
-	// QPS is the peak request rate; 0 means unpaced (as fast as the
-	// client concurrency allows), which forces Shape to steady.
-	QPS float64 `json:"qps"`
-	// BaseQPS is the off-peak rate for ramp/spike/diurnal shapes
-	// (default QPS/4 when a shaped profile leaves it 0).
-	BaseQPS float64 `json:"base_qps"`
+	Unique int
 	// ZipfS skews the request mix: program rank r is visited with
 	// weight 1/(r+1)^ZipfS. 0 keeps the uniform MixIndexes mix. Larger
 	// s concentrates traffic on a few hot keys — the adversarial case
 	// for consistent hashing, which bounded-load spilling absorbs.
-	ZipfS float64 `json:"zipf_s"`
-	// DurationS > 0 switches to soak mode: run for this many seconds
-	// at the shape's average rate instead of a fixed request count.
-	DurationS float64 `json:"duration_s"`
-	// SLO is asserted after the run; the zero value asserts nothing.
-	SLO SLO `json:"slo"`
-}
-
-// SLO is a profile's pass/fail contract. Zero-valued fields are not
-// asserted; outcome identity is always asserted by the load generator
-// regardless.
-type SLO struct {
-	// P99MS fails the run when the measured p99 exceeds it.
-	P99MS float64 `json:"p99_ms,omitempty"`
-	// MaxErrorRate fails the run when (server errors + transport
-	// errors + timeouts + gave-up requests) / total exceeds it.
-	MaxErrorRate float64 `json:"max_error_rate,omitempty"`
-}
-
-// Validate rejects profiles that cannot be replayed deterministically.
-func (p Profile) Validate() error {
-	if p.Requests < 1 && p.DurationS <= 0 {
-		return fmt.Errorf("workload: profile %q needs requests >= 1 or duration_s > 0", p.Name)
-	}
-	if p.Unique < 1 {
-		return fmt.Errorf("workload: profile %q needs unique >= 1", p.Name)
-	}
-	switch p.Shape {
-	case "", "steady", "ramp", "spike", "diurnal":
-	default:
-		return fmt.Errorf("workload: profile %q: unknown shape %q (want steady, ramp, spike, or diurnal)", p.Name, p.Shape)
-	}
-	if p.Shape != "" && p.Shape != "steady" && p.QPS <= 0 {
-		return fmt.Errorf("workload: profile %q: shape %q needs qps > 0 to pace against", p.Name, p.Shape)
-	}
-	if p.ZipfS < 0 {
-		return fmt.Errorf("workload: profile %q: zipf_s must be >= 0", p.Name)
-	}
-	if p.DurationS > 0 && p.QPS <= 0 {
-		return fmt.Errorf("workload: profile %q: soak mode (duration_s) needs qps > 0", p.Name)
-	}
-	return nil
-}
-
-// baseRate is the off-peak rate, defaulting to a quarter of peak.
-func (p Profile) baseRate() float64 {
-	if p.BaseQPS > 0 {
-		return p.BaseQPS
-	}
-	return p.QPS / 4
-}
-
-// RateAt evaluates the profile's rate curve at frac ∈ [0, 1] of run
-// progress, in requests/second. Shapes:
-//
-//	steady:  QPS throughout
-//	ramp:    linear BaseQPS → QPS
-//	spike:   BaseQPS, with a QPS burst over the middle fifth
-//	diurnal: one raised-cosine day, trough BaseQPS, peak QPS
-//
-// Unpaced profiles (QPS == 0) return 0 everywhere: no pacing.
-func (p Profile) RateAt(frac float64) float64 {
-	if p.QPS <= 0 {
-		return 0
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	switch p.Shape {
-	case "ramp":
-		return p.baseRate() + (p.QPS-p.baseRate())*frac
-	case "spike":
-		if frac >= 0.4 && frac < 0.6 {
-			return p.QPS
-		}
-		return p.baseRate()
-	case "diurnal":
-		return p.baseRate() + (p.QPS-p.baseRate())*(1-math.Cos(2*math.Pi*frac))/2
-	default: // steady
-		return p.QPS
-	}
-}
-
-// AvgRate is the mean of the rate curve over the run — the rate soak
-// mode sizes its request count with.
-func (p Profile) AvgRate() float64 {
-	switch p.Shape {
-	case "ramp", "diurnal":
-		return (p.baseRate() + p.QPS) / 2
-	case "spike":
-		return 0.8*p.baseRate() + 0.2*p.QPS
-	default:
-		return p.QPS
-	}
-}
-
-// EffectiveRequests resolves soak mode: with DurationS set the count is
-// duration x average rate, otherwise Requests as written.
-func (p Profile) EffectiveRequests() int {
-	if p.DurationS > 0 {
-		n := int(math.Round(p.DurationS * p.AvgRate()))
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return p.Requests
+	ZipfS float64
 }
 
 // Mix returns the profile's deterministic request mix: a length-n
@@ -183,70 +53,4 @@ func (p Profile) Mix(seed int64, n int) []int {
 		}
 	}
 	return mix
-}
-
-// BuiltinProfiles returns the named cluster experiment profiles, in
-// presentation order. They are starting points — -profile-file takes a
-// JSON Profile for anything custom.
-func BuiltinProfiles() []Profile {
-	return []Profile{
-		{
-			Name: "steady", Requests: 2048, Unique: 16, Size: "small",
-			Shape: "steady",
-		},
-		{
-			Name: "ramp", Requests: 1024, Unique: 16, Size: "small",
-			Shape: "ramp", QPS: 400, BaseQPS: 50,
-		},
-		{
-			Name: "spike", Requests: 1024, Unique: 16, Size: "small",
-			Shape: "spike", QPS: 600, BaseQPS: 100,
-		},
-		{
-			Name: "diurnal", Requests: 1024, Unique: 16, Size: "small",
-			Shape: "diurnal", QPS: 300, BaseQPS: 50,
-		},
-		{
-			// The consistent-hashing stress case: a handful of keys take
-			// most of the traffic, so a router without bounded-load
-			// spilling melts one replica while the rest idle. Also the
-			// singleflight showcase — concurrent repeats of the hot keys
-			// collapse onto in-flight pipeline runs.
-			Name: "hotkey", Requests: 2048, Unique: 32, Size: "small",
-			Shape: "steady", ZipfS: 1.2,
-		},
-	}
-}
-
-// LookupProfile resolves a builtin profile by name.
-func LookupProfile(name string) (Profile, error) {
-	for _, p := range BuiltinProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	names := make([]string, 0, len(BuiltinProfiles()))
-	for _, p := range BuiltinProfiles() {
-		names = append(names, p.Name)
-	}
-	return Profile{}, fmt.Errorf("workload: unknown profile %q (builtin: %v)", name, names)
-}
-
-// LoadProfile reads a JSON Profile from a file and validates it.
-func LoadProfile(path string) (Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Profile{}, fmt.Errorf("workload: profile file: %w", err)
-	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Profile{}, fmt.Errorf("workload: profile file %s: %w", path, err)
-	}
-	if p.Name == "" {
-		p.Name = path
-	}
-	if err := p.Validate(); err != nil {
-		return Profile{}, err
-	}
-	return p, nil
 }

@@ -1,95 +1,6 @@
 package workload
 
-import (
-	"encoding/json"
-	"math"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func TestBuiltinProfilesValidate(t *testing.T) {
-	for _, p := range BuiltinProfiles() {
-		if err := p.Validate(); err != nil {
-			t.Errorf("builtin profile %q invalid: %v", p.Name, err)
-		}
-		if got, err := LookupProfile(p.Name); err != nil || got.Name != p.Name {
-			t.Errorf("LookupProfile(%q) = %+v, %v", p.Name, got, err)
-		}
-	}
-	if _, err := LookupProfile("nope"); err == nil {
-		t.Error("LookupProfile accepted an unknown name")
-	}
-}
-
-func TestProfileValidateRejects(t *testing.T) {
-	bad := []Profile{
-		{Name: "n", Unique: 4},                                  // no requests, no duration
-		{Name: "u", Requests: 10},                               // unique < 1
-		{Name: "s", Requests: 10, Unique: 4, Shape: "sawtooth"}, // unknown shape
-		{Name: "q", Requests: 10, Unique: 4, Shape: "ramp"},     // shaped but unpaced
-		{Name: "z", Requests: 10, Unique: 4, ZipfS: -1},         // negative skew
-		{Name: "d", Unique: 4, DurationS: 5},                    // soak needs qps
-	}
-	for _, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("profile %q validated but should not", p.Name)
-		}
-	}
-}
-
-func TestRateAtShapes(t *testing.T) {
-	ramp := Profile{Shape: "ramp", QPS: 100, BaseQPS: 20}
-	if got := ramp.RateAt(0); got != 20 {
-		t.Errorf("ramp start = %v, want 20", got)
-	}
-	if got := ramp.RateAt(1); got != 100 {
-		t.Errorf("ramp end = %v, want 100", got)
-	}
-	if got := ramp.RateAt(0.5); got != 60 {
-		t.Errorf("ramp mid = %v, want 60", got)
-	}
-
-	spike := Profile{Shape: "spike", QPS: 100, BaseQPS: 10}
-	if got := spike.RateAt(0.1); got != 10 {
-		t.Errorf("spike off-peak = %v, want 10", got)
-	}
-	if got := spike.RateAt(0.5); got != 100 {
-		t.Errorf("spike peak = %v, want 100", got)
-	}
-
-	diurnal := Profile{Shape: "diurnal", QPS: 100, BaseQPS: 20}
-	if got := diurnal.RateAt(0); math.Abs(got-20) > 1e-9 {
-		t.Errorf("diurnal trough = %v, want 20", got)
-	}
-	if got := diurnal.RateAt(0.5); math.Abs(got-100) > 1e-9 {
-		t.Errorf("diurnal peak = %v, want 100", got)
-	}
-
-	unpaced := Profile{Shape: "steady"}
-	if got := unpaced.RateAt(0.5); got != 0 {
-		t.Errorf("unpaced rate = %v, want 0", got)
-	}
-
-	// RateAt clamps out-of-range progress instead of extrapolating.
-	if got := ramp.RateAt(-1); got != 20 {
-		t.Errorf("ramp clamped start = %v, want 20", got)
-	}
-	if got := ramp.RateAt(2); got != 100 {
-		t.Errorf("ramp clamped end = %v, want 100", got)
-	}
-}
-
-func TestEffectiveRequestsSoak(t *testing.T) {
-	p := Profile{Shape: "steady", QPS: 50, DurationS: 10, Requests: 7}
-	if got := p.EffectiveRequests(); got != 500 {
-		t.Errorf("soak requests = %d, want 500", got)
-	}
-	fixed := Profile{Requests: 7}
-	if got := fixed.EffectiveRequests(); got != 7 {
-		t.Errorf("fixed requests = %d, want 7", got)
-	}
-}
+import "testing"
 
 func TestProfileMixUniformMatchesMixIndexes(t *testing.T) {
 	p := Profile{Unique: 8}
@@ -138,35 +49,5 @@ func TestProfileMixZipfSkew(t *testing.T) {
 	}
 	if same == len(mix) {
 		t.Error("different seeds produced an identical zipf mix")
-	}
-}
-
-func TestLoadProfileRoundTrip(t *testing.T) {
-	p := Profile{
-		Name: "custom", Requests: 128, Unique: 4, Size: "small",
-		Shape: "spike", QPS: 200, BaseQPS: 40, ZipfS: 0.9,
-		SLO: SLO{P99MS: 250, MaxErrorRate: 0.01},
-	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "profile.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Errorf("LoadProfile round trip = %+v, want %+v", got, p)
-	}
-
-	if err := os.WriteFile(path, []byte(`{"name":"bad","requests":10,"unique":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadProfile(path); err == nil {
-		t.Error("LoadProfile accepted an invalid profile")
 	}
 }
