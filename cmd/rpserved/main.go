@@ -5,9 +5,14 @@
 //
 // Usage:
 //
-//	rpserved -addr :8080 -server-workers 4 -queue 8 -cache 1024
+//	rpserved -addr :8080 -queue 8
 //	rpserved -addr 127.0.0.1:0 -port-file rpserved.port   # ephemeral port
 //	rpserved -cache-dir /var/cache/rpserved -rate-rps 50  # durable + rate limited
+//
+// The pool runs GOMAXPROCS pipelines at once (set the GOMAXPROCS
+// environment variable to change it). The memory tier holds 1024
+// outcomes, the disk tier 256 MiB, and a request body at most 1 MiB.
+// A request's interpreter runs at most 50 million steps and 10 s.
 //
 // Endpoints:
 //
@@ -31,30 +36,37 @@ import (
 	"repro/internal/server"
 )
 
+// options are rpserved's command-line settings.
+type options struct {
+	addr, portFile, cacheDir, chaosDisk string
+	queue, rateBurst                    int
+	rateRPS                             float64
+	drainTimeout                        time.Duration
+}
+
+// flags registers every rpserved flag on a new FlagSet. main parses
+// the command line with it; main_test.go checks its inventory.
+func flags() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("rpserved", flag.ExitOnError)
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address (host:0 picks an ephemeral port)")
+	fs.StringVar(&o.portFile, "port-file", "", "write the bound host:port to this file once listening")
+	fs.IntVar(&o.queue, "queue", 0, "requests allowed to wait beyond the running ones (0 = 2x GOMAXPROCS, -1 = none)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "directory for the durable on-disk cache tier (empty = memory only)")
+	fs.Float64Var(&o.rateRPS, "rate-rps", 0, "per-client admission rate in requests/sec (0 = no rate limiting)")
+	fs.IntVar(&o.rateBurst, "rate-burst", 0, "per-client token-bucket burst (0 = max(4, 2x rate))")
+	fs.StringVar(&o.chaosDisk, "chaos-disk", "", "inject disk faults, e.g. read=0.3,write=0.3,checksum=0.1,slow=2ms,seed=7 (chaos drills only)")
+	return fs, o
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
-		portFile     = flag.String("port-file", "", "write the bound host:port to this file once listening")
-		workers      = flag.Int("server-workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "requests allowed to wait beyond the running ones (0 = 2x workers, -1 = none)")
-		cacheEntries = flag.Int("cache", 0, "content-addressed result cache capacity in entries (0 = 1024, -1 = off)")
-		maxSteps     = flag.Int64("max-steps", 0, "per-request interpreter step ceiling (0 = 50M)")
-		maxTimeout   = flag.Duration("max-timeout", 0, "per-request interpreter wall-clock ceiling (0 = 10s)")
-		pipeWorkers  = flag.Int("workers", 1, "default per-request transform worker count")
-		maxSource    = flag.Int64("max-source-bytes", 0, "request body size bound (0 = 1MiB)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
-		enableFaults = flag.Bool("enable-faults", false, "allow requests to inject deterministic faults (tests/chaos only)")
-		cacheDir     = flag.String("cache-dir", "", "directory for the durable on-disk cache tier (empty = memory only)")
-		cacheDisk    = flag.Int64("cache-disk-bytes", 0, "on-disk cache tier byte budget (0 = 256MiB, -1 = unbounded)")
-		rateRPS      = flag.Float64("rate-rps", 0, "per-client admission rate in requests/sec (0 = no rate limiting)")
-		rateBurst    = flag.Int("rate-burst", 0, "per-client token-bucket burst (0 = max(4, 2x rate))")
-		chaosDisk    = flag.String("chaos-disk", "", "inject disk faults, e.g. read=0.3,write=0.3,checksum=0.1,slow=2ms,seed=7 (chaos drills only)")
-	)
-	flag.Parse()
+	fs, o := flags()
+	fs.Parse(os.Args[1:])
 
 	var diskChaos *faults.DiskInjector
-	if *chaosDisk != "" {
-		plan, err := faults.ParseDiskPlan(*chaosDisk)
+	if o.chaosDisk != "" {
+		plan, err := faults.ParseDiskPlan(o.chaosDisk)
 		if err != nil {
 			fatal(err)
 		}
@@ -63,25 +75,17 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheEntries:    *cacheEntries,
-		MaxSourceBytes:  *maxSource,
-		MaxSteps:        *maxSteps,
-		MaxTimeout:      *maxTimeout,
-		PipelineWorkers: *pipeWorkers,
-		EnableFaults:    *enableFaults,
-		CacheDir:        *cacheDir,
-		CacheDiskBytes:  *cacheDisk,
-		RateLimit:       *rateRPS,
-		RateBurst:       *rateBurst,
-		DiskChaos:       diskChaos,
+		QueueDepth: o.queue,
+		CacheDir:   o.cacheDir,
+		RateLimit:  o.rateRPS,
+		RateBurst:  o.rateBurst,
+		DiskChaos:  diskChaos,
 	})
 	if err != nil {
 		fatal(err)
 	}
 
-	if err := frontdoor.Run("rpserved", *addr, *portFile, srv.Handler(), srv.Drain, *drainTimeout); err != nil {
+	if err := frontdoor.Run("rpserved", o.addr, o.portFile, srv.Handler(), srv.Drain, o.drainTimeout); err != nil {
 		fatal(err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // health transition the ring is rebuilt over the surviving set —
 // consistent hashing guarantees only the changed replica's keys move.
 func (rt *Router) probeLoop() {
-	ticker := time.NewTicker(rt.cfg.ProbeInterval)
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -27,10 +27,9 @@ func (rt *Router) probeLoop() {
 	}
 }
 
-// probeOnce runs one probe round: health transitions first, then (when
-// hedging is in derived mode) a /metrics scrape of the healthy
-// replicas to recompute the hedge delay from their aggregated request
-// latency p95.
+// probeOnce runs one probe round: health transitions first, then a
+// /metrics scrape of the healthy replicas to recompute the hedge delay
+// from their aggregated request latency p95.
 func (rt *Router) probeOnce() {
 	changed := false
 	var wg sync.WaitGroup
@@ -50,9 +49,7 @@ func (rt *Router) probeOnce() {
 		rt.rebuildRing()
 	}
 	rt.m.probes.Add(1)
-	if rt.cfg.HedgeDelay == 0 {
-		rt.deriveHedgeDelay()
-	}
+	rt.deriveHedgeDelay()
 }
 
 // probeReplica probes one replica and updates its streaks; it reports
@@ -61,7 +58,7 @@ func (rt *Router) probeOnce() {
 // just broke a live request shouldn't need two more probe ticks to be
 // believed.
 func (rt *Router) probeReplica(rep *replica) (flipped bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	ok := false
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
@@ -78,7 +75,7 @@ func (rt *Router) probeReplica(rep *replica) (flipped bool) {
 	if ok && notes == 0 {
 		rep.failRuns = 0
 		rep.okRuns++
-		if !rep.healthy.Load() && rep.okRuns >= rt.cfg.OkThreshold {
+		if !rep.healthy.Load() && rep.okRuns >= okThreshold {
 			rep.healthy.Store(true)
 			return true
 		}
@@ -86,7 +83,7 @@ func (rt *Router) probeReplica(rep *replica) (flipped bool) {
 	}
 	rep.okRuns = 0
 	rep.failRuns++
-	if rep.healthy.Load() && rep.failRuns >= rt.cfg.FailThreshold {
+	if rep.healthy.Load() && rep.failRuns >= failThreshold {
 		rep.healthy.Store(false)
 		return true
 	}
@@ -95,8 +92,8 @@ func (rt *Router) probeReplica(rep *replica) (flipped bool) {
 
 // deriveHedgeDelay scrapes each healthy replica's /metrics, merges the
 // rpserved_request_seconds histograms, and sets the hedge delay to the
-// aggregate p95 (clamped to [HedgeMin, HedgeMax]). Until enough
-// samples exist the delay stays at HedgeMin — hedging early against an
+// aggregate p95 (clamped to [hedgeMin, hedgeMax]). Until enough
+// samples exist the delay stays at hedgeMin — hedging early against an
 // unknown distribution is cheaper than never hedging.
 func (rt *Router) deriveHedgeDelay() {
 	var agg histo.Snapshot
@@ -113,15 +110,15 @@ func (rt *Router) deriveHedgeDelay() {
 		}
 	}
 	if agg.Count < 20 {
-		rt.hedgeDelayNS.Store(int64(rt.cfg.HedgeMin))
+		rt.hedgeDelayNS.Store(int64(hedgeMin))
 		return
 	}
 	d := time.Duration(agg.Quantile(0.95) * float64(time.Second))
-	if d < rt.cfg.HedgeMin {
-		d = rt.cfg.HedgeMin
+	if d < hedgeMin {
+		d = hedgeMin
 	}
-	if d > rt.cfg.HedgeMax {
-		d = rt.cfg.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	rt.hedgeDelayNS.Store(int64(d))
 }
@@ -129,7 +126,7 @@ func (rt *Router) deriveHedgeDelay() {
 // scrapeHistogram fetches one replica's /metrics and parses the named
 // histogram out of it.
 func (rt *Router) scrapeHistogram(rep *replica, name string) (histo.Snapshot, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/metrics", nil)
 	if err != nil {

@@ -12,7 +12,7 @@
 //     replica whose caches it already warmed.
 //   - Bounded load: a pure hash ring sends a hot key's entire load to
 //     one replica. When the primary's in-flight count exceeds its fair
-//     share (a configurable factor over the cluster average), the
+//     share (1.25 times the cluster average), the
 //     request spills to the next replica on the ring — a deterministic
 //     overflow target whose disk cache warms for exactly the keys it
 //     absorbs, instead of a random scatter.

@@ -15,96 +15,43 @@ import (
 	"repro/internal/server"
 )
 
-// Config sizes the router. Replicas is required; everything else has a
-// sane zero-value default.
+// Config holds the router's deployment settings.
 type Config struct {
 	// Replicas are the rpserved instances (host:port) behind the ring.
 	Replicas []string
-	// VNodes is the virtual-node count per replica (0 = 128).
-	VNodes int
-	// LoadFactor is the bounded-load ceiling as a multiple of the
-	// cluster-average in-flight count (0 = 1.25; values < 1 clamp to 1).
-	LoadFactor float64
-	// SpillFloor is the minimum per-replica in-flight bound, so a
-	// near-idle cluster never spills on its first burst (0 = 4).
-	SpillFloor int
-	// HedgeDelay is how long the primary attempt may run before a
-	// hedge fires at the key's next ring replica. 0 derives the delay
-	// from the replicas' scraped request-latency p95 each probe cycle;
-	// negative disables hedging.
-	HedgeDelay time.Duration
-	// HedgeMin/HedgeMax clamp the derived delay (0 = 2ms / 1s).
-	HedgeMin, HedgeMax time.Duration
 	// QuotaRPS is the per-tenant steady admission rate ahead of
 	// placement (0 = no quotas). QuotaBurst is the bucket size
 	// (0 = max(4, 2×QuotaRPS)).
 	QuotaRPS   float64
 	QuotaBurst int
-	// ProbeInterval is the replica health-probe cadence (0 = 250ms).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (0 = 1s).
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures mark a
-	// replica down (0 = 2); OkThreshold how many successes bring it
-	// back (0 = 1).
-	FailThreshold, OkThreshold int
-	// MaxSourceBytes bounds the request body (0 = 1 MiB) — mirrors the
-	// replica bound so oversized requests die at the door.
-	MaxSourceBytes int64
-	// Ceilings must match the replicas' key-relevant configuration so
-	// router-side cache keys equal replica-side ones.
-	Ceilings server.KeyCeilings
-	// Transport overrides the proxy/probe transport (tests inject
-	// fault-wrapped transports here; nil = a pooled http.Transport).
-	Transport http.RoundTripper
-	// ProxyTimeout bounds one proxied attempt (0 = 60s).
-	ProxyTimeout time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 128
-	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 1.25
-	}
-	if c.SpillFloor <= 0 {
-		c.SpillFloor = 4
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = time.Second
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.OkThreshold <= 0 {
-		c.OkThreshold = 1
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 60 * time.Second
-	}
-	if c.Transport == nil {
-		c.Transport = &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
-	// c.Ceilings stays as configured; server.ResolveKey applies the
-	// replica defaults to its zero values.
-	return c
-}
+// Router tuning. Every deployment runs these values.
+const (
+	// vnodes is the virtual-node count per replica on the ring.
+	vnodes = 128
+	// loadFactor is the bounded-load ceiling as a multiple of the
+	// cluster-average in-flight count: a key spills off its primary
+	// above it.
+	loadFactor = 1.25
+	// spillFloor is the minimum per-replica in-flight bound, so a
+	// near-idle cluster never spills on its first burst.
+	spillFloor = 4
+	// hedgeMin and hedgeMax clamp the hedge delay, which each probe
+	// round derives from the replicas' request-latency p95.
+	hedgeMin = 2 * time.Millisecond
+	hedgeMax = time.Second
+	// probeInterval is the replica health-probe cadence and
+	// probeTimeout bounds one probe (or metrics scrape) round trip.
+	probeInterval = 250 * time.Millisecond
+	probeTimeout  = time.Second
+	// failThreshold consecutive failed probes take a replica out of the
+	// ring; okThreshold consecutive ok probes bring it back.
+	failThreshold = 2
+	okThreshold   = 1
+	// proxyTimeout bounds one proxied attempt.
+	proxyTimeout = 60 * time.Second
+)
 
 // replica is one rpserved instance as the router sees it.
 type replica struct {
@@ -126,7 +73,6 @@ type replica struct {
 
 // Router is the cluster front door.
 type Router struct {
-	cfg      Config
 	replicas []*replica
 	byName   map[string]*replica
 	client   *http.Client
@@ -137,7 +83,7 @@ type Router struct {
 
 	quotas *frontdoor.Limiter // nil when QuotaRPS is 0
 
-	hedgeDelayNS atomic.Int64 // current hedge delay (derived or fixed)
+	hedgeDelayNS atomic.Int64 // current hedge delay; 0 (before the first probe round) = no hedging
 
 	m routerMetrics
 
@@ -152,14 +98,15 @@ type Router struct {
 // pessimistic would turn a router restart into a self-inflicted
 // outage.
 func New(cfg Config) (*Router, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: no replicas configured")
 	}
 	rt := &Router{
-		cfg:    cfg,
 		byName: make(map[string]*replica, len(cfg.Replicas)),
-		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.ProxyTimeout},
+		client: &http.Client{
+			Transport: &http.Transport{MaxIdleConnsPerHost: 64, IdleConnTimeout: 90 * time.Second},
+			Timeout:   proxyTimeout,
+		},
 		quotas: frontdoor.NewLimiter(cfg.QuotaRPS, cfg.QuotaBurst),
 		start:  time.Now(),
 		stop:   make(chan struct{}),
@@ -179,9 +126,6 @@ func New(cfg Config) (*Router, error) {
 		rep.healthy.Store(true)
 		rt.replicas = append(rt.replicas, rep)
 		rt.byName[name] = rep
-	}
-	if cfg.HedgeDelay > 0 {
-		rt.hedgeDelayNS.Store(int64(cfg.HedgeDelay))
 	}
 	rt.rebuildRing()
 	return rt, nil
@@ -214,7 +158,7 @@ func (rt *Router) rebuildRing() {
 			healthy = append(healthy, rep.name)
 		}
 	}
-	rt.ring.Store(NewRing(healthy, rt.cfg.VNodes))
+	rt.ring.Store(NewRing(healthy, vnodes))
 	rt.m.ringChurn.Add(1)
 }
 
@@ -257,7 +201,7 @@ func (rt *Router) place(key string) (seq []*replica, spilled bool) {
 	if len(reps) == 0 {
 		return nil, false
 	}
-	bound := LoadBound(rt.cfg.LoadFactor, rt.totalInflight()+1, len(reps), rt.cfg.SpillFloor)
+	bound := LoadBound(loadFactor, rt.totalInflight()+1, len(reps), spillFloor)
 	for i, rep := range reps {
 		if int(rep.inflight.Load()) < bound {
 			if i == 0 {
@@ -282,18 +226,10 @@ func (rt *Router) place(key string) (seq []*replica, spilled bool) {
 	return reps, false
 }
 
-// hedgeDelay returns the current hedge delay, or 0 when hedging is off.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeDelay < 0 {
-		return 0
-	}
-	return time.Duration(rt.hedgeDelayNS.Load())
-}
-
 // noteFailure records an in-band transport failure against rep and
 // demotes it immediately — between a replica dying and the next probe
 // cycle noticing, no further request should be placed on it. The
-// prober re-promotes it after OkThreshold healthy probes.
+// prober re-promotes it after okThreshold healthy probes.
 func (rt *Router) noteFailure(rep *replica) {
 	rep.errors.Add(1)
 	rep.failNote.Add(1)
@@ -315,7 +251,9 @@ type proxyResult struct {
 }
 
 // proxyOnce forwards one attempt to rep and reads the full response.
-func (rt *Router) proxyOnce(ctx context.Context, rep *replica, body []byte, hdr http.Header, hedged bool) proxyResult {
+// client is the caller's frontdoor.ClientKey and tenant its X-Tenant
+// header, if any.
+func (rt *Router) proxyOnce(ctx context.Context, rep *replica, body []byte, client, tenant string, hedged bool) proxyResult {
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
 	rep.requests.Add(1)
@@ -327,12 +265,12 @@ func (rt *Router) proxyOnce(ctx context.Context, rep *replica, body []byte, hdr 
 		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
-	// Forward the client identity so per-client rate limiting on the
-	// replica keys on the real tenant, not on the router's address.
-	for _, h := range []string{"X-Client-ID", "X-Tenant"} {
-		if v := hdr.Get(h); v != "" {
-			req.Header.Set(h, v)
-		}
+	// Name the client on every attempt, so per-client rate limiting on
+	// the replica keys on the real client — never on the router's own
+	// address, which every proxied request shares.
+	req.Header.Set("X-Client-ID", client)
+	if tenant != "" {
+		req.Header.Set("X-Tenant", tenant)
 	}
 	t0 := time.Now()
 	resp, err := rt.client.Do(req)
@@ -392,7 +330,7 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	preq, body, rej := server.DecodePromote(r, rt.cfg.MaxSourceBytes)
+	preq, body, rej := server.DecodePromote(r)
 	if rej != nil {
 		rt.m.badRequests.Add(1)
 		frontdoor.WriteJSON(w, rej.Status, rej.Body)
@@ -401,7 +339,7 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 	// The router computes the same content-addressed key the replica
 	// will: that is the whole sharding contract. Invalid options die
 	// here with the replica's exact 400 shape, saving the hop.
-	key, err := server.ResolveKey(preq.Source, preq.Options, rt.cfg.Ceilings)
+	key, err := server.ResolveKey(preq.Source, preq.Options)
 	if err != nil {
 		rt.m.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, err.Error(), "bad_request")
@@ -464,8 +402,9 @@ func (rt *Router) dispatch(r *http.Request, seq []*replica, body []byte) (proxyR
 	defer cancel()
 
 	results := make(chan proxyResult, len(seq)+1)
+	client, tenant := frontdoor.ClientKey(r), r.Header.Get("X-Tenant")
 	launch := func(rep *replica, hedged bool) {
-		go func() { results <- rt.proxyOnce(ctx, rep, body, r.Header, hedged) }()
+		go func() { results <- rt.proxyOnce(ctx, rep, body, client, tenant, hedged) }()
 	}
 
 	next := 1 // index into seq of the next untried replica
@@ -475,7 +414,7 @@ func (rt *Router) dispatch(r *http.Request, seq []*replica, body []byte) (proxyR
 	// The hedge timer fires at most once per request; a fired hedge is
 	// just another outstanding attempt afterwards.
 	var hedgeCh <-chan time.Time
-	if d := rt.hedgeDelay(); d > 0 && len(seq) > 1 {
+	if d := time.Duration(rt.hedgeDelayNS.Load()); d > 0 && len(seq) > 1 {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		hedgeCh = timer.C

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,9 +27,10 @@ type fakeReplica struct {
 	ts    *httptest.Server
 	delay time.Duration
 
-	mu      sync.Mutex
-	sources []string
-	metrics string // /metrics body override
+	mu        sync.Mutex
+	sources   []string
+	clientIDs []string // X-Client-ID of each /v1/promote, in arrival order
+	metrics   string   // /metrics body override
 }
 
 func newFakeReplica(t *testing.T, delay time.Duration) *fakeReplica {
@@ -42,6 +44,7 @@ func newFakeReplica(t *testing.T, delay time.Duration) *fakeReplica {
 		}
 		f.mu.Lock()
 		f.sources = append(f.sources, req.Source)
+		f.clientIDs = append(f.clientIDs, r.Header.Get("X-Client-ID"))
 		f.mu.Unlock()
 		if f.delay > 0 {
 			time.Sleep(f.delay)
@@ -75,8 +78,15 @@ func (f *fakeReplica) seen() int {
 	return len(f.sources)
 }
 
-// newTestRouter builds an unstarted router (tests drive probeOnce by
-// hand for determinism).
+func (f *fakeReplica) clients() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.clientIDs)
+}
+
+// newTestRouter builds an unstarted router: tests drive probeOnce by
+// hand for determinism, so until they do the hedge delay is 0 and
+// nothing hedges.
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	rt, err := New(cfg)
 	if err != nil {
@@ -111,7 +121,7 @@ func post(t *testing.T, h http.Handler, body []byte, hdr map[string]string) *htt
 func TestRouterPlacementStable(t *testing.T) {
 	a := newFakeReplica(t, 0)
 	b := newFakeReplica(t, 0)
-	rt := newTestRouter(t, Config{Replicas: []string{a.host(), b.host()}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host(), b.host()}})
 	h := rt.Handler()
 
 	placed := make(map[string]string) // source → replica header
@@ -142,10 +152,8 @@ func TestRouterPlacementStable(t *testing.T) {
 func TestRouterHedging(t *testing.T) {
 	slow := newFakeReplica(t, 300*time.Millisecond)
 	fast := newFakeReplica(t, 0)
-	rt := newTestRouter(t, Config{
-		Replicas:   []string{slow.host(), fast.host()},
-		HedgeDelay: 10 * time.Millisecond,
-	})
+	rt := newTestRouter(t, Config{Replicas: []string{slow.host(), fast.host()}})
+	rt.hedgeDelayNS.Store(int64(10 * time.Millisecond))
 	h := rt.Handler()
 
 	sawHedgeWin := false
@@ -171,6 +179,44 @@ func TestRouterHedging(t *testing.T) {
 		t.Fatalf("hedge counters: fired=%d wins=%d, want both > 0",
 			rt.m.hedges.Load(), rt.m.hedgeWins.Load())
 	}
+	// Primaries and hedges alike name the client (httptest's
+	// RemoteAddr host), never the router.
+	for _, id := range append(slow.clients(), fast.clients()...) {
+		if id != "192.0.2.1" {
+			t.Fatalf("attempt carried X-Client-ID %q, want 192.0.2.1", id)
+		}
+	}
+}
+
+// TestRouterForwardsClientKey: replicas rate-limit per client, and
+// behind the router every connection comes from the router's address.
+// So the router names the client on every attempt: two requests without
+// an identity header, from different hosts, reach the replica under
+// different X-Client-IDs, and an explicit X-Client-ID passes through.
+func TestRouterForwardsClientKey(t *testing.T) {
+	a := newFakeReplica(t, 0)
+	rt := newTestRouter(t, Config{Replicas: []string{a.host()}})
+	send := func(remote, clientID string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/promote",
+			bytes.NewReader(promoteBody(t, "int f() { return 1; }")))
+		req.RemoteAddr = remote
+		if clientID != "" {
+			req.Header.Set("X-Client-ID", clientID)
+		}
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request from %s: status %d: %s", remote, rec.Code, rec.Body.String())
+		}
+	}
+	send("10.0.0.1:5000", "")
+	send("10.0.0.2:5000", "")
+	send("10.0.0.3:5000", "tenant-7")
+	want := []string{"10.0.0.1", "10.0.0.2", "tenant-7"}
+	if got := a.clients(); !slices.Equal(got, want) {
+		t.Fatalf("replica saw X-Client-ID %q, want %q", got, want)
+	}
 }
 
 // TestRouterClientDisconnect: a client that gives up while its request
@@ -180,7 +226,7 @@ func TestRouterHedging(t *testing.T) {
 // the ring.
 func TestRouterClientDisconnect(t *testing.T) {
 	slow := newFakeReplica(t, 300*time.Millisecond)
-	rt := newTestRouter(t, Config{Replicas: []string{slow.host()}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{slow.host()}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -214,12 +260,8 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 	a := newFakeReplica(t, 0)
 	b := newFakeReplica(t, 0)
 	blackout := faults.NewReplicaBlackout(nil)
-	rt := newTestRouter(t, Config{
-		Replicas:    []string{a.host(), b.host()},
-		HedgeDelay:  -1,
-		Transport:   blackout,
-		OkThreshold: 2,
-	})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host(), b.host()}})
+	rt.client.Transport = blackout
 	h := rt.Handler()
 
 	// Warm assertion: both replicas serve.
@@ -253,23 +295,28 @@ func TestRouterFailoverAndRecovery(t *testing.T) {
 
 	// Recovery: restore the transport. The first probe round after
 	// recovery drains the in-band failure notes accumulated during the
-	// blackout (they count as one failed round); then OkThreshold clean
+	// blackout (they count as one failed round); then okThreshold clean
 	// rounds re-promote the replica and rebuild the ring.
 	blackout.Up(a.host())
 	rt.probeOnce()
-	rt.probeOnce()
 	if rt.byName[a.host()].healthy.Load() {
-		t.Fatal("replica promoted after one ok probe; OkThreshold is 2")
+		t.Fatal("replica promoted while its blackout failure notes were pending")
 	}
-	rt.probeOnce()
+	churnBefore = rt.m.ringChurn.Load()
+	for i := 0; i < okThreshold; i++ {
+		rt.probeOnce()
+	}
 	if !rt.byName[a.host()].healthy.Load() {
-		t.Fatal("replica not re-promoted after OkThreshold ok probes")
+		t.Fatal("replica not re-promoted after okThreshold ok probes")
+	}
+	if rt.m.ringChurn.Load() == churnBefore {
+		t.Fatal("ring not rebuilt on re-promotion")
 	}
 }
 
 // TestRouterProbeDemotesUnready: a replica answering /readyz with 503
-// leaves the ring after FailThreshold probe rounds without any client
-// traffic being involved.
+// leaves the ring after failThreshold (2) probe rounds without any
+// client traffic being involved.
 func TestRouterProbeDemotesUnready(t *testing.T) {
 	a := newFakeReplica(t, 0)
 	notReady := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -278,18 +325,14 @@ func TestRouterProbeDemotesUnready(t *testing.T) {
 	defer notReady.Close()
 	nu, _ := url.Parse(notReady.URL)
 
-	rt := newTestRouter(t, Config{
-		Replicas:      []string{a.host(), nu.Host},
-		HedgeDelay:    -1,
-		FailThreshold: 2,
-	})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host(), nu.Host}})
 	rt.probeOnce()
 	if !rt.byName[nu.Host].healthy.Load() {
-		t.Fatal("demoted after a single failed probe; FailThreshold is 2")
+		t.Fatal("demoted after a single failed probe; failThreshold is 2")
 	}
 	rt.probeOnce()
 	if rt.byName[nu.Host].healthy.Load() {
-		t.Fatal("unready replica still in the ring after FailThreshold probes")
+		t.Fatal("unready replica still in the ring after failThreshold probes")
 	}
 	ring := rt.ring.Load()
 	if ring.Len() != 1 || ring.Lookup("any") != a.host() {
@@ -303,7 +346,6 @@ func TestRouterQuota(t *testing.T) {
 	a := newFakeReplica(t, 0)
 	rt := newTestRouter(t, Config{
 		Replicas:   []string{a.host()},
-		HedgeDelay: -1,
 		QuotaRPS:   1,
 		QuotaBurst: 2,
 	})
@@ -335,7 +377,7 @@ func TestRouterQuota(t *testing.T) {
 // the router with the replica's 400 shape, costing zero proxy hops.
 func TestRouterBadRequestShortCircuits(t *testing.T) {
 	a := newFakeReplica(t, 0)
-	rt := newTestRouter(t, Config{Replicas: []string{a.host()}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host()}})
 	h := rt.Handler()
 
 	body, _ := json.Marshal(server.PromoteRequest{
@@ -358,7 +400,7 @@ func TestRouterBadRequestShortCircuits(t *testing.T) {
 // router answers 503 and /readyz flips not-ready.
 func TestRouterNoHealthyReplicas(t *testing.T) {
 	a := newFakeReplica(t, 0)
-	rt := newTestRouter(t, Config{Replicas: []string{a.host()}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host()}})
 	rt.byName[a.host()].healthy.Store(false)
 	rt.rebuildRing()
 	h := rt.Handler()
@@ -379,7 +421,7 @@ func TestRouterNoHealthyReplicas(t *testing.T) {
 // work has completed.
 func TestRouterDrain(t *testing.T) {
 	a := newFakeReplica(t, 0)
-	rt := newTestRouter(t, Config{Replicas: []string{a.host()}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{a.host()}})
 	h := rt.Handler()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -392,38 +434,48 @@ func TestRouterDrain(t *testing.T) {
 	}
 }
 
-// TestDerivedHedgeDelay: the router scrapes replica request-latency
-// histograms and sets its hedge delay to the merged p95, clamped.
+// TestDerivedHedgeDelay: each probe round scrapes the replicas'
+// request-latency histograms and sets the hedge delay to the merged
+// p95, clamped to [hedgeMin, hedgeMax]; with under 20 samples the delay
+// is hedgeMin.
 func TestDerivedHedgeDelay(t *testing.T) {
-	a := newFakeReplica(t, 0)
-	// 100 samples: 95 in (0.001, 0.0025], 5 in (0.05, 0.1] → p95 at the
-	// upper edge of the 0.0025 bucket.
-	hist := histo.New(nil)
-	for i := 0; i < 95; i++ {
-		hist.Observe(2 * time.Millisecond)
+	type sample struct {
+		n int
+		d time.Duration
 	}
-	for i := 0; i < 5; i++ {
-		hist.Observe(80 * time.Millisecond)
+	cases := []struct {
+		name    string
+		samples []sample
+		want    time.Duration
+	}{
+		// 95 samples in (1ms, 2.5ms], 5 in (50ms, 100ms]: p95 at the
+		// 2.5ms bucket edge, inside the clamp.
+		{"p95", []sample{{95, 2 * time.Millisecond}, {5, 80 * time.Millisecond}}, 2500 * time.Microsecond},
+		{"below hedgeMin", []sample{{100, 100 * time.Microsecond}}, hedgeMin},
+		{"above hedgeMax", []sample{{100, 5 * time.Second}}, hedgeMax},
+		{"too few samples", []sample{{10, 80 * time.Millisecond}}, hedgeMin},
 	}
-	var buf bytes.Buffer
-	hist.Snapshot().WritePrometheus(&buf, "rpserved_request_seconds", "test", "")
-	a.mu.Lock()
-	a.metrics = buf.String()
-	a.mu.Unlock()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hist := histo.New(nil)
+			for _, sm := range tc.samples {
+				for i := 0; i < sm.n; i++ {
+					hist.Observe(sm.d)
+				}
+			}
+			a := newFakeReplica(t, 0)
+			var buf bytes.Buffer
+			hist.Snapshot().WritePrometheus(&buf, "rpserved_request_seconds", "test", "")
+			a.mu.Lock()
+			a.metrics = buf.String()
+			a.mu.Unlock()
 
-	rt := newTestRouter(t, Config{
-		Replicas: []string{a.host()},
-		HedgeMin: time.Millisecond,
-		HedgeMax: time.Second,
-	})
-	rt.probeOnce()
-	got := time.Duration(rt.hedgeDelayNS.Load())
-	want := time.Duration(hist.Snapshot().Quantile(0.95) * float64(time.Second))
-	if got != want {
-		t.Fatalf("derived hedge delay = %v, want scraped p95 %v", got, want)
-	}
-	if got < time.Millisecond || got > 10*time.Millisecond {
-		t.Fatalf("derived delay %v implausible for the synthetic distribution", got)
+			rt := newTestRouter(t, Config{Replicas: []string{a.host()}})
+			rt.probeOnce()
+			if got := time.Duration(rt.hedgeDelayNS.Load()); got != tc.want {
+				t.Fatalf("derived hedge delay = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -434,7 +486,7 @@ func TestDerivedHedgeDelay(t *testing.T) {
 // all memory-tier hits, with byte-identical outcomes throughout.
 func TestRouterAgainstRealReplicas(t *testing.T) {
 	mkReplica := func() (*server.Server, string) {
-		s, err := server.New(server.Config{Workers: 1, QueueDepth: 16})
+		s, err := server.New(server.Config{QueueDepth: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,7 +497,7 @@ func TestRouterAgainstRealReplicas(t *testing.T) {
 	}
 	_, hostA := mkReplica()
 	_, hostB := mkReplica()
-	rt := newTestRouter(t, Config{Replicas: []string{hostA, hostB}, HedgeDelay: -1})
+	rt := newTestRouter(t, Config{Replicas: []string{hostA, hostB}})
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
 

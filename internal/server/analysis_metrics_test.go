@@ -63,7 +63,7 @@ func TestStripPortShapes(t *testing.T) {
 // and that a cache hit runs no pipeline: rpserved_pipeline_seconds_count
 // moves on the first request and stays put on the identical second one.
 func TestMetricsAnalysisBuilds(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 
 	runs := func() int {
 		t.Helper()
@@ -98,7 +98,7 @@ func TestMetricsAnalysisBuilds(t *testing.T) {
 // is a 400 naming the field, positive runs and is part of the cache
 // key.
 func TestPressureCapRequestOption(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 
 	rec, _, fail := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{PressureCap: -1}})
 	if rec.Code != http.StatusBadRequest {

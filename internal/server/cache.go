@@ -89,8 +89,7 @@ type lruEntry struct {
 	val cachedOutcome
 }
 
-// newLRUCache returns a cache bounded to max entries. max <= 0 disables
-// caching: Get always misses and Put is a no-op.
+// newLRUCache returns a cache bounded to max (>= 1) entries.
 func newLRUCache(max int) *lruCache {
 	return &lruCache{
 		max:     max,
@@ -102,9 +101,6 @@ func newLRUCache(max int) *lruCache {
 // Get returns the cached outcome for key, marking it most recently
 // used.
 func (c *lruCache) Get(key string) (cachedOutcome, bool) {
-	if c.max <= 0 {
-		return cachedOutcome{}, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -118,9 +114,6 @@ func (c *lruCache) Get(key string) (cachedOutcome, bool) {
 // Put inserts (or refreshes) key and returns how many entries were
 // evicted to stay within capacity.
 func (c *lruCache) Put(key string, val cachedOutcome) (evicted int) {
-	if c.max <= 0 {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

@@ -53,18 +53,6 @@ func TestLRURefreshAndBytes(t *testing.T) {
 	}
 }
 
-// TestLRUDisabled checks max <= 0 turns the cache off entirely.
-func TestLRUDisabled(t *testing.T) {
-	c := newLRUCache(0)
-	c.Put("k", entry("v"))
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("disabled cache returned a hit")
-	}
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("disabled cache holds state: len=%d bytes=%d", c.Len(), c.Bytes())
-	}
-}
-
 // TestCacheKeySensitivity checks the content address covers both the
 // source and every resolved option, and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {

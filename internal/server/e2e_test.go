@@ -29,7 +29,7 @@ func TestEndToEndCorpusReplay(t *testing.T) {
 		n       = 24
 		clients = 4
 	)
-	s := newTestServer(t, Config{Workers: 2, QueueDepth: n}) // queue deep enough to never reject
+	s := newTestServer(t, Config{workers: 2, QueueDepth: n}) // queue deep enough to never reject
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -7,45 +7,29 @@ import (
 	"repro/internal/pipeline"
 )
 
-// KeyCeilings are the server configuration values that participate in
-// request canonicalization — and therefore in the content-addressed
-// cache key. A router fronting a fleet of replicas must compute keys
-// with the same ceilings the replicas run with, or identical requests
-// would hash to different keys on the two sides and consistent-hash
-// placement would stop aligning with replica cache contents.
-type KeyCeilings struct {
-	// MaxSteps is the interpreter step ceiling (0 = 50 million, the
-	// server default).
-	MaxSteps int64
-	// MaxTimeout is the interpreter wall-clock ceiling (0 = 10s).
-	MaxTimeout time.Duration
-	// PipelineWorkers is the default per-request transform worker count
-	// (0 = 1).
-	PipelineWorkers int
-}
+// The key ceilings take part in request canonicalization, and so in
+// the content-addressed cache key. They are constants, not settings, so
+// a router and every replica behind it derive the same key for the
+// same request without sharing any configuration.
+const (
+	// maxSteps is the interpreter step ceiling. A request may ask for
+	// fewer steps (max_steps), never more.
+	maxSteps = 50_000_000
+	// maxTimeout is the interpreter wall-clock ceiling. A request may
+	// ask for less (timeout_ms), never more.
+	maxTimeout = 10 * time.Second
+	// defaultPipelineWorkers is the transform worker count of a request
+	// that names none (workers omitted or 0).
+	defaultPipelineWorkers = 1
+)
 
-// withDefaults mirrors Config.withDefaults for the key-relevant subset.
-func (c KeyCeilings) withDefaults() KeyCeilings {
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 50_000_000
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Second
-	}
-	if c.PipelineWorkers <= 0 {
-		c.PipelineWorkers = 1
-	}
-	return c
-}
-
-// ResolveKey canonicalizes ro against the ceilings and returns the
-// content-addressed cache key for (src, ro) — byte-for-byte the key a
-// replica running with matching ceilings derives for the same request.
-// Invalid options return the same typed error shape the replica's 400
-// carries, so a router can reject bad requests without spending a
-// proxy hop.
-func ResolveKey(src string, ro RequestOptions, ceil KeyCeilings) (string, error) {
-	res, err := canonicalize(ro, ceil.withDefaults())
+// ResolveKey canonicalizes ro and returns the content-addressed cache
+// key for (src, ro) — byte-for-byte the key a replica derives for the
+// same request. Invalid options return the same typed error shape the
+// replica's 400 carries, so a router can reject bad requests without
+// spending a proxy hop.
+func ResolveKey(src string, ro RequestOptions) (string, error) {
+	res, err := canonicalize(ro)
 	if err != nil {
 		return "", err
 	}
@@ -54,10 +38,9 @@ func ResolveKey(src string, ro RequestOptions, ceil KeyCeilings) (string, error)
 
 // canonicalize defaults and clamps request options into their resolved
 // form — the exact struct hashed into the cache key. It is pure
-// (depends only on ro and ceil) so the router and every replica agree
-// on it. Rejections are typed *pipeline.OptionError wrapped for 400
+// (depends only on ro) so the router and every replica agree on it. Rejections are typed *pipeline.OptionError wrapped for 400
 // mapping, naming the offending field.
-func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) {
+func canonicalize(ro RequestOptions) (resolvedOptions, error) {
 	var res resolvedOptions
 	res.Lang = ro.Lang
 	if res.Lang == "" {
@@ -85,7 +68,7 @@ func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) 
 	}
 	res.Workers = ro.Workers
 	if res.Workers == 0 {
-		res.Workers = ceil.PipelineWorkers
+		res.Workers = defaultPipelineWorkers
 	}
 	if res.Workers < 0 || res.Workers > 16 {
 		return res, &badRequestError{&pipeline.OptionError{Field: "Workers", Value: ro.Workers,
@@ -104,10 +87,10 @@ func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) 
 			Reason: "must be >= 0 (0 = no pressure cap)"}}
 	}
 	res.MaxSteps = ro.MaxSteps
-	if res.MaxSteps == 0 || res.MaxSteps > ceil.MaxSteps {
-		res.MaxSteps = ceil.MaxSteps
+	if res.MaxSteps == 0 || res.MaxSteps > maxSteps {
+		res.MaxSteps = maxSteps
 	}
-	maxMS := ceil.MaxTimeout.Milliseconds()
+	maxMS := maxTimeout.Milliseconds()
 	res.TimeoutMS = ro.TimeoutMS
 	if res.TimeoutMS == 0 || res.TimeoutMS > maxMS {
 		res.TimeoutMS = maxMS
@@ -118,6 +101,5 @@ func canonicalize(ro RequestOptions, ceil KeyCeilings) (resolvedOptions, error) 
 	res.WholeFunctionScope = ro.WholeFunctionScope
 	res.PressureCap = ro.PressureCap
 	res.SkipMeasurement = ro.SkipMeasurement
-	res.Fault = ro.Fault
 	return res, nil
 }

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestResolveKeyMatchesServer: the exported ResolveKey — what the
 // cluster router places requests with — must produce byte-identical
@@ -11,26 +8,26 @@ import (
 // shape, or sharding would silently stop lining up with replica
 // caches.
 func TestResolveKeyMatchesServer(t *testing.T) {
-	s := newTestServer(t, Config{
-		MaxSteps:        1 << 20,
-		MaxTimeout:      3 * time.Second,
-		PipelineWorkers: 2,
-	})
-	ceil := KeyCeilings{MaxSteps: 1 << 20, MaxTimeout: 3 * time.Second, PipelineWorkers: 2}
-	cases := []RequestOptions{
+	// Spellings of the default options: above the ceilings (which clamp
+	// steps and timeout) and with every default written out.
+	defaults := []RequestOptions{
+		{MaxSteps: 1 << 40, TimeoutMS: 1 << 40},
+		{Workers: defaultPipelineWorkers, MaxSteps: maxSteps, TimeoutMS: maxTimeout.Milliseconds()},
+	}
+	cases := append([]RequestOptions{
 		{},
 		{Algorithm: "baseline", Check: "paranoid"},
 		{Workers: 8, MaxSteps: 999, TimeoutMS: 50},
-		{Workers: 16, MaxSteps: 1 << 40, TimeoutMS: 1 << 40}, // ceilings clamp steps/timeout
+		{Workers: 16, MaxSteps: 1 << 40, TimeoutMS: 1 << 40},
 		{Check: "boundaries"},
-	}
+	}, defaults...)
 	for i, ro := range cases {
-		resolved, _, err := s.resolve(ro)
+		resolved, _, err := resolve(ro)
 		if err != nil {
 			t.Fatalf("case %d: server resolve: %v", i, err)
 		}
 		want := cacheKey(smallSrc, resolved)
-		got, err := ResolveKey(smallSrc, ro, ceil)
+		got, err := ResolveKey(smallSrc, ro)
 		if err != nil {
 			t.Fatalf("case %d: ResolveKey: %v", i, err)
 		}
@@ -39,26 +36,23 @@ func TestResolveKeyMatchesServer(t *testing.T) {
 		}
 	}
 
-	// Invalid options fail identically on both paths.
-	bad := RequestOptions{Algorithm: "turbo"}
-	if _, _, err := s.resolve(bad); err == nil {
-		t.Fatal("server resolve accepted a bad algorithm")
+	// Every spelling of the default options shares the default key.
+	base, err := ResolveKey(smallSrc, RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ResolveKey(smallSrc, bad, ceil); err == nil {
-		t.Fatal("ResolveKey accepted a bad algorithm")
+	for i, ro := range defaults {
+		if got, _ := ResolveKey(smallSrc, ro); got != base {
+			t.Fatalf("spelling %d (%+v) has its own key; want the default options' key", i, ro)
+		}
 	}
 
-	// Different ceilings change the key: the router must be configured
-	// with the replicas' ceilings or locality degrades.
-	other, err := ResolveKey(smallSrc, RequestOptions{}, KeyCeilings{MaxSteps: 1 << 21, MaxTimeout: 3 * time.Second, PipelineWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
+	// Invalid options fail identically on both paths.
+	bad := RequestOptions{Algorithm: "turbo"}
+	if _, _, err := resolve(bad); err == nil {
+		t.Fatal("server resolve accepted a bad algorithm")
 	}
-	base, err := ResolveKey(smallSrc, RequestOptions{}, ceil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other == base {
-		t.Fatal("changing key ceilings did not change the key")
+	if _, err := ResolveKey(smallSrc, bad); err == nil {
+		t.Fatal("ResolveKey accepted a bad algorithm")
 	}
 }

@@ -17,13 +17,14 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/frontdoor"
+	"repro/internal/pipeline"
 )
 
 // promoteKey computes the cache key the server will use for req —
 // tests need it to watch flights and find disk entries.
-func promoteKey(t *testing.T, s *Server, req PromoteRequest) string {
+func promoteKey(t *testing.T, req PromoteRequest) string {
 	t.Helper()
-	resolved, _, err := s.resolve(req.Options)
+	resolved, _, err := resolve(req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +39,11 @@ func promoteKey(t *testing.T, s *Server, req PromoteRequest) string {
 // singleflight memory-safety gate.
 func TestSingleflightCollapsesIdenticalMisses(t *testing.T) {
 	const n = 8
-	s := newTestServer(t, Config{Workers: 1})
-	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	s := newTestServer(t, Config{workers: 1})
+	block := holdRuns(s)
 
 	req := PromoteRequest{Source: smallSrc}
-	key := promoteKey(t, s, req)
+	key := promoteKey(t, req)
 
 	type result struct {
 		code    int
@@ -103,17 +103,65 @@ func TestSingleflightCollapsesIdenticalMisses(t *testing.T) {
 	}
 }
 
+// TestFlightReleasesWaitersAfterMemoryPut checks the memory tier holds
+// the leader's outcome by the time its flight releases the waiters.
+// Otherwise a request arriving between the release and the put finds
+// neither a flight nor an entry and runs the pipeline again. The test
+// holds the memory tier's lock while the leader finishes: the flight
+// must not complete until the lock is let go and the put goes through.
+func TestFlightReleasesWaitersAfterMemoryPut(t *testing.T) {
+	s := newTestServer(t, Config{workers: 1})
+	block := holdRuns(s)
+	req := PromoteRequest{Source: smallSrc}
+	key := promoteKey(t, req)
+
+	code := make(chan int, 1)
+	go func() {
+		rec, _, _ := postPromote(t, s, req)
+		code <- rec.Code
+	}()
+	waitFor(t, "leader holds the worker slot", func() bool { return s.adm.inUse() == 1 })
+	s.flights.mu.Lock()
+	f := s.flights.flights[key]
+	s.flights.mu.Unlock()
+
+	s.cache.mu.Lock()
+	close(block)
+	waitFor(t, "leader's pipeline run", func() bool { return s.m.pipelineNS.Load() > 0 })
+	select {
+	case <-f.done:
+		s.cache.mu.Unlock()
+		t.Fatal("the flight released its waiters before the memory tier held the outcome")
+	case <-time.After(100 * time.Millisecond):
+	}
+	s.cache.mu.Unlock()
+	<-f.done
+	if _, ok := s.cache.Get(key); !ok {
+		t.Fatal("memory tier lacks the outcome after the flight completed")
+	}
+	if c := <-code; c != http.StatusOK {
+		t.Fatalf("leader: %d, want 200", c)
+	}
+}
+
 // TestSingleflightLeaderErrorPropagates holds a leader whose pipeline
 // will fail and checks every waiter receives the failure — nobody
 // hangs, nobody gets fabricated bytes.
 func TestSingleflightLeaderErrorPropagates(t *testing.T) {
 	const n = 4
-	s := newTestServer(t, Config{Workers: 1, EnableFaults: true})
+	s := newTestServer(t, Config{workers: 1})
+	plan, err := faults.ParsePlan("compile:panic")
+	if err != nil {
+		t.Fatal(err)
+	}
 	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	s.beforeRun = func(popts *pipeline.Options) {
+		<-block
+		popts.Faults = faults.New(plan)
+	}
 
-	req := PromoteRequest{Source: smallSrc, Options: RequestOptions{Fault: "compile:panic"}}
-	key := promoteKey(t, s, req)
+	req := PromoteRequest{Source: smallSrc}
+	key := promoteKey(t, req)
 
 	codes := make([]int, n)
 	kinds := make([]string, n)
@@ -135,9 +183,10 @@ func TestSingleflightLeaderErrorPropagates(t *testing.T) {
 			t.Fatalf("request %d: %d kind=%q, want 500 stage_error", i, codes[i], kinds[i])
 		}
 	}
-	// The failure is not cached: a later good request runs the pipeline.
-	good := PromoteRequest{Source: smallSrc}
-	rec, ok, _ := postPromote(t, s, good)
+	// The failure is not cached: the same request, now without the
+	// fault, runs the pipeline.
+	s.beforeRun = nil
+	rec, ok, _ := postPromote(t, s, req)
 	if rec.Code != http.StatusOK || ok.Serving.Cache != "miss" {
 		t.Fatalf("request after failed flight: %d cache=%q, want 200 miss", rec.Code, ok.Serving.Cache)
 	}
@@ -150,7 +199,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	req := PromoteRequest{Source: smallSrc}
 
-	s1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s1 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 	rec, first, _ := postPromote(t, s1, req)
 	if rec.Code != http.StatusOK || first.Serving.Cache != "miss" {
 		t.Fatalf("first server: %d cache=%q, want 200 miss", rec.Code, first.Serving.Cache)
@@ -158,7 +207,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 	drain(t, s1) // a clean shutdown flushes the disk writer
 
 	// "Restart": a brand-new server (empty memory tier) on the same dir.
-	s2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s2 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 	rec, warm, _ := postPromote(t, s2, req)
 	if rec.Code != http.StatusOK || warm.Serving.Cache != "disk" {
 		t.Fatalf("restarted server: %d cache=%q, want 200 disk", rec.Code, warm.Serving.Cache)
@@ -185,7 +234,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 func TestMissDoesNotWaitForDisk(t *testing.T) {
 	dir := t.TempDir()
 	req := PromoteRequest{Source: smallSrc}
-	s1 := newTestServer(t, Config{Workers: 1, CacheDir: dir,
+	s1 := newTestServer(t, Config{workers: 1, CacheDir: dir,
 		DiskChaos: faults.NewDisk(faults.DiskPlan{SlowIO: 500 * time.Millisecond})})
 	writeQueue := func(want string) {
 		t.Helper()
@@ -216,7 +265,7 @@ func TestMissDoesNotWaitForDisk(t *testing.T) {
 		t.Fatalf("%d entries on disk after Drain, want 1", len(files))
 	}
 
-	s2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s2 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 	rec, warm, _ := postPromote(t, s2, req)
 	if rec.Code != http.StatusOK || warm.Serving.Cache != "disk" {
 		t.Fatalf("second server: %d cache=%q, want 200 disk", rec.Code, warm.Serving.Cache)
@@ -239,7 +288,7 @@ func TestDiskTierBackfillsMemoryEviction(t *testing.T) {
 	reqA := PromoteRequest{Source: smallSrc}
 	reqB := PromoteRequest{Source: `void main() { print(7); }`}
 
-	s1 := newTestServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: dir})
+	s1 := newTestServer(t, Config{workers: 1, memoryEntries: 1, CacheDir: dir})
 	if rec, a, _ := postPromote(t, s1, reqA); rec.Code != 200 || a.Serving.Cache != "miss" {
 		t.Fatalf("A first: %d %q", rec.Code, a.Serving.Cache)
 	}
@@ -249,7 +298,7 @@ func TestDiskTierBackfillsMemoryEviction(t *testing.T) {
 	}
 	drain(t, s1)
 
-	s := newTestServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: dir})
+	s := newTestServer(t, Config{workers: 1, memoryEntries: 1, CacheDir: dir})
 	if rec, a, _ := postPromote(t, s, reqA); rec.Code != 200 || a.Serving.Cache != "disk" {
 		t.Fatalf("A on the second server: %d cache=%q, want disk", rec.Code, a.Serving.Cache)
 	}
@@ -314,7 +363,7 @@ func TestDiskCorruptionRecovery(t *testing.T) {
 			dir := t.TempDir()
 			req := PromoteRequest{Source: smallSrc}
 
-			s1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			s1 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 			_, first, _ := postPromote(t, s1, req)
 			drain(t, s1)
 
@@ -330,7 +379,7 @@ func TestDiskCorruptionRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			s2 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 			rec, recomputed, _ := postPromote(t, s2, req)
 			if rec.Code != http.StatusOK || recomputed.Serving.Cache != "miss" {
 				t.Fatalf("corrupt entry: %d cache=%q, want 200 miss (recompute)", rec.Code, recomputed.Serving.Cache)
@@ -349,7 +398,7 @@ func TestDiskCorruptionRecovery(t *testing.T) {
 			// And the entry was re-written: after a drain flushes the
 			// writer, a third generation serves it from disk again.
 			drain(t, s2)
-			s3 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+			s3 := newTestServer(t, Config{workers: 1, CacheDir: dir})
 			rec, again, _ := postPromote(t, s3, req)
 			if rec.Code != http.StatusOK || again.Serving.Cache != "disk" {
 				t.Fatalf("after recompute: %d cache=%q, want 200 disk", rec.Code, again.Serving.Cache)
@@ -385,7 +434,7 @@ func postPromoteAs(t *testing.T, s *Server, client string, req PromoteRequest) (
 // checks it gets 429 + Retry-After while a different client sails
 // through — even on cache hits, which never touch the worker pool.
 func TestRateLimitIsolatesClients(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, RateLimit: 0.001, RateBurst: 2})
+	s := newTestServer(t, Config{workers: 1, RateLimit: 0.001, RateBurst: 2})
 	req := PromoteRequest{Source: smallSrc}
 
 	for i := 0; i < 2; i++ {
@@ -418,7 +467,7 @@ func TestRateLimitIsolatesClients(t *testing.T) {
 // bucket refills at the configured rate rather than staying empty
 // forever.
 func TestRateLimitRefill(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, RateLimit: 100, RateBurst: 1}) // 100 tokens/s, burst 1
+	s := newTestServer(t, Config{workers: 1, RateLimit: 100, RateBurst: 1}) // 100 tokens/s, burst 1
 	now := time.Now()
 	if ok, _ := s.limiter.Allow("c", now); !ok {
 		t.Fatal("first request rejected with a full bucket")
@@ -436,7 +485,7 @@ func TestRateLimitRefill(t *testing.T) {
 // TestReadyz checks readiness is distinct from liveness: not-ready on
 // queue saturation (while /healthz stays 200) and on drain.
 func TestReadyz(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s := newTestServer(t, Config{workers: 1, QueueDepth: 1})
 	get := func(path string) (int, string) {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
@@ -448,8 +497,7 @@ func TestReadyz(t *testing.T) {
 	}
 
 	// Saturate: one request holds the worker, one holds the queue slot.
-	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	block := holdRuns(s)
 	done := make(chan struct{}, 2)
 	fire := func(src string) {
 		go func() {
@@ -489,7 +537,7 @@ func TestReadyz(t *testing.T) {
 // whose body names the offending field — the contract that lets a
 // client fix its request programmatically.
 func TestBadRequestFieldNames(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 	cases := []struct {
 		opts  RequestOptions
 		field string
@@ -501,7 +549,6 @@ func TestBadRequestFieldNames(t *testing.T) {
 		{RequestOptions{MaxSteps: -5}, "Interp.MaxSteps"},
 		{RequestOptions{TimeoutMS: -5}, "Interp.Timeout"},
 		{RequestOptions{PressureCap: -1}, "PressureCap"},
-		{RequestOptions{Fault: "promote:panic"}, "Fault"}, // faults disabled
 	}
 	for _, tc := range cases {
 		rec, _, fail := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: tc.opts})
@@ -511,13 +558,6 @@ func TestBadRequestFieldNames(t *testing.T) {
 		if fail.Field != tc.field {
 			t.Fatalf("%+v: field=%q, want %q (error: %s)", tc.opts, fail.Field, tc.field, fail.Error)
 		}
-	}
-
-	// A malformed fault plan names the field too, even with faults on.
-	sf := newTestServer(t, Config{Workers: 1, EnableFaults: true})
-	rec, _, fail := postPromote(t, sf, PromoteRequest{Source: smallSrc, Options: RequestOptions{Fault: ":::"}})
-	if rec.Code != http.StatusBadRequest || fail.Field != "Fault" {
-		t.Fatalf("bad fault plan: %d field=%q, want 400 Fault", rec.Code, fail.Field)
 	}
 }
 
@@ -529,7 +569,7 @@ func TestChaosDiskFaultsNeverFailRequests(t *testing.T) {
 	// The injector arrives via the config — the same wiring rpserved's
 	// -chaos-disk flag uses.
 	s := newTestServer(t, Config{
-		Workers:  1,
+		workers:  1,
 		CacheDir: t.TempDir(),
 		DiskChaos: faults.NewDisk(faults.DiskPlan{
 			ReadErr: 0.5, WriteErr: 0.5, ChecksumErr: 0.5, Seed: 7,
@@ -567,7 +607,7 @@ func TestChaosDiskFaultsNeverFailRequests(t *testing.T) {
 // address, ephemeral port included, so each reconnect got a fresh
 // bucket and the limit never bound.
 func TestClientKeyStableWithoutPort(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, RateLimit: 0.001, RateBurst: 1})
+	s := newTestServer(t, Config{workers: 1, RateLimit: 0.001, RateBurst: 1})
 	body, err := json.Marshal(PromoteRequest{Source: smallSrc})
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +646,7 @@ func TestClientKeyStableWithoutPort(t *testing.T) {
 // frontdoor.MaxKeys, and the rpserved_rate_limit_clients gauge reports
 // the bounded count.
 func TestRateLimitEvictionBounded(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, RateLimit: 1, RateBurst: 1})
+	s := newTestServer(t, Config{workers: 1, RateLimit: 1, RateBurst: 1})
 	now := time.Now()
 	// An old cohort that eviction should prefer once sampled.
 	for i := 0; i < frontdoor.MaxKeys; i++ {
@@ -641,9 +681,8 @@ func TestRateLimitEvictionBounded(t *testing.T) {
 // cancellation — a live waiter retries the flight, becomes the new
 // leader, and serves a normal 200.
 func TestFlightWaiterRetriesCanceledLeader(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	s := newTestServer(t, Config{workers: 1})
+	block := holdRuns(s)
 
 	// Occupy the only worker slot with an unrelated program so the
 	// leader below parks in the admission queue.
@@ -659,7 +698,7 @@ func TestFlightWaiterRetriesCanceledLeader(t *testing.T) {
 	// Leader for the shared key, with a cancellable client context; it
 	// joins the flight first, then waits in the admission queue.
 	req := PromoteRequest{Source: smallSrc}
-	key := promoteKey(t, s, req)
+	key := promoteKey(t, req)
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)

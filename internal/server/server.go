@@ -62,41 +62,18 @@ import (
 	"repro/internal/report"
 )
 
-// Config sizes the server. The zero value picks sane defaults.
+// Config holds the server's deployment settings. The zero value is a
+// memory-only server without rate limiting.
 type Config struct {
-	// Workers is how many requests may run the pipeline concurrently
-	// (0 = GOMAXPROCS).
-	Workers int
 	// QueueDepth is how many requests may wait for a worker slot beyond
-	// the ones running (0 = 2×Workers, negative = no waiting).
+	// the ones running (0 = 2× the worker count, negative = no waiting).
 	QueueDepth int
-	// CacheEntries bounds the content-addressed result cache
-	// (0 = 1024, negative = caching off).
-	CacheEntries int
-	// MaxSourceBytes bounds the request body (0 = 1 MiB).
-	MaxSourceBytes int64
-	// MaxSteps is the per-request interpreter step ceiling; requests may
-	// ask for less, never more (0 = 50 million).
-	MaxSteps int64
-	// MaxTimeout is the per-request interpreter wall-clock ceiling;
-	// requests may ask for less, never more (0 = 10s).
-	MaxTimeout time.Duration
-	// PipelineWorkers is the default per-request transform worker count
-	// (0 = 1; requests can override within [1, 16]).
-	PipelineWorkers int
-	// EnableFaults allows requests to carry a fault-injection plan
-	// (tests and chaos drills only — never enable on a real deployment).
-	EnableFaults bool
 	// CacheDir, when non-empty, adds the durable on-disk cold tier under
 	// this directory: computed outcomes are written behind the response
 	// by one writer goroutine (Drain flushes its queue), memory-tier
 	// misses check it before running the pipeline, and a restarted
 	// server re-opens it warm.
 	CacheDir string
-	// CacheDiskBytes bounds the disk tier (0 = 256 MiB, negative =
-	// unbounded). GC evicts least-recently-used entries in the
-	// background.
-	CacheDiskBytes int64
 	// RateLimit is the per-client steady admission rate in requests per
 	// second, applied ahead of the admission queue (0 = no limiting).
 	RateLimit float64
@@ -106,39 +83,25 @@ type Config struct {
 	// DiskChaos, when non-nil, injects deterministic disk faults into
 	// the cold tier (chaos drills only).
 	DiskChaos *faults.DiskInjector
+
+	// workers and memoryEntries replace the worker count (GOMAXPROCS)
+	// and the memory tier's capacity (memoryTierEntries) when positive.
+	// Only in-package tests set them.
+	workers       int
+	memoryEntries int
 }
 
-// withDefaults resolves the zero values.
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.QueueDepth < 0 {
-		c.QueueDepth = 0
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 50_000_000
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 10 * time.Second
-	}
-	if c.PipelineWorkers <= 0 {
-		c.PipelineWorkers = 1
-	}
-	if c.CacheDiskBytes == 0 {
-		c.CacheDiskBytes = 256 << 20
-	}
-	return c
-}
+// Server sizing. Every deployment runs these values.
+const (
+	// maxSourceBytes bounds a /v1/promote body, at the replica and at
+	// the router alike.
+	maxSourceBytes = 1 << 20
+	// memoryTierEntries is the in-memory LRU's capacity in entries.
+	memoryTierEntries = 1024
+	// diskTierBytes is the disk tier's byte budget. GC evicts
+	// least-recently-used entries in the background above it.
+	diskTierBytes = 256 << 20
+)
 
 // diskQueueLen bounds the write-behind queue between the handlers and
 // the disk writer. A full queue blocks the handler that sends, so a
@@ -158,7 +121,6 @@ type diskWrite struct {
 
 // Server is one promotion service instance.
 type Server struct {
-	cfg     Config
 	cache   *lruCache
 	disk    *diskcache.Store // nil when CacheDir is empty
 	flights *flightGroup
@@ -176,10 +138,11 @@ type Server struct {
 	start   time.Time
 	gate    frontdoor.Gate
 
-	// testHook, when non-nil, runs while the request holds its worker
-	// slot, before the pipeline run. Tests use it to keep slots busy
-	// deterministically; it is never set in production.
-	testHook func()
+	// beforeRun, when non-nil, runs while the request holds its worker
+	// slot, just before the pipeline. It is the in-package test seam:
+	// tests keep slots busy with it and inject stage faults through
+	// popts.Faults. Nothing outside tests sets it.
+	beforeRun func(popts *pipeline.Options)
 }
 
 // New builds a server from cfg. It fails only when the configured cache
@@ -187,22 +150,25 @@ type Server struct {
 // runtime counter, but a server that silently lost its durability tier
 // would violate the warm-restart contract.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.memoryEntries <= 0 {
+		cfg.memoryEntries = memoryTierEntries
+	}
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 2 * cfg.workers
+	}
 	s := &Server{
-		cfg:     cfg,
-		cache:   newLRUCache(cfg.CacheEntries),
+		cache:   newLRUCache(cfg.memoryEntries),
 		flights: newFlightGroup(),
 		limiter: frontdoor.NewLimiter(cfg.RateLimit, cfg.RateBurst),
-		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
+		adm:     newAdmission(cfg.workers, cfg.QueueDepth),
 		m:       newMetrics(),
 		start:   time.Now(),
 	}
 	if cfg.CacheDir != "" {
-		maxBytes := cfg.CacheDiskBytes
-		if maxBytes < 0 {
-			maxBytes = 0 // diskcache treats <= 0 as unbounded
-		}
-		disk, err := diskcache.Open(cfg.CacheDir, maxBytes, cfg.DiskChaos)
+		disk, err := diskcache.Open(cfg.CacheDir, diskTierBytes, cfg.DiskChaos)
 		if err != nil {
 			return nil, err
 		}
@@ -266,7 +232,7 @@ type RequestOptions struct {
 	// Check is off (default), boundaries, or paranoid.
 	Check string `json:"check,omitempty"`
 	// Workers is the per-request transform worker count
-	// (0 = server default).
+	// (0 = the default of 1).
 	Workers int `json:"workers,omitempty"`
 	// StaticProfile promotes with the loop-depth estimator instead of a
 	// training run.
@@ -284,14 +250,11 @@ type RequestOptions struct {
 	// SkipMeasurement skips the before/after interpreter runs.
 	SkipMeasurement bool `json:"skip_measurement,omitempty"`
 	// MaxSteps caps interpreter steps for this request; clamped to the
-	// server ceiling (0 = ceiling).
+	// 50-million ceiling (0 = ceiling).
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// TimeoutMS caps interpreter wall-clock time for this request in
-	// milliseconds; clamped to the server ceiling (0 = ceiling).
+	// milliseconds; clamped to the 10 s ceiling (0 = ceiling).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Fault injects a deterministic fault plan (stage[/func][:mode]);
-	// rejected unless the server runs with EnableFaults.
-	Fault string `json:"fault,omitempty"`
 }
 
 // resolvedOptions is the canonicalized form of RequestOptions after
@@ -311,21 +274,16 @@ type resolvedOptions struct {
 	SkipMeasurement    bool   `json:"skip_measurement"`
 	MaxSteps           int64  `json:"max_steps"`
 	TimeoutMS          int64  `json:"timeout_ms"`
-	Fault              string `json:"fault"`
 }
 
-// resolve canonicalizes the request options against the server's
-// ceilings and converts them to pipeline options. Invalid values come
-// back as a *badRequestError. The canonicalization itself lives in
-// canonicalize (keys.go), shared with the router's ResolveKey so both
-// sides derive identical cache keys.
-func (s *Server) resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, error) {
+// resolve canonicalizes the request options and converts them to
+// pipeline options. Invalid values come back as a *badRequestError.
+// The canonicalization itself lives in canonicalize (keys.go), shared
+// with the router's ResolveKey so both sides derive identical cache
+// keys.
+func resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, error) {
 	var popts pipeline.Options
-	res, err := canonicalize(ro, KeyCeilings{
-		MaxSteps:        s.cfg.MaxSteps,
-		MaxTimeout:      s.cfg.MaxTimeout,
-		PipelineWorkers: s.cfg.PipelineWorkers,
-	})
+	res, err := canonicalize(ro)
 	if err != nil {
 		return res, popts, err
 	}
@@ -349,18 +307,6 @@ func (s *Server) resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, 
 			Timeout:  time.Duration(res.TimeoutMS) * time.Millisecond,
 		},
 	}
-	if ro.Fault != "" {
-		if !s.cfg.EnableFaults {
-			return res, popts, &badRequestError{&pipeline.OptionError{Field: "Fault", Value: ro.Fault,
-				Reason: "fault injection disabled (start the server with -enable-faults)"}}
-		}
-		plan, err := faults.ParsePlan(ro.Fault)
-		if err != nil {
-			return res, popts, &badRequestError{&pipeline.OptionError{Field: "Fault", Value: ro.Fault,
-				Reason: err.Error()}}
-		}
-		popts.Faults = faults.New(plan)
-	}
 	if err := popts.Validate(); err != nil {
 		return res, popts, &badRequestError{err}
 	}
@@ -382,8 +328,8 @@ type ServingMeta struct {
 	SchemaVersion int `json:"schema_version"`
 	// Cache says how the outcome was produced: "hit" (memory tier),
 	// "disk" (cold tier, promoted to memory), "collapsed" (another
-	// request's in-flight computation, singleflight), "miss" (this
-	// request ran the pipeline), or "bypass" (caching off).
+	// request's in-flight computation, singleflight), or "miss" (this
+	// request ran the pipeline).
 	Cache       string           `json:"cache"`
 	QueueWaitMS float64          `json:"queue_wait_ms"`
 	PipelineMS  float64          `json:"pipeline_ms"` // 0 unless this request ran the pipeline
@@ -397,21 +343,21 @@ type Rejection struct {
 	Body   ErrorResponse
 }
 
-// DecodePromote reads, size-limits and decodes a /v1/promote body,
-// returning the raw bytes too so a router can forward them unchanged.
-// Replica and router both admit requests through it, so both reject a
-// malformed body with the same status and error body.
-func DecodePromote(r *http.Request, maxBytes int64) (PromoteRequest, []byte, *Rejection) {
+// DecodePromote reads, size-limits (1 MiB) and decodes a /v1/promote
+// body, returning the raw bytes too so a router can forward them
+// unchanged. Replica and router both admit requests through it, so both
+// reject a malformed body with the same status and error body.
+func DecodePromote(r *http.Request) (PromoteRequest, []byte, *Rejection) {
 	var req PromoteRequest
 	reject := func(status int, msg string) (PromoteRequest, []byte, *Rejection) {
 		return req, nil, &Rejection{status, ErrorResponse{Error: msg, Kind: "bad_request"}}
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSourceBytes+1))
 	if err != nil {
 		return reject(http.StatusBadRequest, "reading body: "+err.Error())
 	}
-	if int64(len(body)) > maxBytes {
-		return reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBytes))
+	if len(body) > maxSourceBytes {
+		return reject(http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxSourceBytes))
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		return reject(http.StatusBadRequest, "decoding request: "+err.Error())
@@ -484,13 +430,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, _, rej := DecodePromote(r, s.cfg.MaxSourceBytes)
+	req, _, rej := DecodePromote(r)
 	if rej != nil {
 		s.m.clientErrors.Add(1)
 		frontdoor.WriteJSON(w, rej.Status, rej.Body)
 		return
 	}
-	resolved, popts, err := s.resolve(req.Options)
+	resolved, popts, err := resolve(req.Options)
 	if err != nil {
 		s.m.clientErrors.Add(1)
 		resp := ErrorResponse{Error: err.Error(), Kind: "bad_request"}
@@ -567,11 +513,13 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, f *flight, attemp
 	return false
 }
 
-// lead computes key as the leader of flight f, publishes the result to
-// the flight's waiters, puts it in the memory tier and queues it for
-// the disk tier before answering. A rejection or failure propagates to
-// the waiters too: if the system is too loaded to run this key once, it
-// is too loaded to run it at all.
+// lead computes key as the leader of flight f. A computed outcome goes
+// into the memory tier before the flight releases its waiters, so a
+// request arriving after the release finds it there instead of running
+// the pipeline again; the disk write is queued after the release, so a
+// full write queue never delays the waiters. A rejection or failure
+// propagates to the waiters too: if the system is too loaded to run
+// this key once, it is too loaded to run it at all.
 func (s *Server) lead(w http.ResponseWriter, r *http.Request, key string, f *flight, src string, popts pipeline.Options) {
 	// Whatever happens below — even a panic unwinding this handler —
 	// the flight must be completed exactly once, or waiters would hang
@@ -583,6 +531,9 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, key string, f *fli
 		}
 	}()
 	entry, meta, err := s.compute(r.Context(), src, popts)
+	if err == nil {
+		s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
+	}
 	published = true
 	s.flights.complete(key, f, entry, err)
 	if err != nil {
@@ -590,13 +541,9 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, key string, f *fli
 		return
 	}
 
-	s.m.cacheEvictions.Add(int64(s.cache.Put(key, entry)))
 	s.diskPut(key, entry)
-	meta.Cache = "bypass"
-	if s.cache.max > 0 {
-		s.m.cacheMisses.Add(1)
-		meta.Cache = "miss"
-	}
+	s.m.cacheMisses.Add(1)
+	meta.Cache = "miss"
 	s.serve(w, entry, meta)
 }
 
@@ -616,8 +563,8 @@ func (s *Server) compute(ctx context.Context, src string, popts pipeline.Options
 		s.m.queueWaitNS.Add(int64(queueWait))
 	}
 
-	if s.testHook != nil {
-		s.testHook()
+	if s.beforeRun != nil {
+		s.beforeRun(&popts)
 	}
 
 	pipeStart := time.Now()

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
+	"repro/internal/pipeline"
 )
 
 const smallSrc = `
@@ -39,6 +42,25 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	}
 	t.Cleanup(func() { drain(t, s) })
 	return s
+}
+
+// holdRuns makes every pipeline run of s wait, holding its worker
+// slot, until the returned channel is closed.
+func holdRuns(s *Server) chan struct{} {
+	block := make(chan struct{})
+	s.beforeRun = func(*pipeline.Options) { <-block }
+	return block
+}
+
+// injectFault makes every pipeline run of s fire plan
+// (stage[/func][:mode]), each run with a fresh injector.
+func injectFault(t *testing.T, s *Server, plan string) {
+	t.Helper()
+	p, err := faults.ParsePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.beforeRun = func(popts *pipeline.Options) { popts.Faults = faults.New(p) }
 }
 
 // drain drains s, flushing its disk writer, or fails the test.
@@ -90,7 +112,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // the content-addressed cache with a byte-identical outcome, and that
 // changing either the source or the options misses.
 func TestCacheHitVsMiss(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{workers: 2})
 	req := PromoteRequest{Source: smallSrc}
 
 	rec, first, _ := postPromote(t, s, req)
@@ -130,7 +152,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 // is identical for per-request worker counts 1 and 2 (different cache
 // keys, so both actually run the pipeline).
 func TestOutcomeDeterministicAcrossWorkerCounts(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2})
+	s := newTestServer(t, Config{workers: 2})
 	_, one, _ := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{Workers: 1}})
 	_, two, _ := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{Workers: 2}})
 	if one.Serving.Cache != "miss" || two.Serving.Cache != "miss" {
@@ -145,9 +167,10 @@ func TestOutcomeDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestBadRequests checks malformed bodies and invalid options map to
-// 400s with the bad_request kind.
+// 400s with the bad_request kind, while an unknown option field is
+// ignored.
 func TestBadRequests(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/promote",
@@ -164,7 +187,6 @@ func TestBadRequests(t *testing.T) {
 		{Source: smallSrc, Options: RequestOptions{Workers: 99}},
 		{Source: smallSrc, Options: RequestOptions{MaxSteps: -5}},
 		{Source: smallSrc, Options: RequestOptions{TimeoutMS: -5}},
-		{Source: smallSrc, Options: RequestOptions{Fault: "promote:panic"}}, // faults disabled
 	}
 	for i, req := range cases {
 		rec, _, fail := postPromote(t, s, req)
@@ -178,15 +200,27 @@ func TestBadRequests(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/promote: %d, want 405", rec.Code)
 	}
+
+	// A body that still carries the retired "fault" option is served
+	// like any other unknown field: ignored, with no fault injected.
+	body, err := json.Marshal(map[string]any{"source": smallSrc,
+		"options": map[string]any{"fault": "compile:panic"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/promote", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf(`body with "fault": %d %s, want 200`, rec.Code, rec.Body.String())
+	}
 }
 
 // TestBackpressureWhenQueueFull holds the only worker slot busy, fills
 // the one queue slot, and checks the next request is rejected with 429
 // and a Retry-After header instead of waiting.
 func TestBackpressureWhenQueueFull(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	s := newTestServer(t, Config{workers: 1, QueueDepth: 1})
+	block := holdRuns(s)
 
 	type result struct {
 		code  int
@@ -234,7 +268,7 @@ func TestBackpressureWhenQueueFull(t *testing.T) {
 // interpreter bounds maps to 408 with the timeout kind, for both the
 // wall-clock and the step bound.
 func TestRequestTimeout(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 
 	rec, _, fail := postPromote(t, s, PromoteRequest{Source: spinSrc,
 		Options: RequestOptions{TimeoutMS: 30}})
@@ -259,9 +293,9 @@ func TestRequestTimeout(t *testing.T) {
 // whole-program stage and checks the response is a 500 carrying the
 // structured StageError fields.
 func TestPanicInPipelineReturns500WithStageError(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, EnableFaults: true})
-	rec, _, fail := postPromote(t, s, PromoteRequest{Source: smallSrc,
-		Options: RequestOptions{Fault: "compile:panic"}})
+	s := newTestServer(t, Config{workers: 1})
+	injectFault(t, s, "compile:panic")
+	rec, _, fail := postPromote(t, s, PromoteRequest{Source: smallSrc})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("injected panic: %d, want 500", rec.Code)
 	}
@@ -280,9 +314,9 @@ func TestPanicInPipelineReturns500WithStageError(t *testing.T) {
 // absorbed by the pipeline's rollback machinery: the request still
 // succeeds, with the function listed as degraded in the outcome.
 func TestPanicInPerFunctionStageDegrades(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, EnableFaults: true})
-	rec, ok, _ := postPromote(t, s, PromoteRequest{Source: smallSrc,
-		Options: RequestOptions{Fault: "promote/main:panic"}})
+	s := newTestServer(t, Config{workers: 1})
+	injectFault(t, s, "promote/main:panic")
+	rec, ok, _ := postPromote(t, s, PromoteRequest{Source: smallSrc})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("per-function panic: %d %s, want 200", rec.Code, rec.Body.String())
 	}
@@ -303,9 +337,8 @@ func TestPanicInPerFunctionStageDegrades(t *testing.T) {
 // TestDrain checks draining flips /healthz to 503, rejects new promote
 // requests, and waits for in-flight requests to finish.
 func TestDrain(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
-	block := make(chan struct{})
-	s.testHook = func() { <-block }
+	s := newTestServer(t, Config{workers: 1})
+	block := holdRuns(s)
 
 	inflight := make(chan int, 1)
 	go func() {
@@ -348,7 +381,7 @@ func TestDrain(t *testing.T) {
 
 // TestHealthzAndMetrics spot-checks the operational endpoints.
 func TestHealthzAndMetrics(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+	s := newTestServer(t, Config{workers: 1})
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"ok"`) {
