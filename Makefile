@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPipelineFaults$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzIRImport$$' -fuzztime $(FUZZTIME) ./internal/irimport
 	$(GO) test -run '^$$' -fuzz '^FuzzConstDivRem$$' -fuzztime $(FUZZTIME) ./internal/interp
+	$(GO) test -run '^$$' -fuzz '^FuzzBytecodeStepLimit$$' -fuzztime $(FUZZTIME) ./internal/interp
 
 # Semantics-oracle smoke: 200 seeded generated programs, each compiled
 # with and without promotion and run on both interpreter paths (the

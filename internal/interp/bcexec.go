@@ -29,8 +29,9 @@ type mcode struct {
 	// Dense counters: activations, and traversals per edge index. They
 	// are all the run counts: a block's executions are its incoming
 	// edges' traversals (plus the activations, for the entry block), so
-	// taking an edge bumps one counter, profiled or not, and flushCounts
-	// derives block counts, opcode counts and the profile from these.
+	// taking an edge bumps one counter, profiled or not (a threaded edge
+	// bumps only its own), and flushCounts derives the skipped edges'
+	// counts, block counts, opcode counts and the profile from these.
 	entries int64
 	edges   []int64
 }
@@ -414,24 +415,39 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			}
 			regs[in.dst2] = m.mem[addr]
 			steps++
-			switch in.op {
-			case bcLoadAdd:
-				regs[in.dst] = regs[in.a] + regs[in.b]
-			case bcLoadSub:
-				regs[in.dst] = regs[in.a] - regs[in.b]
-			case bcLoadMul:
-				regs[in.dst] = regs[in.a] * regs[in.b]
-			case bcLoadAnd:
-				regs[in.dst] = regs[in.a] & regs[in.b]
-			case bcLoadOr:
-				regs[in.dst] = regs[in.a] | regs[in.b]
-			case bcLoadXor:
-				regs[in.dst] = regs[in.a] ^ regs[in.b]
-			case bcLoadShl:
-				regs[in.dst] = regs[in.a] << (uint64(regs[in.b]) & 63)
-			case bcLoadShr:
-				regs[in.dst] = regs[in.a] >> (uint64(regs[in.b]) & 63)
+			regs[in.dst] = arith(in.op-bcLoadAdd, regs[in.a], regs[in.b])
+
+		// Fused load + arithmetic + store: the load and the arithmetic
+		// as above, then the store charges its step with a limit check
+		// before its address check, as in the reference's order.
+		case bcLoadAddSt, bcLoadSubSt, bcLoadMulSt, bcLoadAndSt, bcLoadOrSt, bcLoadXorSt, bcLoadShlSt, bcLoadShrSt:
+			addr := in.addr
+			if in.rel {
+				addr += frameBase
 			}
+			if addr <= 0 || addr >= int64(len(m.mem)) {
+				m.result.Steps = steps
+				rerr = fmt.Errorf("interp: load: invalid address %d in %s", addr, code.fname)
+				goto done
+			}
+			regs[in.dst2] = m.mem[addr]
+			regs[in.dst] = arith(in.op-bcLoadAddSt, regs[in.a], regs[in.b])
+			steps += 2
+			if steps > maxSteps {
+				m.result.Steps = steps
+				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
+				goto done
+			}
+			addr = in.size
+			if in.rel2 {
+				addr += frameBase
+			}
+			if addr <= 0 || addr >= int64(len(m.mem)) {
+				m.result.Steps = steps
+				rerr = fmt.Errorf("interp: store: invalid address %d in %s", addr, code.fname)
+				goto done
+			}
+			m.mem[addr] = regs[in.aux]
 
 		// Fused comparison + branch: the preamble charged and checked
 		// the comparison; the branch's step is charged unchecked (the
@@ -467,26 +483,7 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 		// step; the store charges its own step (with limit check) before
 		// the address check, matching the reference instruction order.
 		case bcAddSt, bcSubSt, bcMulSt, bcAndSt, bcOrSt, bcXorSt, bcShlSt, bcShrSt:
-			var v int64
-			switch in.op {
-			case bcAddSt:
-				v = regs[in.a] + regs[in.b]
-			case bcSubSt:
-				v = regs[in.a] - regs[in.b]
-			case bcMulSt:
-				v = regs[in.a] * regs[in.b]
-			case bcAndSt:
-				v = regs[in.a] & regs[in.b]
-			case bcOrSt:
-				v = regs[in.a] | regs[in.b]
-			case bcXorSt:
-				v = regs[in.a] ^ regs[in.b]
-			case bcShlSt:
-				v = regs[in.a] << (uint64(regs[in.b]) & 63)
-			case bcShrSt:
-				v = regs[in.a] >> (uint64(regs[in.b]) & 63)
-			}
-			regs[in.dst] = v
+			regs[in.dst] = arith(in.op-bcAddSt, regs[in.a], regs[in.b])
 			steps++
 			if steps > maxSteps {
 				m.result.Steps = steps
@@ -504,6 +501,15 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 			}
 			m.mem[addr] = regs[in.dst2]
 
+		// Fused arithmetic + jump: the preamble charged the arithmetic;
+		// the jump and any folded copies cannot fault, so their aux2
+		// steps are charged unchecked, as in bcCopyJmp.
+		case bcAddJmp, bcSubJmp, bcMulJmp, bcAndJmp, bcOrJmp, bcXorJmp, bcShlJmp, bcShrJmp:
+			regs[in.dst] = arith(in.op-bcAddJmp, regs[in.a], regs[in.b])
+			steps += int64(in.aux2)
+			ei = in.aux
+			goto edge
+
 		default:
 			m.result.Steps = steps
 			rerr = fmt.Errorf("interp: bytecode: invalid opcode %d in %s", in.op, code.fname)
@@ -512,9 +518,11 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 		continue
 
 	edge:
-		// Take edge ei: its counter, the target's phi-prefix steps
-		// (charged without a limit check, as in the reference phi
-		// loop), then the lowered moves (folded copies, then phi moves).
+		// Take edge ei: its counter, its steps (the target's phi prefix,
+		// charged without a limit check as in the reference phi loop,
+		// and the bodies of the jump-only blocks it is threaded
+		// through), then the lowered moves (folded copies, then phi
+		// moves, hop by hop).
 		ecnt[ei]++
 		e = &edges[ei]
 		if e.trap != nil {
@@ -526,11 +534,11 @@ func (m *machine) execBC(f *ir.Function, mc *mcode, args []int64, depth int) (rv
 				rerr = fmt.Errorf("%w: limit %d", ErrStepLimit, maxSteps)
 				goto done
 			}
-			m.result.Steps = steps + e.phiSteps
+			m.result.Steps = steps + e.steps
 			rerr = e.trap
 			goto done
 		}
-		steps += e.phiSteps
+		steps += e.steps
 		for _, mv := range moves[e.movesLo:e.movesHi] {
 			regs[mv.dst] = regs[mv.src]
 		}
@@ -543,27 +551,61 @@ done:
 	return rv, rerr
 }
 
+// arith runs the fused family member at offset k from its family's
+// first opcode: the fusibleArith op at index k.
+func arith(k bcOp, x, y int64) int64 {
+	switch k {
+	case 0:
+		return x + y
+	case 1:
+		return x - y
+	case 2:
+		return x * y
+	case 3:
+		return x & y
+	case 4:
+		return x | y
+	case 5:
+		return x ^ y
+	case 6:
+		return x << (uint64(y) & 63)
+	}
+	return x >> (uint64(y) & 63)
+}
+
 // flushCounts moves the dense counters into the map-shaped Result
-// fields, once per run. Edge indexes follow f.Blocks order, successor
-// order within a block (compileBytecode), so one walk of the CFG
-// recovers each edge's endpoints: a block's execution count is the sum
-// over its incoming edges, plus the activations for the entry block.
+// fields, once per run. A threaded edge's traversals are first credited
+// to every edge on its via chain, which the executor skipped. Edge
+// indexes follow f.Blocks order, successor order within a block
+// (compileBytecode), so one walk of the CFG recovers each edge's
+// endpoints: a block's execution count is the sum over its incoming
+// edges, plus the activations for the entry block.
 // Opcode counts are reconstructed from the block counts and each
 // block's static opcode tally: on the successful path every counted
 // block ran to its terminator, so the product is exact; error paths
 // discard the Result entirely.
 func (m *machine) flushCounts() {
 	var ops [ir.NumOps]int64
-	most := 0
+	mostBlocks, mostEdges := 0, 0
 	for i := range m.codes {
-		most = max(most, len(m.codes[i].mc.code.blockOps))
+		mostBlocks = max(mostBlocks, len(m.codes[i].mc.code.blockOps))
+		mostEdges = max(mostEdges, len(m.codes[i].mc.edges))
 	}
-	scratch := make([]int64, most)
+	scratch := make([]int64, mostBlocks+mostEdges)
 	for i := range m.codes {
 		f, mc := m.codes[i].f, &m.codes[i].mc
 		var fp *profile.FuncProfile
 		if m.result.Profile != nil {
 			fp = m.result.Profile.ForFunc(f.Name)
+		}
+		edges := scratch[mostBlocks : mostBlocks+len(mc.edges)]
+		copy(edges, mc.edges)
+		for k, e := range mc.code.edges {
+			if n := mc.edges[k]; n != 0 {
+				for h := e.via; h >= 0; h = mc.code.edges[h].via {
+					edges[h] += n
+				}
+			}
 		}
 		blocks := scratch[:len(mc.code.blockOps)]
 		clear(blocks)
@@ -571,7 +613,7 @@ func (m *machine) flushCounts() {
 		k := 0
 		for _, b := range f.Blocks {
 			for _, s := range b.Succs {
-				if n := mc.edges[k]; n != 0 {
+				if n := edges[k]; n != 0 {
 					blocks[s.ID] += n
 					if fp != nil {
 						fp.Edge[profile.Edge{From: b.ID, To: s.ID}] += float64(n)

@@ -3,10 +3,12 @@
 // the blocks' phi prefixes lowered to per-edge copy sequences, constants
 // materialized into a pool appended to the register frame (so operand
 // resolution is one indexed load, never a const/register branch), and
-// the most common adjacent pairs fused into single superinstructions
-// (scalar load + arithmetic consumer, comparison + conditional branch,
-// arithmetic + store). A block's trailing copies fold into its jump,
-// running as the edge's leading moves, and division or remainder by a
+// the most common adjacent runs fused into single superinstructions
+// (scalar load + arithmetic consumer, with or without a store after
+// it; comparison + conditional branch; arithmetic + store; arithmetic +
+// jump). A block's trailing copies fold into its jump, running as the
+// edge's leading moves; an edge into a block that only jumps is
+// threaded to where that jump leads; and division or remainder by a
 // nonzero constant runs without a hardware divide (divconst.go).
 // Memory addressing is resolved at compile time: global cells become
 // absolute arena addresses, slot cells become frame-relative offsets via
@@ -80,9 +82,15 @@ const (
 	// compiler detects once, up front.
 	bcTrap
 
+	// The fused families below each cover the non-faulting arithmetic
+	// ops in fusibleArith order (Add, Sub, Mul, And, Or, Xor, Shl, Shr),
+	// so a family member's offset from its first opcode selects the
+	// arithmetic (arith). Div and Rem never fuse: they fault between
+	// the fused steps.
+
 	// Fused load + arithmetic: dst2 = mem[addr]; dst = a op b. The load
 	// destination is always written, so fusion needs no liveness
-	// analysis, and faulting ops (div/rem) are never fused.
+	// analysis.
 	bcLoadAdd
 	bcLoadSub
 	bcLoadMul
@@ -114,6 +122,30 @@ const (
 	bcShlSt
 	bcShrSt
 
+	// Fused load + arithmetic + statically addressed store: dst2 =
+	// mem[addr]; dst = a op b; mem[size] = frame[aux], with rel2 making
+	// the store's cell frame-relative.
+	bcLoadAddSt
+	bcLoadSubSt
+	bcLoadMulSt
+	bcLoadAndSt
+	bcLoadOrSt
+	bcLoadXorSt
+	bcLoadShlSt
+	bcLoadShrSt
+
+	// Fused arithmetic + jump: dst = a op b; charge aux2 more steps (the
+	// jmp, and the block's folded trailing copies when it has some);
+	// take edges[aux].
+	bcAddJmp
+	bcSubJmp
+	bcMulJmp
+	bcAndJmp
+	bcOrJmp
+	bcXorJmp
+	bcShlJmp
+	bcShrJmp
+
 	// Division and remainder by a nonzero constant (divconst.go): no
 	// zero check and no idiv. dst = a / d or a % d, with d's shift,
 	// mask or reciprocal precomputed in size, aux and addr.
@@ -127,21 +159,23 @@ const (
 // bytes, so instructions pack tightly into cache lines). Operand
 // fields a, b are frame indexes (register number, or numRegs+k for
 // constant pool entry k); dst and dst2 are register numbers, except
-// that a fused store reads its stored value through dst2. Cold
+// that an arith+store reads its stored value through dst2 (a
+// load+arith+store through aux). Cold
 // payloads — call argument lists, callee names, trap errors, and the
 // IR instructions behind indexed-op error messages — live in side
 // tables on bcCode, referenced by index.
 type bcInstr struct {
 	addr int64 // LocGlobal: absolute arena address; LocSlot: frame-relative; divisor data (constant Div/Rem)
-	size int64 // object cell count for indexed bounds checks; mask or reciprocal (constant Div/Rem)
+	size int64 // object cell count for indexed bounds checks; mask or reciprocal (constant Div/Rem); store address (load+arith+store)
 	dst  int32
-	dst2 int32 // fused load destination; fused store value
+	dst2 int32 // fused load destination; arith+store value
 	a    int32 // operand; argPool offset (Call)
 	b    int32 // operand; argument count (Call); copy count (CopyJmp)
-	aux  int32 // edge index (Jmp, CopyJmp, Br taken, fused-cmp Br taken); link slot (Call); trap index (Trap); src index (LoadIdx, StoreIdx); shift (constant Div/Rem)
-	aux2 int32 // edge index (Br not taken)
+	aux  int32 // edge index (Jmp, CopyJmp, Br taken, fused-cmp Br taken, arith+jump); link slot (Call); trap index (Trap); src index (LoadIdx, StoreIdx); shift (constant Div/Rem); store value (load+arith+store)
+	aux2 int32 // edge index (Br not taken); steps after the arithmetic (arith+jump)
 	op   bcOp
 	rel  bool // addr is frame-relative (slot cell)
+	rel2 bool // the load+arith+store's store address is frame-relative
 }
 
 // bcMove is one lowered phi move: frame[dst] = frame[src]. Sequences
@@ -151,19 +185,25 @@ type bcMove struct {
 	src int32
 }
 
-// bcEdge is one lowered CFG edge: where to resume, how many phi-prefix
-// steps the target charges, and its move sequence
-// bcCode.moves[movesLo:movesHi]: the source block's trailing copies
-// when a bcCopyJmp takes the edge, in block order, then the target's
-// phi row for this predecessor. Edges are numbered in f.Blocks order,
-// successor order within a block; the executor counts traversals by
-// that number.
+// bcEdge is one lowered CFG edge: where to resume, how many steps it
+// charges (the target's phi prefix), and its move sequence
+// bcCode.moves[movesLo:movesHi]: the source block's folded trailing
+// copies, in block order, then the target's phi row for this
+// predecessor. Edges are numbered in f.Blocks order, successor order
+// within a block; the executor counts traversals by that number.
+//
+// An edge into a jump-only block is threaded (compiler.thread): it
+// resumes where the block's own out-edge resumes, charges the block's
+// steps and that edge's too, and runs both edges' moves in order. via
+// names the out-edge it runs through, whose traversals flushCounts
+// credits with this edge's.
 type bcEdge struct {
-	target   int32 // pc of the target block's first post-phi instruction
-	phiSteps int64
-	movesLo  int32
-	movesHi  int32
-	trap     error // register phi entered from a non-predecessor
+	steps   int64
+	target  int32 // pc of the first post-phi instruction of the block the edge resumes in
+	movesLo int32
+	movesHi int32
+	via     int32 // edge this one is threaded through, or -1
+	trap    error // register phi entered from a non-predecessor
 }
 
 // opCount is one entry of a block's static opcode tally.
@@ -214,8 +254,12 @@ type compiler struct {
 	// fold[id] is the index of the first trailing copy that block id's
 	// bcCopyJmp folds into its out-edge, or len(Instrs) when the block
 	// folds nothing (foldStart).
-	fold   []int32
-	phiRow []bcMove // phi-row scratch, reused across edges
+	fold []int32
+	// jumpOnly[id] is the index of block id's out-edge when its body
+	// (post-phi) is only a jmp, or a folded copy run and a jmp;
+	// otherwise -1.
+	jumpOnly []int32
+	phiRow   []bcMove // phi-row scratch, reused across edges
 }
 
 // emitTrap emits a bcTrap carrying err via the trap side table.
@@ -258,8 +302,12 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 		},
 		constIdx: make(map[int64]int32),
 	}
-	perBlock := make([]int32, 2*f.BlockIDBound())
-	c.pcOf, c.fold = perBlock[:f.BlockIDBound()], perBlock[f.BlockIDBound():]
+	nb := int(f.BlockIDBound())
+	perBlock := make([]int32, 3*nb+nEdges)
+	c.pcOf, c.fold, c.jumpOnly = perBlock[:nb], perBlock[nb:2*nb], perBlock[2*nb:3*nb]
+	// hop[k] is the out-edge of edge k's target when edge k can be
+	// threaded through it (thread), or -1.
+	hop := perBlock[3*nb:]
 
 	// Pass 1: emit every block body (post-phi prefix) and record the
 	// blocks' entry pcs, phi step counts, and static opcode tallies.
@@ -301,6 +349,10 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			// ever runs. Trap deterministically instead.
 			c.emitTrap(fmt.Errorf("interp: block %v has no terminator in %s", b, f.Name))
 		}
+		c.jumpOnly[b.ID] = -1
+		if op := c.code.ins[c.pcOf[b.ID]].op; (op == bcJmp || op == bcCopyJmp) && len(b.Succs) == 1 {
+			c.jumpOnly[b.ID] = edgeBase
+		}
 		start := len(tallies)
 		for op, n := range ops {
 			if n != 0 {
@@ -319,8 +371,18 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
-			c.code.edges = append(c.code.edges, c.lowerEdge(b, s, phiSteps))
+			e := c.lowerEdge(b, s, phiSteps)
+			hop[len(c.code.edges)] = -1
+			if e.trap == nil {
+				hop[len(c.code.edges)] = c.jumpOnly[s.ID]
+			}
+			c.code.edges = append(c.code.edges, e)
 		}
+	}
+
+	// Pass 3: thread every edge into a jump-only block through it.
+	for k := range c.code.edges {
+		c.thread(int32(k), hop)
 	}
 
 	entry := f.Entry()
@@ -396,27 +458,17 @@ func (c *compiler) resolveAddr(loc ir.MemLoc, globalBase map[*ir.Global]int64, o
 	return 0, false, fmt.Errorf("interp: address of %v", loc)
 }
 
-// fusedStoreOp maps a fusible arithmetic producer to its store-fused
-// form, or bcInvalid. Div and Rem are excluded: they fault between the
-// pair's two steps.
-func fusedStoreOp(op ir.Op) bcOp {
-	switch op {
-	case ir.OpAdd:
-		return bcAddSt
-	case ir.OpSub:
-		return bcSubSt
-	case ir.OpMul:
-		return bcMulSt
-	case ir.OpAnd:
-		return bcAndSt
-	case ir.OpOr:
-		return bcOrSt
-	case ir.OpXor:
-		return bcXorSt
-	case ir.OpShl:
-		return bcShlSt
-	case ir.OpShr:
-		return bcShrSt
+// fusibleArith lists the arithmetic ops that fuse with a neighbour, in
+// the order of every fused family's opcodes. None of them can fault.
+var fusibleArith = [...]ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr}
+
+// fusedOp returns the member of the fused family whose first opcode is
+// first that runs op, or bcInvalid when op does not fuse.
+func fusedOp(first bcOp, op ir.Op) bcOp {
+	for k, a := range fusibleArith {
+		if a == op {
+			return first + bcOp(k)
+		}
 	}
 	return bcInvalid
 }
@@ -487,31 +539,6 @@ func binOpOf(op ir.Op) bcOp {
 	return bcInvalid
 }
 
-// fusedLoadOp maps a fusible arithmetic consumer to its load-fused
-// opcode, or bcInvalid. Div and Rem are excluded: their zero-divisor
-// fault would complicate the fused limit/fault ordering for no gain.
-func fusedLoadOp(op ir.Op) bcOp {
-	switch op {
-	case ir.OpAdd:
-		return bcLoadAdd
-	case ir.OpSub:
-		return bcLoadSub
-	case ir.OpMul:
-		return bcLoadMul
-	case ir.OpAnd:
-		return bcLoadAnd
-	case ir.OpOr:
-		return bcLoadOr
-	case ir.OpXor:
-		return bcLoadXor
-	case ir.OpShl:
-		return bcLoadShl
-	case ir.OpShr:
-		return bcLoadShr
-	}
-	return bcInvalid
-}
-
 // fusedCmpBr maps a comparison to its branch-fused opcode, or
 // bcInvalid.
 func fusedCmpBr(op ir.Op) bcOp {
@@ -558,8 +585,9 @@ func foldStart(b *ir.Block, start int) int32 {
 }
 
 // emitBody compiles the non-phi instructions of b, fusing adjacent
-// load+arith and cmp+branch pairs, and ends a folded copy run
-// (c.fold) with one bcCopyJmp. edgeBase is the index of b's first
+// load+arith(+store), arith+store, arith+jump and cmp+branch runs, and
+// ends a folded copy run (c.fold) with one bcCopyJmp, or with the
+// arith+jump that precedes it. edgeBase is the index of b's first
 // outgoing edge in the final edge array.
 func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase map[*ir.Global]int64) {
 	f := c.f
@@ -596,12 +624,11 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 					continue
 				}
 			}
-			// arith + store fusion: the next instruction stores to a
-			// statically resolved cell (often this result's only use).
-			if fop := fusedStoreOp(in.Op); fop != bcInvalid && i+1 < end {
-				next := b.Instrs[i+1]
-				if next.Op == ir.OpStore || next.Op == ir.OpStoreIdx {
-					if saddr, srel, sval, ok := c.staticStore(next, globalBase, offs); ok {
+			if fop := fusedOp(bcAddSt, in.Op); fop != bcInvalid {
+				// arith + store fusion: the next instruction stores to a
+				// statically resolved cell (often this result's only use).
+				if i+1 < end {
+					if saddr, srel, sval, ok := c.staticStore(b.Instrs[i+1], globalBase, offs); ok {
 						c.emit(bcInstr{
 							op:   fop,
 							dst:  int32(in.Dst),
@@ -614,6 +641,28 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 						i++
 						continue
 					}
+				}
+				// arith + jump fusion: the block ends with this result and
+				// a jmp, or a folded copy run and its jmp. aux2 counts the
+				// steps after the arithmetic's.
+				if folded := i+1 == end && end < len(b.Instrs); folded || i+1 < end && b.Instrs[i+1].Op == ir.OpJmp {
+					after := int32(1)
+					if folded {
+						after = int32(len(b.Instrs) - end)
+					}
+					c.emit(bcInstr{
+						op:   fop - bcAddSt + bcAddJmp,
+						dst:  int32(in.Dst),
+						a:    c.valIdx(in.Args[0]),
+						b:    c.valIdx(in.Args[1]),
+						aux:  edgeBase,
+						aux2: after,
+					})
+					if folded {
+						return // in place of the run's bcCopyJmp
+					}
+					i++
+					continue
 				}
 			}
 			if d := in.Args[1]; (in.Op == ir.OpDiv || in.Op == ir.OpRem) && d.IsConst() && d.Const() != 0 {
@@ -633,26 +682,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 				c.emitTrap(err)
 				continue
 			}
-			// load + arith fusion: write the load destination, then run
-			// the consumer; operands resolve through the frame, so the
-			// loaded value is visible wherever the pair referenced it.
-			if i+1 < end {
-				next := b.Instrs[i+1]
-				if fop := fusedLoadOp(next.Op); fop != bcInvalid && next.HasDst() && len(next.Args) == 2 {
-					c.emit(bcInstr{
-						op:   fop,
-						dst:  int32(next.Dst),
-						dst2: int32(in.Dst),
-						a:    c.valIdx(next.Args[0]),
-						b:    c.valIdx(next.Args[1]),
-						addr: addr,
-						rel:  rel,
-					})
-					i++
-					continue
-				}
-			}
-			c.emit(bcInstr{op: bcLoad, dst: int32(in.Dst), addr: addr, rel: rel})
+			i += c.emitLoad(b, i, end, addr, rel, globalBase, offs)
 		case ir.OpStore:
 			addr, rel, err := c.resolveAddr(in.Loc, globalBase, offs)
 			if err != nil {
@@ -682,24 +712,7 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 			// laid-out slot or global, so the residual address check can
 			// never fire — the plain-load form is observationally exact.
 			if ix := in.Args[0]; ix.IsConst() && ix.Const() >= 0 && ix.Const() < int64(in.Loc.Size()) {
-				addr += ix.Const()
-				if i+1 < end {
-					next := b.Instrs[i+1]
-					if fop := fusedLoadOp(next.Op); fop != bcInvalid && next.HasDst() && len(next.Args) == 2 {
-						c.emit(bcInstr{
-							op:   fop,
-							dst:  int32(next.Dst),
-							dst2: int32(in.Dst),
-							a:    c.valIdx(next.Args[0]),
-							b:    c.valIdx(next.Args[1]),
-							addr: addr,
-							rel:  rel,
-						})
-						i++
-						continue
-					}
-				}
-				c.emit(bcInstr{op: bcLoad, dst: int32(in.Dst), addr: addr, rel: rel})
+				i += c.emitLoad(b, i, end, addr+ix.Const(), rel, globalBase, offs)
 				continue
 			}
 			c.emit(bcInstr{
@@ -764,6 +777,85 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 	}
 }
 
+// emitLoad emits the scalar load b.Instrs[i] of the resolved cell addr,
+// fused with an arithmetic consumer that follows it (load+arith), and
+// with a statically addressed store after that (load+arith+store). It
+// returns how many instructions past i it consumed. The load's
+// destination is always written, so fusion needs no liveness analysis;
+// operands resolve through the frame, so the loaded value is visible
+// wherever the arithmetic references it.
+func (c *compiler) emitLoad(b *ir.Block, i, end int, addr int64, rel bool, globalBase map[*ir.Global]int64, offs []int64) int {
+	in := b.Instrs[i]
+	if i+1 < end {
+		next := b.Instrs[i+1]
+		if fop := fusedOp(bcLoadAdd, next.Op); fop != bcInvalid && next.HasDst() && len(next.Args) == 2 {
+			fi := bcInstr{
+				op:   fop,
+				dst:  int32(next.Dst),
+				dst2: int32(in.Dst),
+				a:    c.valIdx(next.Args[0]),
+				b:    c.valIdx(next.Args[1]),
+				addr: addr,
+				rel:  rel,
+			}
+			if i+2 < end {
+				if saddr, srel, sval, ok := c.staticStore(b.Instrs[i+2], globalBase, offs); ok {
+					fi.op += bcLoadAddSt - bcLoadAdd
+					fi.size, fi.rel2, fi.aux = saddr, srel, sval
+					c.emit(fi)
+					return 2
+				}
+			}
+			c.emit(fi)
+			return 1
+		}
+	}
+	c.emit(bcInstr{op: bcLoad, dst: int32(in.Dst), addr: addr, rel: rel})
+	return 0
+}
+
+// hopThreading marks, in thread's hop array, an edge on the chain
+// being threaded.
+const hopThreading = int32(-2)
+
+// thread threads edge k through the jump-only block it enters, when
+// hop[k] names that block's out-edge j: k then resumes where j resumes,
+// charges the block's body steps and j's steps, and runs its own moves
+// and then j's, which is the reference's order (k's folded copies and
+// the block's phis, then the block's copies and the next block's
+// phis). j is threaded first, so a chain of jump-only blocks collapses
+// into each edge that enters it. An edge whose chain comes back to an
+// edge still being threaded stays as it is: every cycle of jump-only
+// blocks keeps one real jump, which the executor dispatches, and so
+// step-checks, on every lap, and every via chain ends. An edge that
+// traps is never threaded (hop is -1 for it), nor threaded into. hop[k]
+// is -1 once k is done.
+func (c *compiler) thread(k int32, hop []int32) {
+	j := hop[k]
+	if j < 0 {
+		return
+	}
+	hop[k] = hopThreading
+	if hop[j] != hopThreading {
+		c.thread(j, hop)
+		if e, n := &c.code.edges[k], &c.code.edges[j]; n.trap == nil {
+			e.steps += 1 + int64(c.code.ins[e.target].b) + n.steps
+			e.target = n.target
+			e.via = j
+			switch {
+			case e.movesLo == e.movesHi:
+				e.movesLo, e.movesHi = n.movesLo, n.movesHi
+			case n.movesLo < n.movesHi:
+				lo := int32(len(c.code.moves))
+				c.code.moves = append(c.code.moves, c.code.moves[e.movesLo:e.movesHi]...)
+				c.code.moves = append(c.code.moves, c.code.moves[n.movesLo:n.movesHi]...)
+				e.movesLo, e.movesHi = lo, int32(len(c.code.moves))
+			}
+		}
+	}
+	hop[k] = -1
+}
+
 // lowerEdge builds the edge descriptor for b -> s and appends its moves
 // to c.code.moves. The moves start with b's folded trailing copies, in
 // block order, as the reference runs them before the jump. The phi row
@@ -773,8 +865,9 @@ func (c *compiler) emitBody(b *ir.Block, start int, edgeBase int32, globalBase m
 // (sequentialized with the scratch slot when the moves form a cycle).
 func (c *compiler) lowerEdge(b, s *ir.Block, phiSteps []int64) bcEdge {
 	e := bcEdge{
-		target:   c.pcOf[s.ID],
-		phiSteps: phiSteps[s.ID],
+		steps:  phiSteps[s.ID],
+		target: c.pcOf[s.ID],
+		via:    -1,
 	}
 	pi := s.PredIndex(b)
 	row := c.phiRow[:0]
