@@ -552,7 +552,7 @@ done:
 }
 
 // arith runs the fused family member at offset k from its family's
-// first opcode: the fusibleArith op at index k.
+// first opcode: the op that fusibleArith maps to k+1.
 func arith(k bcOp, x, y int64) int64 {
 	switch k {
 	case 0:

@@ -83,10 +83,10 @@ const (
 	bcTrap
 
 	// The fused families below each cover the non-faulting arithmetic
-	// ops in fusibleArith order (Add, Sub, Mul, And, Or, Xor, Shl, Shr),
-	// so a family member's offset from its first opcode selects the
-	// arithmetic (arith). Div and Rem never fuse: they fault between
-	// the fused steps.
+	// ops in one order (Add, Sub, Mul, And, Or, Xor, Shl, Shr; see
+	// fusibleArith), so a family member's offset from its first opcode
+	// selects the arithmetic (arith). Div and Rem never fuse: they fault
+	// between the fused steps.
 
 	// Fused load + arithmetic: dst2 = mem[addr]; dst = a op b. The load
 	// destination is always written, so fusion needs no liveness
@@ -458,17 +458,19 @@ func (c *compiler) resolveAddr(loc ir.MemLoc, globalBase map[*ir.Global]int64, o
 	return 0, false, fmt.Errorf("interp: address of %v", loc)
 }
 
-// fusibleArith lists the arithmetic ops that fuse with a neighbour, in
-// the order of every fused family's opcodes. None of them can fault.
-var fusibleArith = [...]ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr}
+// fusibleArith maps each arithmetic op that fuses with a neighbour to
+// one more than its offset in every fused family, and every other op to
+// 0. None of the fusible ops can fault.
+var fusibleArith = [ir.NumOps]bcOp{
+	ir.OpAdd: 1, ir.OpSub: 2, ir.OpMul: 3, ir.OpAnd: 4,
+	ir.OpOr: 5, ir.OpXor: 6, ir.OpShl: 7, ir.OpShr: 8,
+}
 
 // fusedOp returns the member of the fused family whose first opcode is
 // first that runs op, or bcInvalid when op does not fuse.
 func fusedOp(first bcOp, op ir.Op) bcOp {
-	for k, a := range fusibleArith {
-		if a == op {
-			return first + bcOp(k)
-		}
+	if k := fusibleArith[op]; k != 0 {
+		return first + k - 1
 	}
 	return bcInvalid
 }

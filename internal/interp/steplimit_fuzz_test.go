@@ -52,9 +52,7 @@ func FuzzBytecodeStepLimit(f *testing.F) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(eng.Output, ref.Output) || eng.ReturnValue != ref.ReturnValue || eng.Steps != ref.Steps ||
-			!reflect.DeepEqual(eng.OpCounts, ref.OpCounts) || !reflect.DeepEqual(eng.Globals, ref.Globals) ||
-			!reflect.DeepEqual(eng.Profile.Funcs, ref.Profile.Funcs) {
+		if !reflect.DeepEqual(eng, ref) {
 			t.Fatalf("%s (promoted %v), MaxSteps %d: results differ", r.name, promoted, limit)
 		}
 	})
