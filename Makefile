@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet fmt-check race test-par lint fuzz-smoke oracle-smoke oracle bench bench-smoke golden bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-check ci
+.PHONY: build test vet fmt-check race lint fuzz-smoke oracle-smoke oracle bench bench-smoke golden bench-pressure pressure-smoke serve-smoke chaos-smoke cluster-smoke bench-check ci
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,6 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -run 'TestRouterPlacementStable|TestRouterHedging' ./internal/router
-
-# The parallel-pipeline determinism and isolation tests, explicitly
-# under the race detector — the worker pool's acceptance gate.
-test-par:
-	$(GO) test -race -run 'Parallel|Corpus|DeriveSeed|Timings' ./internal/pipeline/... ./internal/workload/...
 
 # Repo determinism lint: no wall-clock or unseeded randomness in the
 # deterministic packages (internal/lint documents the rules).
@@ -146,4 +141,4 @@ cluster-smoke:
 bench-check:
 	cd bench && $(GO) test ./...
 
-ci: fmt-check vet lint race test-par bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke bench-check
+ci: fmt-check vet lint race bench-smoke pressure-smoke fuzz-smoke oracle-smoke serve-smoke chaos-smoke cluster-smoke bench-check

@@ -16,8 +16,8 @@
 //	rpanalyze -list-rules
 //	cat file.c | rpanalyze -    # read program from stdin (-lang to override)
 //
-// The same rules run inside the pipeline when Options.Diagnose is set;
-// this command is the standalone entry point.
+// The rules run here only: the pipeline does not run them. This command
+// calls diag.AnalyzeProgram directly.
 package main
 
 import (

@@ -7,7 +7,6 @@
 //	rpbench -table 2        # just the dynamic counts table
 //	rpbench -ablations      # just the ablations
 //	rpbench -static-profile # promote with the static estimator instead
-//	rpbench -workers 4      # per-program transform workers
 //
 // Pressure mode runs the suite (plus -pressure-gen generated programs)
 // under pressure-aware promotion and reports the Table-3-style color
@@ -41,7 +40,6 @@ type config struct {
 	ablations, static, paper bool
 	check                    string
 	failFast                 bool
-	workers                  int
 	seed                     int64
 	size                     string
 	oracleN                  int
@@ -60,7 +58,6 @@ func registerFlags(fs *flag.FlagSet) *config {
 	fs.BoolVar(&c.paper, "paper-formula", false, "use the paper's exact profit formula")
 	fs.StringVar(&c.check, "check", "off", "pipeline self-checking level: off, boundaries, or paranoid")
 	fs.BoolVar(&c.failFast, "failfast", false, "abort on the first stage failure instead of degrading the function")
-	fs.IntVar(&c.workers, "workers", 1, "per-program pipeline workers (0 = GOMAXPROCS, 1 = sequential)")
 	fs.Int64Var(&c.seed, "seed", 1, "base seed for the -oracle and -pressure-gen generated programs")
 	fs.StringVar(&c.size, "size", "medium", "generated program size for -oracle and -pressure-gen: small, medium, or large")
 	fs.IntVar(&c.oracleN, "oracle", 0, "run the semantics oracle over N seeded generated programs (uses -seed and -size), write -json, and exit")
@@ -77,8 +74,8 @@ func registerFlags(fs *flag.FlagSet) *config {
 // validate rejects flag values that would otherwise be ignored or
 // misread before any work starts, and returns the options the tables,
 // ablations and pressure mode run with. Values the pipeline, the oracle
-// or the pressure table check themselves (-workers, -size,
-// -pressure-cap) are left to them.
+// or the pressure table check themselves (-size, -pressure-cap) are
+// left to them.
 func (c *config) validate() (report.Options, error) {
 	if c.table < 0 || c.table > 3 {
 		return report.Options{}, fmt.Errorf("-table %d: want 1, 2, or 3 (0 = all)", c.table)
@@ -98,7 +95,6 @@ func (c *config) validate() (report.Options, error) {
 		PaperProfitFormula: c.paper,
 		Check:              level,
 		FailFast:           c.failFast,
-		Workers:            c.workers,
 	}, nil
 }
 

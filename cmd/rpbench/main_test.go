@@ -22,6 +22,7 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-table", "4"}, "-table 4"},
 		{[]string{"-table", "-1"}, "-table -1"},
 		{[]string{"-check", "paranoid"}, ""},
+		{[]string{"-failfast"}, ""},
 		{[]string{"-check", "bogus"}, "bogus"},
 		{[]string{"-oracle", "-1"}, "-oracle -1"},
 		{[]string{"-pressure-gen", "-1"}, "-pressure-gen -1"},
@@ -41,8 +42,8 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%v: accepted, want an error mentioning %q", tc.args, tc.wantErr)
 		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
 			t.Errorf("%v: error %q does not mention %q", tc.args, err, tc.wantErr)
-		case err == nil && opts.Workers != c.workers:
-			t.Errorf("%v: options carry Workers=%d, want %d", tc.args, opts.Workers, c.workers)
+		case err == nil && opts.FailFast != c.failFast:
+			t.Errorf("%v: options carry FailFast=%v, want %v", tc.args, opts.FailFast, c.failFast)
 		}
 	}
 }

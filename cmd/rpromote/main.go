@@ -48,7 +48,6 @@ func main() {
 		failFast    = flag.Bool("failfast", false, "abort on the first stage failure instead of degrading the function")
 		fault       = flag.String("fault", "", "inject a fault at stage[/func][:error|panic], e.g. promote/main:panic")
 		verbose     = flag.Bool("verbose-errors", false, "print the full stage failure report (stack and IR snapshot)")
-		workers     = flag.Int("workers", 1, "per-function transform workers (0 = GOMAXPROCS, 1 = sequential)")
 		timings     = flag.Bool("timings", false, "print per-stage wall times")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -120,7 +119,6 @@ func main() {
 		Check:              checkLevel,
 		FailFast:           *failFast,
 		Faults:             injector,
-		Workers:            *workers,
 		PressureCap:        *pressureCap,
 	})
 	if err != nil {

@@ -1,10 +1,8 @@
-// Package diag is the IR diagnostics layer behind cmd/rpanalyze and the
-// pipeline's opt-in diagnose stage: a fixed table of pluggable rules
-// run over a compiled (and alias-analyzed) program, each producing
-// typed findings. The input program is never mutated — rules needing
-// normalized or SSA form work on a Clone — so the stage can run on the
-// pipeline's baseline program without perturbing the differential
-// check.
+// Package diag is the IR diagnostics layer behind cmd/rpanalyze: a
+// fixed table of pluggable rules run over a compiled (and
+// alias-analyzed) program, each producing typed findings. The input
+// program is never mutated — rules needing normalized or SSA form work
+// on a Clone.
 //
 // Findings are deterministic: rules run in table order, walk blocks in
 // function order, and the final report is sorted by (function, rule,

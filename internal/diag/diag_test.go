@@ -10,7 +10,6 @@ import (
 	"repro/internal/alias"
 	"repro/internal/diag"
 	"repro/internal/ir"
-	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/source"
 	"repro/internal/workload"
@@ -200,30 +199,19 @@ void main() { dead = 3; dead = 4; print(7); }
 	}
 }
 
-// TestPipelineDiagnoseStage: the opt-in stage surfaces the same
-// findings on the Outcome and does not perturb the paranoid
-// differential.
-func TestPipelineDiagnoseStage(t *testing.T) {
-	src := `
-int dead;
-void main() { dead = 3; dead = 4; print(7); }
-`
-	out, err := pipeline.Run(src, pipeline.Options{
-		Diagnose: true,
-		Check:    pipeline.CheckParanoid,
-	})
-	if err != nil {
-		t.Fatalf("pipeline.Run: %v", err)
-	}
-	if len(byRule(out.Diagnostics, "dead-store")) == 0 {
-		t.Fatalf("outcome carries no dead-store diagnostics: %v", out.Diagnostics)
-	}
-	direct, err := diag.AnalyzeProgram(compileSrc(t, src), diag.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Diagnostics, direct) {
-		t.Fatalf("pipeline diagnostics differ from direct analysis:\n%v\nvs\n%v", out.Diagnostics, direct)
+// TestAnalyzeLeavesProgramUnchanged: the rules never mutate the
+// program they read (those that need normalized or SSA form work on a
+// clone), so a caller can analyze a program and then compile or run it.
+func TestAnalyzeLeavesProgramUnchanged(t *testing.T) {
+	for _, w := range workload.Suite() {
+		prog := compileSrc(t, w.Src)
+		want := prog.String()
+		if _, err := diag.AnalyzeProgram(prog, diag.Options{}); err != nil {
+			t.Fatalf("%s: AnalyzeProgram: %v", w.Name, err)
+		}
+		if prog.String() != want {
+			t.Errorf("%s: AnalyzeProgram changed the program", w.Name)
+		}
 	}
 }
 

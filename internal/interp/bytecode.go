@@ -315,11 +315,12 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 	// order within a block, matching the append order of pass 2.
 	phiSteps := make([]int64, f.BlockIDBound())
 	edgeBase := int32(0)
-	// ops is the per-block opcode tally, reused (and cleared while it is
-	// read out) across blocks; reading it in opcode order keeps the
-	// tally order deterministic. Every block's tally is a subslice of
+	// A block's tally lists its opcodes in order of first appearance.
+	// While it is built, slot[op] is 1 + op's index in it (0: not seen
+	// yet); slot is cleared from the finished tally, so the cost is per
+	// instruction, not per opcode. Every block's tally is a subslice of
 	// tallies, whose capacity never needs to grow.
-	var ops [ir.NumOps]int64
+	var slot [ir.NumOps]int32
 	tallies := make([]opCount, 0, nInstrs)
 	// nMoves sizes the move array: every folded copy, and one move per
 	// register phi per predecessor (cycles may add a few).
@@ -330,14 +331,10 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			if b.Instrs[idx].Op == ir.OpPhi {
 				nMoves += len(b.Preds)
 			}
-			ops[b.Instrs[idx].Op]++
 			phiSteps[b.ID]++
 			idx++
 		}
 		c.pcOf[b.ID] = int32(len(c.code.ins))
-		for i := idx; i < len(b.Instrs); i++ {
-			ops[b.Instrs[i].Op]++
-		}
 		c.fold[b.ID] = foldStart(b, idx)
 		if n := len(b.Instrs) - 1 - int(c.fold[b.ID]); n > 0 {
 			nMoves += n
@@ -354,14 +351,36 @@ func compileBytecode(f *ir.Function, globalBase map[*ir.Global]int64) *bcCode {
 			c.jumpOnly[b.ID] = edgeBase
 		}
 		start := len(tallies)
-		for op, n := range ops {
-			if n != 0 {
-				tallies = append(tallies, opCount{op: ir.Op(op), n: n})
-				ops[op] = 0
+		for _, in := range b.Instrs {
+			if slot[in.Op] == 0 {
+				tallies = append(tallies, opCount{op: in.Op})
+				slot[in.Op] = int32(len(tallies) - start)
 			}
+			tallies[start+int(slot[in.Op])-1].n++
+		}
+		for _, oc := range tallies[start:] {
+			slot[oc.op] = 0
 		}
 		c.code.blockOps[b.ID] = tallies[start:len(tallies):len(tallies)]
 		edgeBase += int32(len(b.Succs))
+	}
+
+	// Threading (pass 3) appends a copy of both move runs for an edge
+	// into a jump-only block when the edge and the block's out-edge both
+	// move. Reserve room for those copies too, counted one hop deep, so
+	// that one allocation usually serves all passes (longer chains of
+	// such edges may still grow the array).
+	outMoves := func(b *ir.Block) int { return max(len(b.Instrs)-1-int(c.fold[b.ID]), 0) }
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			if c.jumpOnly[s.ID] >= 0 {
+				own := outMoves(b) + int(phiSteps[s.ID])
+				next := outMoves(s) + int(phiSteps[s.Succs[0].ID])
+				if own > 0 && next > 0 {
+					nMoves += own + next
+				}
+			}
+		}
 	}
 
 	// Pass 2: lower every CFG edge's moves to a copy sequence now that

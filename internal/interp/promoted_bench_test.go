@@ -31,7 +31,7 @@ type pipelineRuns struct {
 func preparePipelineRuns(ws []workload.Workload) ([]pipelineRuns, error) {
 	var runs []pipelineRuns
 	for _, w := range ws {
-		out, err := pipeline.Run(w.Src, pipeline.Options{Lang: w.Lang, Workers: 1})
+		out, err := pipeline.Run(w.Src, pipeline.Options{Lang: w.Lang})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -125,4 +125,26 @@ func BenchmarkInterpTrain(b *testing.B) {
 		steps += r.trainSteps
 	}
 	benchEngine(b, progs, steps, interp.Options{CollectProfile: true})
+}
+
+// BenchmarkCompileBytecode compiles, without running, the 128 first
+// medium corpus programs of seed 1 in both forms a default pipeline run
+// interprets: the unpromoted training program and the promoted one.
+// One iteration compiles every function of all 256 programs once.
+func BenchmarkCompileBytecode(b *testing.B) {
+	runs, err := preparePipelineRuns(workload.Corpus(1, 128))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var progs []*ir.Program
+	for _, r := range runs {
+		progs = append(progs, r.train, r.promoted)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			interp.CompileAll(p)
+		}
+	}
 }

@@ -107,3 +107,42 @@ void main() {
 		}
 	}
 }
+
+// TestTimingsRecorded: every executed stage leaves a timing entry, in
+// canonical order (stage order, then function order), so the report
+// layer can aggregate per-stage wall time. Each function runs its whole
+// transform chain before the next one starts, so the order is finish's
+// doing, not execution's.
+func TestTimingsRecorded(t *testing.T) {
+	out, err := pipeline.Run(multiFunc, pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Timings) == 0 {
+		t.Fatal("no timings recorded")
+	}
+	wall := out.StageWall()
+	for _, stage := range []string{
+		pipeline.StageCompile, pipeline.StageTrain, pipeline.StageSSABuild,
+		pipeline.StagePromote, pipeline.StageVerify, pipeline.StageMeasureAfter,
+	} {
+		if _, ok := wall[stage]; !ok {
+			t.Errorf("stage %s has no aggregated wall time", stage)
+		}
+	}
+	stagePos := make(map[string]int)
+	for i, s := range pipeline.Stages() {
+		stagePos[s] = i
+	}
+	funcPos := map[string]int{"": -1}
+	for i, f := range out.Prog.Funcs {
+		funcPos[f.Name] = i
+	}
+	for i := 1; i < len(out.Timings); i++ {
+		a, b := out.Timings[i-1], out.Timings[i]
+		sa, sb := stagePos[a.Stage], stagePos[b.Stage]
+		if sb < sa || sb == sa && funcPos[b.Func] < funcPos[a.Func] {
+			t.Fatalf("timings out of canonical order: %s/%s before %s/%s", a.Stage, a.Func, b.Stage, b.Func)
+		}
+	}
+}

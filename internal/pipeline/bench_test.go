@@ -31,11 +31,11 @@ func largePrograms(b *testing.B, n int) []string {
 }
 
 // BenchmarkRun measures the promote-only pipeline (static profile, no
-// measurement runs, one worker) over a corpus of large generated
+// measurement runs) over a corpus of large generated
 // programs; one iteration compiles every program once.
 func BenchmarkRun(b *testing.B) {
 	srcs := largePrograms(b, benchPrograms)
-	opts := pipeline.Options{StaticProfile: true, SkipMeasurement: true, Workers: 1}
+	opts := pipeline.Options{StaticProfile: true, SkipMeasurement: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +48,7 @@ func BenchmarkRun(b *testing.B) {
 }
 
 // BenchmarkRunMeasured measures the default pipeline (training run,
-// measurement runs, one worker) over the suite and the imported suite;
+// measurement runs) over the suite and the imported suite;
 // one iteration compiles and measures every program once.
 func BenchmarkRunMeasured(b *testing.B) {
 	suite := append(workload.Suite(), workload.ImportedSuite()...)
@@ -56,7 +56,7 @@ func BenchmarkRunMeasured(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, w := range suite {
-			if _, err := pipeline.Run(w.Src, pipeline.Options{Lang: w.Lang, Workers: 1}); err != nil {
+			if _, err := pipeline.Run(w.Src, pipeline.Options{Lang: w.Lang}); err != nil {
 				b.Fatal(err)
 			}
 		}

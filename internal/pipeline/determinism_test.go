@@ -7,6 +7,17 @@ import (
 	"repro/internal/workload"
 )
 
+// runReport runs the pipeline and returns the canonical outcome report
+// plus the printed transformed program.
+func runReport(t *testing.T, src string, opts pipeline.Options) (string, string) {
+	t.Helper()
+	out, err := pipeline.Run(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Report(), out.Prog.String()
+}
+
 // TestRunTwiceIdentical runs every corpus entry through the pipeline
 // twice in the same process and requires byte-identical outcome reports
 // and transformed IR. Go randomizes map iteration order per range
@@ -23,8 +34,8 @@ func TestRunTwiceIdentical(t *testing.T) {
 		Check:      pipeline.CheckBoundaries,
 	}
 	for _, w := range corpus {
-		_, report1, prog1 := runReport(t, w.Src, opts)
-		_, report2, prog2 := runReport(t, w.Src, opts)
+		report1, prog1 := runReport(t, w.Src, opts)
+		report2, prog2 := runReport(t, w.Src, opts)
 		if report1 != report2 {
 			t.Errorf("%s: reports differ between identical runs:\n--- first\n%s\n--- second\n%s",
 				w.Name, report1, report2)
@@ -43,8 +54,8 @@ func TestRunTwiceIdenticalLegacy(t *testing.T) {
 	opts := pipeline.Options{PreMemOpts: true}
 	opts.Interp.Legacy = true
 	for _, w := range workload.Suite() {
-		_, report1, prog1 := runReport(t, w.Src, opts)
-		_, report2, prog2 := runReport(t, w.Src, opts)
+		report1, prog1 := runReport(t, w.Src, opts)
+		report2, prog2 := runReport(t, w.Src, opts)
 		if report1 != report2 {
 			t.Errorf("%s: legacy reports differ between identical runs", w.Name)
 		}
@@ -64,9 +75,9 @@ func TestRunTwiceIdenticalLegacy(t *testing.T) {
 func TestCachedMatchesUncachedReport(t *testing.T) {
 	for _, w := range append(workload.Suite(), workload.ImportedSuite()...) {
 		opts := pipeline.Options{PreMemOpts: true, Lang: w.Lang}
-		_, cachedReport, cachedProg := runReport(t, w.Src, opts)
+		cachedReport, cachedProg := runReport(t, w.Src, opts)
 		opts.Check = pipeline.CheckParanoid
-		_, paranoidReport, paranoidProg := runReport(t, w.Src, opts)
+		paranoidReport, paranoidProg := runReport(t, w.Src, opts)
 		if cachedReport != paranoidReport {
 			t.Errorf("%s: CheckOff and CheckParanoid reports differ:\n--- cached\n%s\n--- paranoid\n%s",
 				w.Name, cachedReport, paranoidReport)

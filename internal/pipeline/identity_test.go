@@ -74,8 +74,7 @@ func genStaticCorpus(t *testing.T, seed int64) []workload.Workload {
 // 7 on the promote-only path; the suite plus the imported suite under
 // each option set that changes what the pipeline does; 32 medium
 // generated programs under default options (no input, so training and
-// measurement see the same run); and a few programs again on four
-// workers.
+// measurement see the same run).
 func identityPairs(t *testing.T) []identityPair {
 	t.Helper()
 	var pairs []identityPair
@@ -110,9 +109,6 @@ func identityPairs(t *testing.T) []identityPair {
 	medium := workload.Corpus(1, 32)
 	for _, w := range medium {
 		add("gen-medium-s1", w, pipeline.Options{})
-	}
-	for _, w := range append(suite[:4:4], medium[:4]...) {
-		add("workers4", w, pipeline.Options{Workers: 4})
 	}
 	return pairs
 }

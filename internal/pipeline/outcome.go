@@ -11,9 +11,10 @@ import (
 // name), degradations (canonical order, stage and function only — no
 // stacks), and the measured runs' observable behavior (output, return
 // value, final global memory in sorted order). Two Runs over the same
-// source with the same options produce byte-identical reports whatever
-// Options.Workers is — the determinism tests compare this string. Timings are deliberately excluded: wall time is
-// the one thing that legitimately differs between runs.
+// source with the same options produce byte-identical reports — the
+// determinism tests compare this string. Timings are deliberately
+// excluded: wall time is the one thing that legitimately differs
+// between runs.
 func (o *Outcome) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "static loads %d -> %d stores %d -> %d\n",

@@ -29,13 +29,11 @@ package pipeline
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/alias"
 	"repro/internal/baseline"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/faults"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -105,12 +103,6 @@ type Options struct {
 	// Per-function results land in Outcome.Pressure. Only meaningful
 	// with AlgSSA.
 	PressureCap int
-	// Diagnose runs the internal/diag rule set over the baseline
-	// (pre-promotion) program as an extra isolated whole-program stage
-	// and records the findings in Outcome.Diagnostics. The stage reads
-	// the program without mutating it; a failure aborts the run like
-	// any other whole-program stage.
-	Diagnose bool
 	// StaticProfile uses the loop-depth estimator instead of a training
 	// run when true.
 	StaticProfile bool
@@ -145,13 +137,11 @@ type Options struct {
 	// boundaries (see internal/faults); used to test the recovery
 	// paths and exposed through the tools' -fault flag.
 	Faults *faults.Injector
-	// Workers bounds how many functions are transformed concurrently.
-	// Each worker runs the full per-function chain (SSA build →
-	// promote → destruct → verify) behind the usual isolation and
-	// rollback barrier; program-level effects (function swaps, stats,
-	// degradations) are serialized and canonicalized so the Outcome is
-	// identical for every worker count. 0 means GOMAXPROCS; 1 keeps
-	// the sequential behavior.
+	// Workers is not read.
+	//
+	// Deprecated: ignored; functions are always transformed
+	// sequentially. Kept only because bench/ sets it; ROADMAP item 15's
+	// bench/ change deletes it.
 	Workers int
 }
 
@@ -175,8 +165,6 @@ type Outcome struct {
 	// Pressure records the pressure-aware promotion result per function
 	// when Options.PressureCap is set. Degraded functions have no entry.
 	Pressure map[string]*core.PressureResult
-	// Diagnostics holds the diag findings when Options.Diagnose is set.
-	Diagnostics []diag.Finding
 	// TotalStats sums Stats.
 	TotalStats core.Stats
 	// StaticBefore/StaticAfter count singleton memory operations in the
@@ -189,10 +177,11 @@ type Outcome struct {
 	// Profile is the training profile the promoter consumed.
 	Profile *profile.Profile
 	// Degraded lists functions compiled without promotion because a
-	// stage failed on them, in canonical order (program declaration
-	// order, then stage order); each entry carries the absorbed
-	// failure. A function appears at most once, whichever code path
-	// (transformation, rescue, differential bisect) degraded it.
+	// stage failed on them, in program declaration order; each entry
+	// carries the absorbed failure of the earliest stage that failed on
+	// that function. A function appears at most once, whichever code
+	// path (normalize, transformation, rescue, differential bisect)
+	// degraded it.
 	Degraded []Degradation
 	// Timings records the measured wall time of every stage execution,
 	// in canonical order (stage order, then program declaration order).
@@ -213,11 +202,6 @@ func (o *Outcome) DegradedFuncs() []string {
 type runner struct {
 	opts Options
 	out  *Outcome
-	// mu guards the shared run state (out, degraded, the program's
-	// function registry) while the per-function transform chains execute
-	// on the worker pool. Outside that phase the run is single-goroutine
-	// and the lock is uncontended.
-	mu sync.Mutex
 	// before is the baseline program, set once its frontend finishes and
 	// never mutated after that. A function of the promoted program rolls
 	// back to a CloneInto of its namesake here, both when a stage fails
@@ -249,22 +233,6 @@ func Run(src string, opts Options) (*Outcome, error) {
 	r.before = before
 	r.out.StaticBefore = countStatic(before)
 
-	// Opt-in static diagnostics, on the baseline program: the rules
-	// clone what they need, so the differential check's reference is
-	// untouched.
-	if opts.Diagnose {
-		if err := r.runStage(StageDiagnose, "", nil, func() error {
-			ds, derr := diag.AnalyzeProgram(before, diag.Options{})
-			if derr != nil {
-				return derr
-			}
-			r.out.Diagnostics = ds
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-
 	// Training profile (on the unpromoted program, or on a separate
 	// training-input variant when TrainSrc is set).
 	prof, trained, err := r.trainProfile(before, beforeForests)
@@ -285,13 +253,16 @@ func Run(src string, opts Options) (*Outcome, error) {
 	}
 
 	// Promoted program: fresh compile, then transform, function by
-	// function, each behind its own isolation and rollback boundary.
+	// function in declaration order, each behind its own isolation and
+	// rollback boundary.
 	after, forests, err := r.frontend(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.transformAll(after, forests, prof); err != nil {
-		return nil, err
+	for _, f := range after.Funcs {
+		if err := r.transformFunc(after, f, forests[f.Name], prof); err != nil {
+			return nil, err
+		}
 	}
 	r.out.Prog = after
 
@@ -446,10 +417,7 @@ type transformStep struct {
 // the baseline program's copy and records a Degradation, unless
 // FailFast is set, in which case the *StageError is returned.
 func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.Forest, prof *profile.Profile) error {
-	r.mu.Lock()
-	degraded := r.degraded[f.Name]
-	r.mu.Unlock()
-	if degraded {
+	if r.degraded[f.Name] {
 		return nil // degraded at normalize; already in known-good state
 	}
 	fp := prof.ForFunc(f.Name)
@@ -499,9 +467,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 					return err
 				}
 				stats = pres.Stats
-				r.mu.Lock()
 				r.out.Pressure[f.Name] = pres
-				r.mu.Unlock()
 				return nil
 			}
 			s, err := core.PromoteFunction(f, forest, ccfg)
@@ -550,9 +516,7 @@ func (r *runner) transformFunc(prog *ir.Program, f *ir.Function, forest *cfg.For
 	}
 
 	if stats != nil {
-		r.mu.Lock()
 		r.out.Stats[f.Name] = stats
-		r.mu.Unlock()
 	}
 	return nil
 }
@@ -602,21 +566,14 @@ func (r *runner) boundaryCheck(f *ir.Function, inSSA bool, dt *domTree) error {
 }
 
 // degrade rolls f back to the baseline program's copy inside prog and
-// records the absorbed failure, or returns it when FailFast is set. The
-// swap and the bookkeeping run under the runner's lock: ReplaceFunction
-// mutates the program's shared function registry, which concurrent
-// workers may be swapping other functions into. The clone itself only
-// reads the baseline, which nothing mutates, so it runs unlocked.
+// records the absorbed failure, or returns it when FailFast is set.
 func (r *runner) degrade(prog *ir.Program, f *ir.Function, stage string, err error) error {
 	if r.opts.FailFast {
 		return err
 	}
-	rollback := r.before.Func(f.Name).CloneInto(prog)
-	r.mu.Lock()
-	prog.ReplaceFunction(rollback)
+	prog.ReplaceFunction(r.before.Func(f.Name).CloneInto(prog))
 	delete(r.out.Stats, f.Name)
 	delete(r.out.Pressure, f.Name)
-	r.mu.Unlock()
 	r.recordDegradation(f.Name, stage, err)
 	return nil
 }
@@ -624,11 +581,11 @@ func (r *runner) degrade(prog *ir.Program, f *ir.Function, stage string, err err
 // recordDegradation appends one Degradation, deduplicating on function
 // name — the baseline and promoted compiles hit the same deterministic
 // failure twice, and a function rescued by the differential bisect must
-// not be double-counted with its transformation-time failure. finish
-// re-sorts the surviving entries into canonical order.
+// not be double-counted with its transformation-time failure. The
+// first record is the one from the earliest stage, since the stages
+// that degrade run in stage order; finish sorts the entries into
+// declaration order.
 func (r *runner) recordDegradation(fn, stage string, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for _, d := range r.out.Degraded {
 		if d.Func == fn {
 			return
@@ -642,10 +599,30 @@ func (r *runner) recordDegradation(fn, stage string, err error) {
 	r.out.Degraded = append(r.out.Degraded, Degradation{Func: fn, Stage: stage, Err: se})
 }
 
-// recomputeTotals rebuilds TotalStats from the per-function map (stats
-// of degraded functions have been dropped by then).
-func (r *runner) recomputeTotals() {
-	r.out.TotalStats = core.Stats{}
+// finish puts the outcome in the order its fields document and sums
+// TotalStats from the per-function map, from which degraded functions
+// have been dropped. Degradations arrive grouped by the stage that
+// found them (normalize, then the transform chains, then the
+// differential bisect), so a bisect culprit can follow a later function;
+// they are sorted into declaration order. Timings arrive in execution
+// order, with each function's whole chain before the next function's,
+// and are sorted by stage, then declaration order.
+func (r *runner) finish(after *ir.Program) {
+	pos := make(map[string]int, len(after.Funcs)+1)
+	pos[""] = -1 // whole-program timings sort first
+	for i, f := range after.Funcs {
+		pos[f.Name] = i
+	}
+	sort.SliceStable(r.out.Degraded, func(i, j int) bool {
+		return pos[r.out.Degraded[i].Func] < pos[r.out.Degraded[j].Func]
+	})
+	sort.SliceStable(r.out.Timings, func(i, j int) bool {
+		a, b := r.out.Timings[i], r.out.Timings[j]
+		if sa, sb := stageIndex(a.Stage), stageIndex(b.Stage); sa != sb {
+			return sa < sb
+		}
+		return pos[a.Func] < pos[b.Func]
+	})
 	for _, s := range r.out.Stats {
 		r.out.TotalStats.Add(*s)
 	}

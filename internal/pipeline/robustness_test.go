@@ -97,7 +97,9 @@ func TestFaultInjectionEveryStage(t *testing.T) {
 }
 
 // TestFaultInjectionFailFast asserts that FailFast converts every
-// per-function degradation into a returned StageError instead.
+// per-function degradation into a returned StageError instead, and that
+// the error is the first declared function's: functions are transformed
+// in declaration order.
 func TestFaultInjectionFailFast(t *testing.T) {
 	for _, stage := range []string{
 		pipeline.StageNormalize, pipeline.StageSSABuild, pipeline.StagePromote,
@@ -109,7 +111,7 @@ func TestFaultInjectionFailFast(t *testing.T) {
 		if !errors.As(err, &se) {
 			t.Fatalf("stage %s with FailFast: err = %v, want StageError", stage, err)
 		}
-		if se.Stage != stage || se.Func == "" {
+		if se.Stage != stage || se.Func != "bumpx" {
 			t.Fatalf("stage %s: StageError site = %s/%s", stage, se.Stage, se.Func)
 		}
 	}
@@ -244,5 +246,32 @@ func TestSeededFaultSweep(t *testing.T) {
 				t.Fatalf("seed %d: non-structured error %v", seed, err)
 			}
 		}
+	}
+}
+
+// TestDegradedInDeclarationOrder: degradations are recorded in the
+// order the stages find them, but Outcome.Degraded lists them in
+// declaration order. Here promote fails on bumpy first; then a failing
+// measure-after run sends the rescue bisect to bumpx, the first function
+// still promoted, which is recorded after bumpy.
+func TestDegradedInDeclarationOrder(t *testing.T) {
+	inj := faults.New(
+		faults.Plan{Stage: pipeline.StagePromote, Func: "bumpy", Mode: faults.ModeError},
+		faults.Plan{Stage: pipeline.StageMeasureAfter, Mode: faults.ModeError, Count: 1},
+	)
+	out, err := runNoPanic(t, multiFunc, pipeline.Options{Faults: inj})
+	if err != nil {
+		t.Fatalf("faults not absorbed: %v", err)
+	}
+	var got []string
+	for _, d := range out.Degraded {
+		got = append(got, d.Func+"@"+d.Stage)
+	}
+	want := []string{"bumpx@" + pipeline.StageDifferential, "bumpy@" + pipeline.StagePromote}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Degraded = %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(out.Before.Output, out.After.Output) {
+		t.Fatalf("rescued program changed output: %v vs %v", out.Before.Output, out.After.Output)
 	}
 }

@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/alias"
@@ -74,29 +73,26 @@ func TestRollbackRestoresBaselineIR(t *testing.T) {
 		preNormalize := pre.Func(fn).String()
 
 		for _, stage := range stages {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", tc.name, stage, workers), func(t *testing.T) {
-					opts := base
-					opts.Workers = workers
-					opts.Faults = faults.New(faults.Plan{Stage: stage, Func: fn, Mode: faults.ModePanic})
-					out, got := runFuncs(t, tc.src, opts)
-					if d := out.DegradedFuncs(); len(d) != 1 || d[0] != fn || out.Degraded[0].Stage != stage {
-						t.Fatalf("Degraded = %+v, want only %s at %s", out.Degraded, fn, stage)
+			t.Run(tc.name+"/"+stage, func(t *testing.T) {
+				opts := base
+				opts.Faults = faults.New(faults.Plan{Stage: stage, Func: fn, Mode: faults.ModePanic})
+				out, got := runFuncs(t, tc.src, opts)
+				if d := out.DegradedFuncs(); len(d) != 1 || d[0] != fn || out.Degraded[0].Stage != stage {
+					t.Fatalf("Degraded = %+v, want only %s at %s", out.Degraded, fn, stage)
+				}
+				want := unpromoted[fn]
+				if stage == pipeline.StageNormalize {
+					want = preNormalize
+				}
+				if got[fn] != want {
+					t.Fatalf("rolled-back %s prints differently:\n--- want\n%s\n--- got\n%s", fn, want, got[fn])
+				}
+				for name, ir := range got {
+					if name != fn && ir != clean[name] {
+						t.Fatalf("healthy %s differs from the clean run", name)
 					}
-					want := unpromoted[fn]
-					if stage == pipeline.StageNormalize {
-						want = preNormalize
-					}
-					if got[fn] != want {
-						t.Fatalf("rolled-back %s prints differently:\n--- want\n%s\n--- got\n%s", fn, want, got[fn])
-					}
-					for name, ir := range got {
-						if name != fn && ir != clean[name] {
-							t.Fatalf("healthy %s differs from the clean run", name)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

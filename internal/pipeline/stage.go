@@ -66,12 +66,6 @@ const (
 	StageVerify        = "verify"
 	StageMeasureAfter  = "measure-after"
 	StageDifferential  = "differential"
-	// StageDiagnose is the opt-in static-diagnostics stage
-	// (Options.Diagnose). It is deliberately absent from Stages(): that
-	// list is the every-run isolation contract the fault-injection
-	// tests sweep, and this stage only exists when asked for. Stage
-	// bookkeeping (timings, server metrics) tolerates the extra name.
-	StageDiagnose = "diagnose"
 )
 
 // Stages returns every pipeline stage name in execution order. Fault
@@ -166,7 +160,9 @@ func (r *runner) runStage(stage, fn string, snap func() string, body func() erro
 		return snap()
 	}
 	start := time.Now()
-	defer func() { r.recordTiming(stage, fn, time.Since(start)) }()
+	defer func() {
+		r.out.Timings = append(r.out.Timings, StageTiming{Stage: stage, Func: fn, Wall: time.Since(start)})
+	}()
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &StageError{

@@ -19,7 +19,7 @@ type StageTiming struct {
 }
 
 // stageOrder maps each stage name to its position in execution order,
-// for canonical sorting of timings and degradations.
+// for the canonical order of timings.
 var stageOrder = func() map[string]int {
 	m := make(map[string]int, len(Stages()))
 	for i, s := range Stages() {
@@ -35,14 +35,6 @@ func stageIndex(stage string) int {
 		return i
 	}
 	return len(stageOrder)
-}
-
-// recordTiming appends one stage timing under the runner's lock (the
-// per-function chains run concurrently on the worker pool).
-func (r *runner) recordTiming(stage, fn string, wall time.Duration) {
-	r.mu.Lock()
-	r.out.Timings = append(r.out.Timings, StageTiming{Stage: stage, Func: fn, Wall: wall})
-	r.mu.Unlock()
 }
 
 // StageWall aggregates the outcome's timings into total wall time per

@@ -46,7 +46,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // and returns a typed *OptionError for the first violation. Zero values
 // are always valid (they select the documented defaults); what Validate
 // rejects are values no code path gives a meaning to — a negative
-// worker count, an Algorithm or CheckLevel outside the enum — which
+// step limit, an Algorithm or CheckLevel outside the enum — which
 // previously fell through to whatever the nearest clamp did.
 func (o Options) Validate() error {
 	switch o.Lang {
@@ -62,10 +62,6 @@ func (o Options) Validate() error {
 	if o.Check < CheckOff || o.Check > CheckParanoid {
 		return &OptionError{Field: "Check", Value: int(o.Check),
 			Reason: "unknown check level (want off, boundaries, or paranoid)"}
-	}
-	if o.Workers < 0 {
-		return &OptionError{Field: "Workers", Value: o.Workers,
-			Reason: "must be >= 0 (0 = GOMAXPROCS)"}
 	}
 	if o.PressureCap < 0 {
 		return &OptionError{Field: "PressureCap", Value: o.PressureCap,

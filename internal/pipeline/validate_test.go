@@ -18,7 +18,6 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 		opts  Options
 		field string
 	}{
-		{"negative workers", Options{Workers: -1}, "Workers"},
 		{"negative pressure cap", Options{PressureCap: -2}, "PressureCap"},
 		{"algorithm too big", Options{Algorithm: AlgNone + 1}, "Algorithm"},
 		{"algorithm negative", Options{Algorithm: -1}, "Algorithm"},
@@ -51,8 +50,8 @@ func TestValidateRejectsBadOptions(t *testing.T) {
 func TestValidateAcceptsDefaultsAndExtremes(t *testing.T) {
 	good := []Options{
 		{},
-		{Algorithm: AlgNone, Check: CheckParanoid, Workers: 64},
-		{Workers: 0, PressureCap: 0},
+		{Algorithm: AlgNone, Check: CheckParanoid},
+		{PressureCap: 0},
 		{Interp: interp.Options{MaxSteps: 1, MaxDepth: 1, MaxOutput: 1, Timeout: time.Nanosecond}},
 	}
 	for _, o := range good {
@@ -65,13 +64,13 @@ func TestValidateAcceptsDefaultsAndExtremes(t *testing.T) {
 // TestRunRejectsInvalidOptions checks Run surfaces the typed error
 // before doing any work.
 func TestRunRejectsInvalidOptions(t *testing.T) {
-	_, err := Run(`void main() { print(1); }`, Options{Workers: -4})
+	_, err := Run(`void main() { print(1); }`, Options{PressureCap: -4})
 	var oe *OptionError
 	if !errors.As(err, &oe) {
-		t.Fatalf("Run with Workers=-4 returned %v, want *OptionError", err)
+		t.Fatalf("Run with PressureCap=-4 returned %v, want *OptionError", err)
 	}
-	if oe.Field != "Workers" {
-		t.Fatalf("OptionError.Field = %q, want Workers", oe.Field)
+	if oe.Field != "PressureCap" {
+		t.Fatalf("OptionError.Field = %q, want PressureCap", oe.Field)
 	}
 }
 

@@ -71,8 +71,7 @@ type GlobalJSON struct {
 // order (function declaration order comes pre-canonicalized from the
 // pipeline; stats and globals sort by name here), and wall-clock
 // timings are deliberately excluded, so two runs over the same
-// (source, options) — at any worker count — marshal to byte-identical
-// JSON. The serving layer's cache determinism checks rely on that.
+// (source, options) marshal to byte-identical JSON. The serving layer's cache determinism checks rely on that.
 type OutcomeJSON struct {
 	SchemaVersion int               `json:"schema_version"`
 	Static        StaticJSON        `json:"static"`

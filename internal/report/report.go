@@ -35,10 +35,6 @@ type Options struct {
 	// FailFast aborts on the first stage failure instead of degrading
 	// the affected function.
 	FailFast bool
-	// Workers bounds the pipeline's per-function transform concurrency
-	// (0 = GOMAXPROCS, 1 = sequential); results are identical for any
-	// value.
-	Workers int
 }
 
 func (o Options) pipeline(skipMeasure bool) pipeline.Options {
@@ -51,7 +47,6 @@ func (o Options) pipeline(skipMeasure bool) pipeline.Options {
 		SkipMeasurement:    skipMeasure,
 		Check:              o.Check,
 		FailFast:           o.FailFast,
-		Workers:            o.Workers,
 	}
 }
 

@@ -56,7 +56,7 @@ func TestLRURefreshAndBytes(t *testing.T) {
 // TestCacheKeySensitivity checks the content address covers both the
 // source and every resolved option, and nothing else.
 func TestCacheKeySensitivity(t *testing.T) {
-	base := resolvedOptions{Algorithm: "ssa", Check: "off", Workers: 1, MaxSteps: 100, TimeoutMS: 50}
+	base := resolvedOptions{Algorithm: "ssa", Check: "off", MaxSteps: 100, TimeoutMS: 50}
 	k := cacheKey("void main() {}", base)
 	if k != cacheKey("void main() {}", base) {
 		t.Fatal("identical inputs hash differently")
@@ -65,13 +65,12 @@ func TestCacheKeySensitivity(t *testing.T) {
 		t.Fatal("different sources share a key")
 	}
 	variants := []resolvedOptions{
-		{Algorithm: "none", Check: "off", Workers: 1, MaxSteps: 100, TimeoutMS: 50},
-		{Algorithm: "ssa", Check: "paranoid", Workers: 1, MaxSteps: 100, TimeoutMS: 50},
-		{Algorithm: "ssa", Check: "off", Workers: 2, MaxSteps: 100, TimeoutMS: 50},
-		{Algorithm: "ssa", Check: "off", Workers: 1, MaxSteps: 101, TimeoutMS: 50},
-		{Algorithm: "ssa", Check: "off", Workers: 1, MaxSteps: 100, TimeoutMS: 51},
-		{Algorithm: "ssa", Check: "off", Workers: 1, MaxSteps: 100, TimeoutMS: 50, SkipMeasurement: true},
-		{Algorithm: "ssa", Check: "off", Workers: 1, MaxSteps: 100, TimeoutMS: 50, StaticProfile: true},
+		{Algorithm: "none", Check: "off", MaxSteps: 100, TimeoutMS: 50},
+		{Algorithm: "ssa", Check: "paranoid", MaxSteps: 100, TimeoutMS: 50},
+		{Algorithm: "ssa", Check: "off", MaxSteps: 101, TimeoutMS: 50},
+		{Algorithm: "ssa", Check: "off", MaxSteps: 100, TimeoutMS: 51},
+		{Algorithm: "ssa", Check: "off", MaxSteps: 100, TimeoutMS: 50, SkipMeasurement: true},
+		{Algorithm: "ssa", Check: "off", MaxSteps: 100, TimeoutMS: 50, StaticProfile: true},
 	}
 	for i, v := range variants {
 		if cacheKey("void main() {}", v) == k {

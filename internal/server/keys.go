@@ -18,9 +18,6 @@ const (
 	// maxTimeout is the interpreter wall-clock ceiling. A request may
 	// ask for less (timeout_ms), never more.
 	maxTimeout = 10 * time.Second
-	// defaultPipelineWorkers is the transform worker count of a request
-	// that names none (workers omitted or 0).
-	defaultPipelineWorkers = 1
 )
 
 // ResolveKey canonicalizes ro and returns the content-addressed cache
@@ -65,14 +62,6 @@ func canonicalize(ro RequestOptions) (resolvedOptions, error) {
 	if _, err := pipeline.ParseCheckLevel(res.Check); err != nil {
 		return res, &badRequestError{&pipeline.OptionError{Field: "Check", Value: ro.Check,
 			Reason: "unknown check level (want off, boundaries, or paranoid)"}}
-	}
-	res.Workers = ro.Workers
-	if res.Workers == 0 {
-		res.Workers = defaultPipelineWorkers
-	}
-	if res.Workers < 0 || res.Workers > 16 {
-		return res, &badRequestError{&pipeline.OptionError{Field: "Workers", Value: ro.Workers,
-			Reason: "out of range [0, 16] (0 = server default)"}}
 	}
 	if ro.MaxSteps < 0 {
 		return res, &badRequestError{&pipeline.OptionError{Field: "Interp.MaxSteps", Value: ro.MaxSteps,

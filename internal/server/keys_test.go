@@ -12,13 +12,12 @@ func TestResolveKeyMatchesServer(t *testing.T) {
 	// steps and timeout) and with every default written out.
 	defaults := []RequestOptions{
 		{MaxSteps: 1 << 40, TimeoutMS: 1 << 40},
-		{Workers: defaultPipelineWorkers, MaxSteps: maxSteps, TimeoutMS: maxTimeout.Milliseconds()},
+		{MaxSteps: maxSteps, TimeoutMS: maxTimeout.Milliseconds()},
 	}
 	cases := append([]RequestOptions{
 		{},
 		{Algorithm: "baseline", Check: "paranoid"},
-		{Workers: 8, MaxSteps: 999, TimeoutMS: 50},
-		{Workers: 16, MaxSteps: 1 << 40, TimeoutMS: 1 << 40},
+		{MaxSteps: 999, TimeoutMS: 50},
 		{Check: "boundaries"},
 	}, defaults...)
 	for i, ro := range cases {

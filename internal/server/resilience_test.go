@@ -544,8 +544,6 @@ func TestBadRequestFieldNames(t *testing.T) {
 	}{
 		{RequestOptions{Algorithm: "turbo"}, "Algorithm"},
 		{RequestOptions{Check: "extreme"}, "Check"},
-		{RequestOptions{Workers: -1}, "Workers"},
-		{RequestOptions{Workers: 99}, "Workers"},
 		{RequestOptions{MaxSteps: -5}, "Interp.MaxSteps"},
 		{RequestOptions{TimeoutMS: -5}, "Interp.Timeout"},
 		{RequestOptions{PressureCap: -1}, "PressureCap"},

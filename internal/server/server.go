@@ -12,10 +12,10 @@
 //   - Content-addressed caching, two tiers: SHA-256 of (canonicalized
 //     source, resolved options) keys a size-bounded in-memory LRU (hot
 //     tier) over a durable on-disk store (internal/diskcache, cold
-//     tier). The pipeline is deterministic for identical inputs at any
-//     worker count, which is what makes serving a cached outcome sound;
-//     the disk tier's checksum-verify-or-quarantine contract is what
-//     makes serving one after a crash or corruption sound. A restarted
+//     tier). The pipeline is deterministic for identical inputs, which
+//     is what makes serving a cached outcome sound; the disk tier's
+//     checksum-verify-or-quarantine contract is what makes serving one
+//     after a crash or corruption sound. A restarted
 //     replica re-opens its cache directory and comes back warm. Disk
 //     writes happen behind the response, on one writer goroutine fed
 //     by a bounded queue; Drain flushes it, and a crash loses only
@@ -231,9 +231,6 @@ type RequestOptions struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Check is off (default), boundaries, or paranoid.
 	Check string `json:"check,omitempty"`
-	// Workers is the per-request transform worker count
-	// (0 = the default of 1).
-	Workers int `json:"workers,omitempty"`
 	// StaticProfile promotes with the loop-depth estimator instead of a
 	// training run.
 	StaticProfile bool `json:"static_profile,omitempty"`
@@ -265,7 +262,6 @@ type resolvedOptions struct {
 	Lang               string `json:"lang"`
 	Algorithm          string `json:"algorithm"`
 	Check              string `json:"check"`
-	Workers            int    `json:"workers"`
 	StaticProfile      bool   `json:"static_profile"`
 	PreMemOpts         bool   `json:"pre_mem_opts"`
 	PaperProfitFormula bool   `json:"paper_profit_formula"`
@@ -295,7 +291,6 @@ func resolve(ro RequestOptions) (resolvedOptions, pipeline.Options, error) {
 		Lang:               res.Lang,
 		Algorithm:          alg,
 		Check:              check,
-		Workers:            res.Workers,
 		StaticProfile:      res.StaticProfile,
 		PreMemOpts:         res.PreMemOpts,
 		PaperProfitFormula: res.PaperProfitFormula,
@@ -371,7 +366,7 @@ func DecodePromote(r *http.Request) (PromoteRequest, []byte, *Rejection) {
 // PromoteResponse is the JSON body of a successful promotion.
 type PromoteResponse struct {
 	// Outcome is the stable, versioned outcome encoding — identical for
-	// identical (source, options) at any worker count.
+	// identical (source, options).
 	Outcome json.RawMessage `json:"outcome"`
 	// Report is the pipeline's canonical text report.
 	Report string `json:"report"`

@@ -148,24 +148,6 @@ func TestCacheHitVsMiss(t *testing.T) {
 	}
 }
 
-// TestOutcomeDeterministicAcrossWorkerCounts checks the outcome payload
-// is identical for per-request worker counts 1 and 2 (different cache
-// keys, so both actually run the pipeline).
-func TestOutcomeDeterministicAcrossWorkerCounts(t *testing.T) {
-	s := newTestServer(t, Config{workers: 2})
-	_, one, _ := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{Workers: 1}})
-	_, two, _ := postPromote(t, s, PromoteRequest{Source: smallSrc, Options: RequestOptions{Workers: 2}})
-	if one.Serving.Cache != "miss" || two.Serving.Cache != "miss" {
-		t.Fatalf("expected two misses, got %q and %q", one.Serving.Cache, two.Serving.Cache)
-	}
-	if !bytes.Equal(one.Outcome, two.Outcome) {
-		t.Fatalf("outcome differs across worker counts:\n%s\nvs\n%s", one.Outcome, two.Outcome)
-	}
-	if one.Report != two.Report {
-		t.Fatal("report differs across worker counts")
-	}
-}
-
 // TestBadRequests checks malformed bodies and invalid options map to
 // 400s with the bad_request kind, while an unknown option field is
 // ignored.
@@ -183,8 +165,6 @@ func TestBadRequests(t *testing.T) {
 		{Source: ""},
 		{Source: smallSrc, Options: RequestOptions{Algorithm: "turbo"}},
 		{Source: smallSrc, Options: RequestOptions{Check: "extreme"}},
-		{Source: smallSrc, Options: RequestOptions{Workers: -1}},
-		{Source: smallSrc, Options: RequestOptions{Workers: 99}},
 		{Source: smallSrc, Options: RequestOptions{MaxSteps: -5}},
 		{Source: smallSrc, Options: RequestOptions{TimeoutMS: -5}},
 	}
@@ -201,17 +181,38 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("GET /v1/promote: %d, want 405", rec.Code)
 	}
 
-	// A body that still carries the retired "fault" option is served
-	// like any other unknown field: ignored, with no fault injected.
-	body, err := json.Marshal(map[string]any{"source": smallSrc,
-		"options": map[string]any{"fault": "compile:panic"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/promote", bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf(`body with "fault": %d %s, want 200`, rec.Code, rec.Body.String())
+	// A body that still carries a retired option ("fault", or
+	// "workers") is served like any other unknown field: ignored, with
+	// no fault injected, under the key of a body without it. The first
+	// such body runs the default options; the second hits its entry.
+	for i, retired := range []map[string]any{{"fault": "compile:panic"}, {"workers": 4}} {
+		body, err := json.Marshal(map[string]any{"source": smallSrc, "options": retired})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/promote", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("body with %v: %d %s, want 200", retired, rec.Code, rec.Body.String())
+		}
+		var resp PromoteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"miss", "hit"}[i]; resp.Serving.Cache != want {
+			t.Fatalf("body with %v: cache = %q, want %q", retired, resp.Serving.Cache, want)
+		}
+		var req PromoteRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ResolveKey(req.Source, req.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := ResolveKey(smallSrc, RequestOptions{}); got != want {
+			t.Fatalf("body with %v has key %s, want the default options' key %s", retired, got, want)
+		}
 	}
 }
 
