@@ -300,23 +300,6 @@ func (p *Program) Func(name string) *Function {
 	return p.funcsByName[name]
 }
 
-// FuncIndex returns the position of the named function in Funcs
-// (declaration order), or -1. ReplaceFunction preserves positions, so
-// the index is stable across rollbacks — the pipeline keys its
-// canonical result ordering on it.
-func (p *Program) FuncIndex(name string) int {
-	f := p.funcsByName[name]
-	if f == nil {
-		return -1
-	}
-	for i, x := range p.Funcs {
-		if x == f {
-			return i
-		}
-	}
-	return -1
-}
-
 // AddGlobal registers a global object and returns it.
 func (p *Program) AddGlobal(name string, size int, isArray bool, fields []string) *Global {
 	g := &Global{Name: name, Size: size, IsArray: isArray, FieldNames: fields}

@@ -618,7 +618,7 @@ func (r *runner) finish(after *ir.Program) {
 	})
 	sort.SliceStable(r.out.Timings, func(i, j int) bool {
 		a, b := r.out.Timings[i], r.out.Timings[j]
-		if sa, sb := stageIndex(a.Stage), stageIndex(b.Stage); sa != sb {
+		if sa, sb := stageOrder[a.Stage], stageOrder[b.Stage]; sa != sb {
 			return sa < sb
 		}
 		return pos[a.Func] < pos[b.Func]

@@ -28,15 +28,6 @@ var stageOrder = func() map[string]int {
 	return m
 }()
 
-// stageIndex returns the execution-order position of stage, or a
-// past-the-end position for unknown names.
-func stageIndex(stage string) int {
-	if i, ok := stageOrder[stage]; ok {
-		return i
-	}
-	return len(stageOrder)
-}
-
 // StageWall aggregates the outcome's timings into total wall time per
 // stage. Map iteration order is not defined; render through
 // report.SumStageTimings (or sort by Stages order) for stable output.
