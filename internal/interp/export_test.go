@@ -3,14 +3,12 @@ package interp
 import "repro/internal/ir"
 
 // CompileAll compiles every function of prog to bytecode, as the runs
-// that call them do, and returns the total instruction count, so
-// interp_test benchmarks can time compilation alone.
-func CompileAll(prog *ir.Program) int {
+// that call them do, so interp_test benchmarks can time compilation
+// alone.
+func CompileAll(prog *ir.Program) {
 	m := &machine{prog: prog}
 	m.layoutGlobals()
-	n := 0
 	for _, f := range prog.Funcs {
-		n += len(compileBytecode(f, m.globalBase).ins)
+		compileBytecode(f, m.globalBase)
 	}
-	return n
 }
